@@ -1,8 +1,8 @@
 """Micro-benchmark of the compiled kernels against the numpy fallbacks.
 
 Times one epoch of each coordinate-update kernel plus the sparse
-matrix-vector products on a synthetic problem, for both entries of
-``extracd.kernels.IMPLS``.  Run as::
+matrix-vector products on a synthetic problem, for every backend in
+``extracd.kernels.IMPLS`` (numba only when it is installed).  Run as::
 
     python3 benchmarks/kernel_bench.py [--n 2000] [--p 4000] [--repeat 20]
 """
@@ -55,12 +55,11 @@ def main():
     ]
 
     print(f"n={args.n} p={args.p} nnz={A.nnz} (best of {args.repeat})")
-    print(f"{'kernel':18s} {'numpy':>10s} {'numba':>10s} {'speedup':>8s}")
+    print(f"{'kernel':18s}" + "".join(f" {b:>10s}" for b in IMPLS))
     for name, call in cases:
-        t_np = time_call(lambda: call(IMPLS["numpy"]), repeat=args.repeat)
-        t_nb = time_call(lambda: call(IMPLS["numba"]), repeat=args.repeat)
-        print(f"{name:18s} {t_np * 1e3:9.3f}ms {t_nb * 1e3:9.3f}ms "
-              f"{t_np / t_nb:7.1f}x")
+        times = [time_call(lambda: call(impl), repeat=args.repeat)
+                 for impl in IMPLS.values()]
+        print(f"{name:18s}" + "".join(f" {t * 1e3:8.3f}ms" for t in times))
 
 
 if __name__ == "__main__":

@@ -9,11 +9,10 @@ overlaying all solvers.  Suboptimality is measured against a cached
 reference optimum computed once per problem fingerprint.
 """
 
-import concurrent.futures
 import configparser
 import hashlib
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, is_dataclass, replace
 
 import numpy as np
 
@@ -21,8 +20,8 @@ from .data import binarize_labels, gen_correlated_gaussian, load_sample, \
     parse_libsvm
 from .errors import ArgumentError
 from .problems import (ElasticNet, GroupLasso, Lasso, LogRegL1, LogRegL2,
-                       Quadratic, groups_from_size, lambda_max,
-                       objective_value, ridge_quadratic, stopping_measure,
+                       groups_from_size, lambda_max, objective_value,
+                       ridge_quadratic, stopping_measure,
                        tikhonov_for_condition)
 from .solvers import SOLVERS, SolverConfig, anderson_pcd
 from .svgplot import write_line_plot
@@ -206,26 +205,22 @@ def build_problems(spec, dataset):
 
 
 def fingerprint(prob):
-    """Stable hex digest of a problem instance (data and parameters)."""
+    """Stable hex digest of a problem instance: its class, and the data and
+    parameters of its datafit and penalty."""
     h = hashlib.sha256()
     h.update(type(prob).__name__.encode())
-    if isinstance(prob, Quadratic):
-        h.update(np.ascontiguousarray(prob.H).tobytes())
-        h.update(np.ascontiguousarray(prob.b).tobytes())
-    else:
-        A = prob.A
-        h.update(np.int64(A.n_rows).tobytes())
-        h.update(A.col_ptr.tobytes())
-        h.update(A.row_idx.tobytes())
-        h.update(A.values.tobytes())
-        h.update(prob.y.tobytes())
-        h.update(np.float64(prob.lam).tobytes())
-        if isinstance(prob, ElasticNet):
-            h.update(np.float64(prob.rho).tobytes())
-        if isinstance(prob, GroupLasso):
-            for g in prob.groups:
-                h.update(g.tobytes())
+    _hash_into(h, (prob.datafit, prob.penalty))
     return h.hexdigest()[:16]
+
+
+def _hash_into(h, value):
+    if is_dataclass(value):
+        value = [getattr(value, f.name) for f in fields(value)]
+    if isinstance(value, (tuple, list)):
+        for item in value:
+            _hash_into(h, item)
+    else:
+        h.update(np.ascontiguousarray(value).tobytes())
 
 
 @dataclass(frozen=True)
@@ -295,21 +290,13 @@ def write_trace_csv(path, trace, f_star):
                      f"{obj - f_star:.17g},{gap_s}\n")
 
 
-def _run_job(prob, ref, solver, spec):
-    cfg = SolverConfig(algorithm=solver, max_epochs=spec.max_epochs,
-                       tol=spec.tol, seed=spec.seed)
-    return SOLVERS[solver](prob, cfg)
-
-
-def run_bench(spec, threads=1):
+def run_bench(spec):
     """Execute the whole grid and write CSV/SVG outputs.
 
     Returns a summary dict with the produced file paths and a list of
     ``(tag, solver, message)`` for failed jobs; a failing job does not
     abort the rest.
     """
-    if threads < 1:
-        raise ArgumentError("threads must be >= 1")
     os.makedirs(spec.out_dir, exist_ok=True)
     dataset = build_dataset(spec)
     tagged = build_problems(spec, dataset)
@@ -319,32 +306,16 @@ def run_bench(spec, threads=1):
             prob, budget=spec.ref_budget_factor * spec.max_epochs,
             cache_dir=os.path.join(spec.out_dir, "refs"), tol=1e-12)
 
-    jobs = [(tag, prob, solver) for tag, prob in tagged
-            for solver in spec.solvers]
     traces = {}
     errors = []
-
-    def execute(job):
-        tag, prob, solver = job
-        return tag, solver, _run_job(prob, refs[tag], solver, spec)
-
-    if threads == 1:
-        for job in jobs:
+    for tag, prob in tagged:
+        for solver in spec.solvers:
+            cfg = SolverConfig(algorithm=solver, max_epochs=spec.max_epochs,
+                               tol=spec.tol, seed=spec.seed)
             try:
-                tag, solver, trace = execute(job)
-                traces[(tag, solver)] = trace
+                traces[(tag, solver)] = SOLVERS[solver](prob, cfg)
             except Exception as exc:  # noqa: BLE001 - job isolation
-                errors.append((job[0], job[2], str(exc)))
-    else:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as ex:
-            futures = {ex.submit(execute, job): job for job in jobs}
-            for fut in concurrent.futures.as_completed(futures):
-                job = futures[fut]
-                try:
-                    tag, solver, trace = fut.result()
-                    traces[(tag, solver)] = trace
-                except Exception as exc:  # noqa: BLE001 - job isolation
-                    errors.append((job[0], job[2], str(exc)))
+                errors.append((tag, solver, str(exc)))
 
     summary = {"csv": [], "svg": [], "errors": errors}
     for tag, prob in tagged:

@@ -36,8 +36,6 @@ def _build_parser():
                        "(overrides the config)")
     bench.add_argument("--seed", type=int, default=None,
                        help="solver seed (overrides the config)")
-    bench.add_argument("--threads", type=int, default=1,
-                       help="parallel benchmark jobs")
 
     rng = sub.add_parser(
         "range", help="numerical range of coordinate-pass iteration powers")
@@ -69,7 +67,7 @@ def _build_parser():
 
 def _cmd_bench(args):
     spec = load_config(args.config, out_dir=args.out, seed=args.seed)
-    summary = run_bench(spec, threads=args.threads)
+    summary = run_bench(spec)
     for path in summary["csv"]:
         print(f"wrote {path}")
     for path in summary["svg"]:

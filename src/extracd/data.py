@@ -20,7 +20,6 @@ __all__ = [
     "parse_libsvm",
     "serialize_libsvm",
     "binarize_labels",
-    "col_norms_sq",
     "gen_correlated_gaussian",
     "load_sample",
 ]
@@ -97,10 +96,14 @@ class CscMatrix:
         return cls(n, p, np.array(col_ptr, dtype=np.int64), row_idx, values)
 
     def toarray(self):
-        out = np.zeros((self.n_rows, self.n_cols))
-        for j in range(self.n_cols):
+        return self.columns(range(self.n_cols))
+
+    def columns(self, cols):
+        """Dense ``n_rows x len(cols)`` copy of the listed columns."""
+        out = np.zeros((self.n_rows, len(cols)))
+        for t, j in enumerate(cols):
             sl = slice(self.col_ptr[j], self.col_ptr[j + 1])
-            out[self.row_idx[sl], j] = self.values[sl]
+            out[self.row_idx[sl], t] = self.values[sl]
         return out
 
     def matvec(self, x):
@@ -118,14 +121,6 @@ class CscMatrix:
 
     def col_norms_sq(self):
         return kernels.csc_col_norms_sq(self.values, self.col_ptr)
-
-    def take_cols(self, k):
-        """First ``k`` columns as a new matrix (file order = index order)."""
-        if not 0 <= k <= self.n_cols:
-            raise ArgumentError("k out of range")
-        end = int(self.col_ptr[k])
-        return CscMatrix(self.n_rows, k, self.col_ptr[:k + 1].copy(),
-                         self.row_idx[:end].copy(), self.values[:end].copy())
 
 
 @dataclass(frozen=True)
@@ -277,11 +272,6 @@ def binarize_labels(y):
             f"need exactly two distinct label values, got {vals.size}")
     out = np.where(y == vals[0], -1.0, 1.0)
     return out
-
-
-def col_norms_sq(A):
-    """Squared Euclidean norm of every column of ``A``."""
-    return A.col_norms_sq()
 
 
 def gen_correlated_gaussian(n, p, corr=0.5, snr=3.0, seed=0):

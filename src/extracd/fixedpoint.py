@@ -18,6 +18,7 @@ import numpy as np
 
 from .errors import ArgumentError
 from . import kernels
+from .problems import Quadratic
 
 __all__ = [
     "DENSE_LIMIT",
@@ -33,47 +34,6 @@ __all__ = [
 ]
 
 DENSE_LIMIT = 2000
-
-
-@dataclass(frozen=True)
-class Quadratic:
-    """Objective ``0.5 x'Hx + b'x`` with symmetric positive definite H."""
-
-    H: np.ndarray
-    b: np.ndarray
-
-    def __post_init__(self):
-        H = np.ascontiguousarray(self.H, dtype=np.float64)
-        b = np.ascontiguousarray(self.b, dtype=np.float64)
-        object.__setattr__(self, "H", H)
-        object.__setattr__(self, "b", b)
-        if H.ndim != 2 or H.shape[0] != H.shape[1]:
-            raise ArgumentError("H must be square")
-        if b.shape != (H.shape[0],):
-            raise ArgumentError("b must match the dimension of H")
-        if not (np.all(np.isfinite(H)) and np.all(np.isfinite(b))):
-            raise ArgumentError("H and b must be finite")
-        scale = np.abs(H).max() if H.size else 0.0
-        if scale and np.abs(H - H.T).max() > 1e-10 * scale:
-            raise ArgumentError("H must be symmetric")
-        if H.size and np.diag(H).min() <= 0.0:
-            raise ArgumentError("H must have positive diagonal entries")
-        H.setflags(write=False)
-        b.setflags(write=False)
-
-    @property
-    def dim(self):
-        return self.H.shape[0]
-
-    def value(self, x):
-        return 0.5 * x @ (self.H @ x) + self.b @ x
-
-    def gradient(self, x):
-        return self.H @ x + self.b
-
-    def solve(self):
-        """The minimizer ``-H^{-1} b``."""
-        return np.linalg.solve(self.H, -self.b)
 
 
 def _check_dense_size(p):

@@ -27,7 +27,7 @@ if _want_numba:
         from numba import njit
 
         HAVE_NUMBA = True
-    except ImportError:  # pragma: no cover - numba is a hard dependency
+    except ImportError:  # numba is optional; use the numpy kernels
         HAVE_NUMBA = False
 
 BACKEND = "numba" if HAVE_NUMBA else "numpy"
@@ -55,12 +55,9 @@ def _sig_neg(t):
 
 
 def _sig_neg_vec(t):
-    out = np.empty_like(t)
-    pos = t >= 0.0
-    e = np.exp(-t[pos])
-    out[pos] = e / (1.0 + e)
-    out[~pos] = 1.0 / (1.0 + np.exp(t[~pos]))
-    return out
+    # same two branches as _sig_neg, without boolean-mask indexing
+    e = np.exp(-np.abs(t))
+    return np.where(t >= 0.0, e, 1.0) / (1.0 + e)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Problem definitions: objectives, gradients, curvatures, proxes, gaps.
+"""Problem definitions: each problem is a datafit plus a penalty.
 
 Supported objectives (``A`` is n x p, labels ``y`` length n):
 
@@ -9,9 +9,16 @@ Supported objectives (``A`` is n x p, labels ``y`` length n):
 - LogRegL2:    sum log(1 + exp(-y A x)) + lam/2 ||x||^2
 - GroupLasso:  0.5 ||y - Ax||^2 + lam sum_g ||x_g||_2
 
-Duality gaps exist for Lasso, ElasticNet and LogRegL1 and are built from
-the datafit gradient rescaled into the dual feasible set; the remaining
-problems report a stationarity measure instead.
+Every problem carries a ``datafit`` and a ``penalty``.  The datafits are
+`LeastSquares`, `Logistic` and `QuadraticFit` (the quadratic itself); the
+penalties are `L1L2` with weights ``(l1, l2)`` and `Group`.  A quadratic
+has the penalty ``L1L2(0, 0)``.  The module-level functions delegate to
+these parts.
+
+Duality gaps exist for Lasso, ElasticNet and LogRegL1 (their ``dual``
+method) and are built from the datafit gradient rescaled into the dual
+feasible set; the remaining problems report a stationarity measure
+instead.
 """
 
 from dataclasses import dataclass
@@ -19,9 +26,9 @@ from typing import Optional
 
 import numpy as np
 
+from . import kernels
 from .data import CscMatrix
 from .errors import ArgumentError
-from .fixedpoint import Quadratic
 
 __all__ = [
     "Quadratic",
@@ -47,21 +54,327 @@ __all__ = [
 ]
 
 
-def _check_data(A, y, lam):
-    if not isinstance(A, CscMatrix):
+# ---------------------------------------------------------------------------
+# datafits
+#
+# ``scale`` bounds the curvature: the Hessian of a datafit in ``Ax`` is at
+# most ``I / scale`` (for the quadratic, ``H / scale`` in ``x``).  ``epoch``
+# applies one coordinate epoch in place with the penalty's kernel.
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True, eq=False)
+class QuadraticFit:
+    """``0.5 x'Hx + b'x``, a function of ``x`` itself (there is no ``Ax``)."""
+
+    quad: "Quadratic"
+    A = None
+    scale = 1.0
+
+    @property
+    def n_coef(self):
+        return self.quad.dim
+
+    def predict(self, x):
+        return None
+
+    def value(self, x, Ax):
+        return float(self.quad.value(x))
+
+    def gradient(self, Ax):
+        raise ArgumentError(
+            "datafit_gradient needs a problem with a design matrix")
+
+    def gradient_x(self, x, Ax):
+        return self.quad.gradient(x)
+
+    def gram(self, v):
+        return self.quad.H @ v
+
+    def coordinate_lipschitz(self, penalty):
+        return np.diag(self.quad.H).copy()
+
+    def lambda_max(self, penalty):
+        raise ArgumentError("lambda_max requires a sparsity-inducing penalty")
+
+    def epoch(self, penalty, lip, x, Ax, order):
+        kernels.cd_dense_epoch(self.quad.H, self.quad.b, x, order)
+
+
+@dataclass(frozen=True, eq=False)
+class _DesignFit:
+    """A datafit of the predictions ``Ax``."""
+
+    A: CscMatrix
+    y: np.ndarray
+
+    @property
+    def n_coef(self):
+        return self.A.n_cols
+
+    def predict(self, x):
+        return self.A.matvec(x)
+
+    def _predictions(self, x, Ax):
+        if Ax is None:
+            Ax = self.A.matvec(np.asarray(x, dtype=np.float64))
+        return Ax
+
+    def gradient_x(self, x, Ax):
+        return self.A.rmatvec(self.gradient(self._predictions(x, Ax)))
+
+    def gram(self, v):
+        return self.A.rmatvec(self.A.matvec(v))
+
+    def coordinate_lipschitz(self, penalty):
+        return penalty.block_norms_sq(self.A) / self.scale
+
+
+@dataclass(frozen=True, eq=False)
+class LeastSquares(_DesignFit):
+    """``||y - Ax||^2 / (2 scale)``, with scale 1 or n (a mean over rows)."""
+
+    scale: float = 1.0
+
+    def value(self, x, Ax):
+        r = self.y - self._predictions(x, Ax)
+        return float((r @ r) / (2.0 * self.scale))
+
+    def gradient(self, Ax):
+        return (Ax - self.y) / self.scale
+
+    def coordinate_lipschitz(self, penalty):
+        # the least-squares kernels take the ridge weight into the step
+        return super().coordinate_lipschitz(penalty) + penalty.l2
+
+    def lambda_max(self, penalty):
+        return penalty.dual_norm(self.A.rmatvec(self.y)) / self.scale
+
+    def epoch(self, penalty, lip, x, Ax, order):
+        A, l1, l2 = self.A, penalty.l1, penalty.l2
+        if self.scale == 1.0 and l2 == 0.0:
+            kernels.lasso_epoch(A.values, A.row_idx, A.col_ptr, self.y, x, Ax,
+                                lip, l1, order)
+        else:
+            kernels.enet_epoch(A.values, A.row_idx, A.col_ptr, self.y, x, Ax,
+                               lip, l1, l2, self.scale, order)
+
+
+@dataclass(frozen=True, eq=False)
+class Logistic(_DesignFit):
+    """``sum log(1 + exp(-y Ax))`` with labels -1/+1."""
+
+    scale = 4.0
+
+    def __post_init__(self):
+        if not np.all(np.isin(self.y, (-1.0, 1.0))):
+            raise ArgumentError("logistic labels must be -1/+1")
+
+    def value(self, x, Ax):
+        return float(np.logaddexp(0.0, -self.y * self._predictions(x, Ax))
+                     .sum())
+
+    def gradient(self, Ax):
+        return -self.y * kernels._sig_neg_vec(self.y * Ax)
+
+    def lambda_max(self, penalty):
+        # the gradient at Ax = 0 is -y / 2
+        return penalty.dual_norm(self.A.rmatvec(self.y)) / 2.0
+
+    def epoch(self, penalty, lip, x, Ax, order):
+        # one kernel per penalty: l1 only, or l2 only
+        A = self.A
+        if penalty.l2 == 0.0:
+            kernels.logreg_l1_epoch(A.values, A.row_idx, A.col_ptr, self.y, x,
+                                    Ax, lip, penalty.l1, order)
+        else:
+            kernels.logreg_l2_epoch(A.values, A.row_idx, A.col_ptr, self.y, x,
+                                    Ax, lip, penalty.l2, order)
+
+
+# ---------------------------------------------------------------------------
+# penalties
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class L1L2:
+    """``l1 ||x||_1 + l2/2 ||x||^2``."""
+
+    l1: float
+    l2: float
+
+    @property
+    def smooth(self):
+        return self.l1 == 0.0
+
+    def value(self, x):
+        out = 0.0
+        if self.l1:
+            out += self.l1 * np.abs(x).sum()
+        if self.l2:
+            out += 0.5 * self.l2 * (x @ x)
+        return float(out)
+
+    def prox(self, v, step):
+        """Proximal map of ``step`` times the penalty."""
+        if self.l1:
+            v = np.sign(v) * np.maximum(np.abs(v) - step * self.l1, 0.0)
+        if self.l2:
+            v = v / (1.0 + step * self.l2)
+        return v
+
+    def prox_coordinate(self, v, step):
+        # ``step`` is the leading weight (l1, else l2) over the curvature
+        t = step / (self.l1 or self.l2 or 1.0)
+        return kernels._st(float(v), t * self.l1) / (1.0 + t * self.l2)
+
+    def block_norms_sq(self, A):
+        return A.col_norms_sq()
+
+    def dual_norm(self, g):
+        if not self.l1:
+            raise ArgumentError(
+                "lambda_max requires a sparsity-inducing penalty")
+        return float(np.abs(g).max())
+
+    def stationarity(self, x, g):
+        """Largest entry of the smooth objective's gradient ``g + l2 x``.
+
+        Penalties with an l1 part belong to problems certified by their
+        duality gap, so the l1 subdifferential is not needed here.
+        """
+        if self.l2:
+            g = g + self.l2 * x
+        return float(np.abs(g).max() if g.size else 0.0)
+
+    def epoch(self, datafit, lip, x, Ax, order):
+        datafit.epoch(self, lip, x, Ax, order)
+
+
+NO_PENALTY = L1L2(0.0, 0.0)
+
+
+@dataclass(frozen=True, eq=False)
+class Group:
+    """``lam sum_g ||x_g||_2`` over a partition of the coordinates."""
+
+    lam: float
+    groups: tuple
+    l2 = 0.0
+    smooth = False
+
+    def __post_init__(self):
+        sizes = [g.size for g in self.groups]
+        object.__setattr__(self, "grp_cols", np.concatenate(self.groups))
+        object.__setattr__(self, "grp_ptr", np.concatenate(
+            ([0], np.cumsum(sizes))).astype(np.int64))
+
+    def value(self, x):
+        return float(self.lam * sum(np.linalg.norm(x[g])
+                                    for g in self.groups))
+
+    def prox(self, v, step):
+        out = np.empty_like(v)
+        for idx in self.groups:
+            out[idx] = prox_group(v[idx], step * self.lam)
+        return out
+
+    def prox_coordinate(self, v, step):
+        raise ArgumentError("GroupLasso coordinates move per block; "
+                            "use prox_group")
+
+    def block_norms_sq(self, A):
+        out = np.empty(len(self.groups))
+        for g, idx in enumerate(self.groups):
+            sub = A.columns(idx)
+            out[g] = 0.0 if sub.size == 0 else np.linalg.norm(sub, 2) ** 2
+        return out
+
+    def dual_norm(self, g):
+        return float(max(np.linalg.norm(g[idx]) for idx in self.groups))
+
+    def stationarity(self, x, g):
+        worst = 0.0
+        for idx in self.groups:
+            cg = g[idx]
+            xg = x[idx]
+            nx = np.linalg.norm(xg)
+            if nx == 0.0:
+                viol = max(np.linalg.norm(cg) - self.lam, 0.0)
+            else:
+                viol = np.linalg.norm(cg + self.lam * xg / nx)
+            worst = max(worst, float(viol))
+        return worst
+
+    def epoch(self, datafit, lip, x, Ax, order):
+        # group_epoch implements least squares with scale 1
+        A = datafit.A
+        kernels.group_epoch(A.values, A.row_idx, A.col_ptr, datafit.y, x, Ax,
+                            self.grp_cols, self.grp_ptr, lip, self.lam, order)
+
+
+# ---------------------------------------------------------------------------
+# problems
+# ---------------------------------------------------------------------------
+
+def _attach(prob, datafit, penalty):
+    object.__setattr__(prob, "datafit", datafit)
+    object.__setattr__(prob, "penalty", penalty)
+
+
+@dataclass(frozen=True)
+class Quadratic:
+    """Objective ``0.5 x'Hx + b'x`` with symmetric positive definite H."""
+
+    H: np.ndarray
+    b: np.ndarray
+
+    def __post_init__(self):
+        H = np.ascontiguousarray(self.H, dtype=np.float64)
+        b = np.ascontiguousarray(self.b, dtype=np.float64)
+        object.__setattr__(self, "H", H)
+        object.__setattr__(self, "b", b)
+        if H.ndim != 2 or H.shape[0] != H.shape[1]:
+            raise ArgumentError("H must be square")
+        if b.shape != (H.shape[0],):
+            raise ArgumentError("b must match the dimension of H")
+        if not (np.all(np.isfinite(H)) and np.all(np.isfinite(b))):
+            raise ArgumentError("H and b must be finite")
+        scale = np.abs(H).max() if H.size else 0.0
+        if scale and np.abs(H - H.T).max() > 1e-10 * scale:
+            raise ArgumentError("H must be symmetric")
+        if H.size and np.diag(H).min() <= 0.0:
+            raise ArgumentError("H must have positive diagonal entries")
+        H.setflags(write=False)
+        b.setflags(write=False)
+        _attach(self, QuadraticFit(self), NO_PENALTY)
+
+    @property
+    def dim(self):
+        return self.H.shape[0]
+
+    def value(self, x):
+        return 0.5 * x @ (self.H @ x) + self.b @ x
+
+    def gradient(self, x):
+        return self.H @ x + self.b
+
+    def solve(self):
+        """The minimizer ``-H^{-1} b``."""
+        return np.linalg.solve(self.H, -self.b)
+
+
+def _check_data(prob):
+    """Validate ``A``, ``y`` and ``lam``; store ``y`` read-only and return it."""
+    if not isinstance(prob.A, CscMatrix):
         raise ArgumentError("A must be a CscMatrix")
-    y = np.ascontiguousarray(y, dtype=np.float64)
-    if y.shape != (A.n_rows,):
+    y = np.ascontiguousarray(prob.y, dtype=np.float64)
+    if y.shape != (prob.A.n_rows,):
         raise ArgumentError("y must have one entry per row of A")
-    if not (np.isfinite(lam) and lam > 0):
+    if not (np.isfinite(prob.lam) and prob.lam > 0):
         raise ArgumentError("lam must be positive")
     y.setflags(write=False)
+    object.__setattr__(prob, "y", y)
     return y
-
-
-def _check_binary(y):
-    if not np.all(np.isin(y, (-1.0, 1.0))):
-        raise ArgumentError("logistic labels must be -1/+1")
 
 
 @dataclass(frozen=True)
@@ -71,7 +384,16 @@ class Lasso:
     lam: float
 
     def __post_init__(self):
-        object.__setattr__(self, "y", _check_data(self.A, self.y, self.lam))
+        y = _check_data(self)
+        _attach(self, LeastSquares(self.A, y, 1.0), L1L2(self.lam, 0.0))
+
+    def dual(self, Ax):
+        y, lam = self.y, self.lam
+        r = y - Ax
+        scale = max(lam, float(np.abs(self.A.rmatvec(r)).max() or 0.0))
+        theta = r / scale
+        resid = y - lam * theta
+        return 0.5 * (y @ y) - 0.5 * (resid @ resid)
 
 
 @dataclass(frozen=True)
@@ -82,9 +404,41 @@ class ElasticNet:
     rho: float
 
     def __post_init__(self):
-        object.__setattr__(self, "y", _check_data(self.A, self.y, self.lam))
+        y = _check_data(self)
         if not (np.isfinite(self.rho) and self.rho >= 0):
             raise ArgumentError("rho must be nonnegative")
+        _attach(self, LeastSquares(self.A, y, self.A.n_rows),
+                 L1L2(self.lam, self.rho))
+
+    def dual(self, Ax):
+        y, lam, n = self.y, self.lam, self.A.n_rows
+        theta = (Ax - y) / n
+
+        def dual_at(th):
+            at = self.A.rmatvec(th)
+            val = -(th @ y) - 0.5 * n * (th @ th)
+            if self.rho > 0:
+                sq = np.maximum(np.abs(at) - lam, 0.0) ** 2
+                val -= sq.sum() / (2.0 * self.rho)
+            return val
+
+        cands = []
+        at = self.A.rmatvec(theta)
+        inf_norm = float(np.abs(at).max() if at.size else 0.0)
+        if self.rho > 0:
+            cands.append(dual_at(theta))
+        if inf_norm > lam:
+            cands.append(dual_at(theta * (lam / inf_norm)))
+        else:
+            cands.append(dual_at(theta))
+        return max(cands)
+
+
+def _xlogx(t):
+    out = np.zeros_like(t)
+    pos = t > 0
+    out[pos] = t[pos] * np.log(t[pos])
+    return out
 
 
 @dataclass(frozen=True)
@@ -94,8 +448,18 @@ class LogRegL1:
     lam: float
 
     def __post_init__(self):
-        object.__setattr__(self, "y", _check_data(self.A, self.y, self.lam))
-        _check_binary(self.y)
+        y = _check_data(self)
+        _attach(self, Logistic(self.A, y), L1L2(self.lam, 0.0))
+
+    def dual(self, Ax):
+        theta = self.datafit.gradient(Ax)
+        at = self.A.rmatvec(theta)
+        inf_norm = float(np.abs(at).max() if at.size else 0.0)
+        if inf_norm > self.lam:
+            theta = theta * (self.lam / inf_norm)
+        s = -theta * self.y
+        s = np.clip(s, 0.0, 1.0)
+        return -float((_xlogx(s) + _xlogx(1.0 - s)).sum())
 
 
 @dataclass(frozen=True)
@@ -105,8 +469,8 @@ class LogRegL2:
     lam: float
 
     def __post_init__(self):
-        object.__setattr__(self, "y", _check_data(self.A, self.y, self.lam))
-        _check_binary(self.y)
+        y = _check_data(self)
+        _attach(self, Logistic(self.A, y), L1L2(0.0, self.lam))
 
 
 @dataclass(frozen=True)
@@ -119,24 +483,16 @@ class GroupLasso:
     groups: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "y", _check_data(self.A, self.y, self.lam))
+        y = _check_data(self)
         groups = tuple(np.ascontiguousarray(g, dtype=np.int64)
                        for g in self.groups)
         if not groups:
             raise ArgumentError("groups must be nonempty")
-        flat = np.concatenate(groups)
-        if np.sort(flat).tolist() != list(range(self.A.n_cols)):
+        if (np.sort(np.concatenate(groups)).tolist()
+                != list(range(self.A.n_cols))):
             raise ArgumentError("groups must partition the columns exactly")
         object.__setattr__(self, "groups", groups)
-        grp_ptr = np.zeros(len(groups) + 1, dtype=np.int64)
-        for g, idx in enumerate(groups):
-            grp_ptr[g + 1] = grp_ptr[g] + idx.size
-        object.__setattr__(self, "grp_cols", flat)
-        object.__setattr__(self, "grp_ptr", grp_ptr)
-
-    @property
-    def n_groups(self):
-        return len(self.groups)
+        _attach(self, LeastSquares(self.A, y, 1.0), Group(self.lam, groups))
 
 
 def groups_from_size(p, size):
@@ -147,69 +503,31 @@ def groups_from_size(p, size):
                  for s in range(0, p, size))
 
 
-def _sigmoid_neg(t):
-    out = np.empty_like(t)
-    pos = t >= 0.0
-    e = np.exp(-t[pos])
-    out[pos] = e / (1.0 + e)
-    out[~pos] = 1.0 / (1.0 + np.exp(t[~pos]))
-    return out
-
-
-def _require_Ax(prob, x, Ax):
-    if Ax is None:
-        Ax = prob.A.matvec(np.asarray(x, dtype=np.float64))
-    return Ax
-
+# ---------------------------------------------------------------------------
+# oracles
+# ---------------------------------------------------------------------------
 
 def datafit_value(prob, x, Ax=None):
     """Smooth data-fitting term of the objective."""
-    if isinstance(prob, Quadratic):
+    if x is not None:
         x = np.asarray(x, dtype=np.float64)
-        return float(0.5 * x @ (prob.H @ x) + prob.b @ x)
-    Ax = _require_Ax(prob, x, Ax)
-    r = prob.y - Ax
-    if isinstance(prob, (Lasso, GroupLasso)):
-        return float(0.5 * (r @ r))
-    if isinstance(prob, ElasticNet):
-        return float((r @ r) / (2.0 * prob.A.n_rows))
-    if isinstance(prob, (LogRegL1, LogRegL2)):
-        return float(np.logaddexp(0.0, -prob.y * Ax).sum())
-    raise ArgumentError(f"unsupported problem type {type(prob).__name__}")
+    return prob.datafit.value(x, Ax)
 
 
 def penalty_value(prob, x):
     """Penalty term of the objective (0 for quadratics)."""
-    x = np.asarray(x, dtype=np.float64)
-    if isinstance(prob, Quadratic):
-        return 0.0
-    if isinstance(prob, (Lasso, LogRegL1)):
-        return float(prob.lam * np.abs(x).sum())
-    if isinstance(prob, ElasticNet):
-        return float(prob.lam * np.abs(x).sum() + 0.5 * prob.rho * (x @ x))
-    if isinstance(prob, LogRegL2):
-        return float(0.5 * prob.lam * (x @ x))
-    if isinstance(prob, GroupLasso):
-        return float(prob.lam * sum(np.linalg.norm(x[g]) for g in prob.groups))
-    raise ArgumentError(f"unsupported problem type {type(prob).__name__}")
+    return prob.penalty.value(np.asarray(x, dtype=np.float64))
 
 
 def objective_value(prob, x, Ax=None):
     """Full objective at ``x`` (pass ``Ax`` to avoid recomputing it)."""
-    return datafit_value(prob, x, Ax) + penalty_value(prob, x)
+    x = np.asarray(x, dtype=np.float64)
+    return prob.datafit.value(x, Ax) + prob.penalty.value(x)
 
 
 def datafit_gradient(prob, Ax):
     """Gradient of the datafit with respect to the predictions ``Ax``."""
-    Ax = np.asarray(Ax, dtype=np.float64)
-    if isinstance(prob, (Lasso, GroupLasso)):
-        return Ax - prob.y
-    if isinstance(prob, ElasticNet):
-        return (Ax - prob.y) / prob.A.n_rows
-    if isinstance(prob, (LogRegL1, LogRegL2)):
-        return -prob.y * _sigmoid_neg(prob.y * Ax)
-    raise ArgumentError(
-        "datafit_gradient needs a problem with a design matrix")
+    return prob.datafit.gradient(np.asarray(Ax, dtype=np.float64))
 
 
 def coordinate_lipschitz(prob):
@@ -218,50 +536,14 @@ def coordinate_lipschitz(prob):
     Zero entries mark coordinates that solvers must skip (frozen at
     their initial value).
     """
-    if isinstance(prob, Quadratic):
-        return np.diag(prob.H).copy()
-    norms = prob.A.col_norms_sq()
-    if isinstance(prob, Lasso):
-        return norms
-    if isinstance(prob, ElasticNet):
-        return norms / prob.A.n_rows + prob.rho
-    if isinstance(prob, (LogRegL1, LogRegL2)):
-        return norms / 4.0
-    if isinstance(prob, GroupLasso):
-        dense = prob.A.toarray()
-        out = np.empty(prob.n_groups)
-        for g, idx in enumerate(prob.groups):
-            sub = dense[:, idx]
-            out[g] = 0.0 if sub.size == 0 else np.linalg.norm(sub, 2) ** 2
-        return out
-    raise ArgumentError(f"unsupported problem type {type(prob).__name__}")
-
-
-def _soft_threshold(v, t):
-    if v > t:
-        return v - t
-    if v < -t:
-        return v + t
-    return 0.0
+    return prob.datafit.coordinate_lipschitz(prob.penalty)
 
 
 def prox_coordinate(prob, j, v, step):
     """Proximal map of coordinate ``j``'s penalty with scale ``step = lam/L_j``."""
     if step < 0:
         raise ArgumentError("step must be nonnegative")
-    if isinstance(prob, Quadratic):
-        return float(v)
-    if isinstance(prob, (Lasso, LogRegL1)):
-        return _soft_threshold(v, step)
-    if isinstance(prob, ElasticNet):
-        # penalty lam|u| + rho/2 u^2 handled jointly: threshold then shrink
-        return _soft_threshold(v, step) / (1.0 + step * prob.rho / prob.lam)
-    if isinstance(prob, LogRegL2):
-        return float(v) / (1.0 + step)
-    if isinstance(prob, GroupLasso):
-        raise ArgumentError("GroupLasso coordinates move per block; "
-                            "use prox_group")
-    raise ArgumentError(f"unsupported problem type {type(prob).__name__}")
+    return prob.penalty.prox_coordinate(v, step)
 
 
 def prox_group(v, threshold):
@@ -277,19 +559,7 @@ def prox_group(v, threshold):
 
 def lambda_max(prob):
     """Smallest penalty strength for which 0 is optimal."""
-    if isinstance(prob, (Quadratic, LogRegL2)):
-        raise ArgumentError(
-            "lambda_max requires a sparsity-inducing penalty")
-    aty = prob.A.rmatvec(prob.y)
-    if isinstance(prob, Lasso):
-        return float(np.abs(aty).max())
-    if isinstance(prob, ElasticNet):
-        return float(np.abs(aty).max() / prob.A.n_rows)
-    if isinstance(prob, LogRegL1):
-        return float(np.abs(aty).max() / 2.0)
-    if isinstance(prob, GroupLasso):
-        return float(max(np.linalg.norm(aty[g]) for g in prob.groups))
-    raise ArgumentError(f"unsupported problem type {type(prob).__name__}")
+    return prob.datafit.lambda_max(prob.penalty)
 
 
 @dataclass(frozen=True)
@@ -301,13 +571,6 @@ class GapReport:
     gap: float
 
 
-def _xlogx(t):
-    out = np.zeros_like(t)
-    pos = t > 0
-    out[pos] = t[pos] * np.log(t[pos])
-    return out
-
-
 def duality_gap(prob, x, Ax=None) -> Optional[GapReport]:
     """Duality gap from a rescaled-gradient dual candidate.
 
@@ -315,54 +578,16 @@ def duality_gap(prob, x, Ax=None) -> Optional[GapReport]:
     is then unavailable and solvers fall back to a stationarity
     measure).  The reported gap is clamped at zero.
     """
-    if not isinstance(prob, (Lasso, ElasticNet, LogRegL1)):
+    dual = getattr(prob, "dual", None)
+    if dual is None:
         return None
     x = np.asarray(x, dtype=np.float64)
-    Ax = _require_Ax(prob, x, Ax)
+    if Ax is None:
+        Ax = prob.A.matvec(x)
     primal = objective_value(prob, x, Ax)
-    y = prob.y
-    lam = prob.lam
-
-    if isinstance(prob, Lasso):
-        r = y - Ax
-        scale = max(lam, float(np.abs(prob.A.rmatvec(r)).max() or 0.0))
-        theta = r / scale
-        resid = y - lam * theta
-        dual = 0.5 * (y @ y) - 0.5 * (resid @ resid)
-    elif isinstance(prob, ElasticNet):
-        n = prob.A.n_rows
-        theta = (Ax - y) / n
-
-        def dual_at(th):
-            at = prob.A.rmatvec(th)
-            val = -(th @ y) - 0.5 * n * (th @ th)
-            if prob.rho > 0:
-                sq = np.maximum(np.abs(at) - lam, 0.0) ** 2
-                val -= sq.sum() / (2.0 * prob.rho)
-            return val
-
-        cands = []
-        at = prob.A.rmatvec(theta)
-        inf_norm = float(np.abs(at).max() if at.size else 0.0)
-        if prob.rho > 0:
-            cands.append(dual_at(theta))
-        if inf_norm > lam:
-            cands.append(dual_at(theta * (lam / inf_norm)))
-        else:
-            cands.append(dual_at(theta))
-        dual = max(cands)
-    else:  # LogRegL1
-        theta = datafit_gradient(prob, Ax)
-        at = prob.A.rmatvec(theta)
-        inf_norm = float(np.abs(at).max() if at.size else 0.0)
-        if inf_norm > lam:
-            theta = theta * (lam / inf_norm)
-        s = -theta * y
-        s = np.clip(s, 0.0, 1.0)
-        dual = -float((_xlogx(s) + _xlogx(1.0 - s)).sum())
-
-    gap = max(float(primal - dual), 0.0)
-    return GapReport(primal=float(primal), dual=float(dual), gap=gap)
+    value = dual(Ax)
+    gap = max(float(primal - value), 0.0)
+    return GapReport(primal=float(primal), dual=float(value), gap=gap)
 
 
 def stopping_measure(prob, x, Ax=None):
@@ -372,25 +597,7 @@ def stopping_measure(prob, x, Ax=None):
     report = duality_gap(prob, x, Ax)
     if report is not None:
         return report.gap
-    if isinstance(prob, Quadratic):
-        return float(np.abs(prob.gradient(x)).max() if x.size else 0.0)
-    Ax = _require_Ax(prob, x, Ax)
-    g = prob.A.rmatvec(datafit_gradient(prob, Ax))
-    if isinstance(prob, LogRegL2):
-        return float(np.abs(g + prob.lam * x).max())
-    if isinstance(prob, GroupLasso):
-        worst = 0.0
-        for idx in prob.groups:
-            cg = g[idx]
-            xg = x[idx]
-            nx = np.linalg.norm(xg)
-            if nx == 0.0:
-                viol = max(np.linalg.norm(cg) - prob.lam, 0.0)
-            else:
-                viol = np.linalg.norm(cg + prob.lam * xg / nx)
-            worst = max(worst, float(viol))
-        return worst
-    raise ArgumentError(f"unsupported problem type {type(prob).__name__}")
+    return prob.penalty.stationarity(x, prob.datafit.gradient_x(x, Ax))
 
 
 def tikhonov_for_condition(gram_eigs, kappa):

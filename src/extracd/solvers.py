@@ -15,11 +15,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import kernels, problems
+from . import kernels
 from .anderson import ExtrapolationWindow
 from .errors import ArgumentError
-from .problems import (ElasticNet, GroupLasso, Lasso, LogRegL1, LogRegL2,
-                       Quadratic, duality_gap, objective_value,
+from .problems import (Quadratic, duality_gap, objective_value,
                        stopping_measure)
 
 __all__ = [
@@ -50,17 +49,13 @@ class SolverConfig:
 
     algorithm: str = "pcd_anderson"
     K: int = 5
-    lambda_reg: float = 0.0
     max_epochs: int = 1000
     tol: float = 1e-10
     seed: int = 0
-    use_guard: bool = True
 
     def __post_init__(self):
         if self.K < 1:
             raise ArgumentError("K must be >= 1")
-        if self.lambda_reg < 0:
-            raise ArgumentError("lambda_reg must be nonnegative")
         if self.max_epochs < 0:
             raise ArgumentError("max_epochs must be nonnegative")
         if self.tol < 0:
@@ -140,52 +135,21 @@ def cdsym_epoch_quadratic(quad, x):
     return x
 
 
-def _slot_count(prob):
-    if isinstance(prob, Quadratic):
-        return prob.dim
-    if isinstance(prob, GroupLasso):
-        return prob.n_groups
-    return prob.A.n_cols
+def _cd_step(prob, order=None, rng=None):
+    """``step(x, Ax)``: one in-place proximal coordinate epoch over the
+    coordinates (blocks for group penalties), cyclic unless an ``order``
+    is given or ``rng`` draws the picks uniformly with replacement."""
+    datafit, penalty = prob.datafit, prob.penalty
+    lip = datafit.coordinate_lipschitz(penalty)
+    n = lip.size
+    if order is None:
+        order = np.arange(n, dtype=np.int64)
 
-
-def _epoch_runner(prob):
-    """Returns ``run(x, Ax, order)`` applying one epoch in place."""
-    if isinstance(prob, Quadratic):
-        H, b = prob.H, prob.b
-
-        def run(x, Ax, order):
-            kernels.cd_dense_epoch(H, b, x, order)
-        return run
-
-    A, y, lam = prob.A, prob.y, prob.lam
-    lip = problems.coordinate_lipschitz(prob)
-    vals, rows, ptr = A.values, A.row_idx, A.col_ptr
-    if isinstance(prob, Lasso):
-        def run(x, Ax, order):
-            kernels.lasso_epoch(vals, rows, ptr, y, x, Ax, lip, lam, order)
-    elif isinstance(prob, ElasticNet):
-        rho, n = prob.rho, A.n_rows
-
-        def run(x, Ax, order):
-            kernels.enet_epoch(vals, rows, ptr, y, x, Ax, lip, lam, rho, n,
-                               order)
-    elif isinstance(prob, LogRegL1):
-        def run(x, Ax, order):
-            kernels.logreg_l1_epoch(vals, rows, ptr, y, x, Ax, lip, lam,
-                                    order)
-    elif isinstance(prob, LogRegL2):
-        def run(x, Ax, order):
-            kernels.logreg_l2_epoch(vals, rows, ptr, y, x, Ax, lip, lam,
-                                    order)
-    elif isinstance(prob, GroupLasso):
-        grp_cols, grp_ptr = prob.grp_cols, prob.grp_ptr
-
-        def run(x, Ax, order):
-            kernels.group_epoch(vals, rows, ptr, y, x, Ax, grp_cols, grp_ptr,
-                                lip, lam, order)
-    else:
-        raise ArgumentError(f"unsupported problem type {type(prob).__name__}")
-    return run
+    def step(x, Ax):
+        penalty.epoch(datafit, lip, x, Ax, order if rng is None
+                      else rng.integers(0, n, size=n, dtype=np.int64))
+        return x, Ax
+    return step
 
 
 def pcd_epoch(prob, x, state=None, order=None):
@@ -194,15 +158,9 @@ def pcd_epoch(prob, x, state=None, order=None):
     ``state`` carries the maintained predictions for problems with a
     design matrix; it is ignored for quadratics.
     """
-    if order is None:
-        order = np.arange(_slot_count(prob), dtype=np.int64)
-    run = _epoch_runner(prob)
-    if isinstance(prob, Quadratic):
-        run(x, None, order)
-    else:
-        if state is None:
-            raise ArgumentError("sparse problems need a ResidualState")
-        run(x, state.Ax, order)
+    if state is None and prob.datafit.A is not None:
+        raise ArgumentError("sparse problems need a ResidualState")
+    _cd_step(prob, order)(x, None if state is None else state.Ax)
     return x
 
 
@@ -217,7 +175,7 @@ def _instrument(prob, x, Ax):
     return None, stopping_measure(prob, x, Ax)
 
 
-def _extrapolation_step(window, prob, x, Ax, use_guard):
+def _extrapolation_step(window, prob, datafit, x, Ax):
     """Try replacing ``(x, Ax)`` by the window extrapolation.
 
     Returns ``(x, Ax, status)`` with status in accepted/rejected/singular.
@@ -227,76 +185,53 @@ def _extrapolation_step(window, prob, x, Ax, use_guard):
     if not res.solved:
         return x, Ax, "singular"
     cand = res.point
-    Ax_cand = None if isinstance(prob, Quadratic) else prob.A.matvec(cand)
-    if use_guard:
-        if objective_value(prob, cand, Ax_cand) > objective_value(prob, x, Ax):
-            return x, Ax, "rejected"
+    Ax_cand = datafit.predict(cand)
+    if objective_value(prob, cand, Ax_cand) > objective_value(prob, x, Ax):
+        return x, Ax, "rejected"
     return cand, Ax_cand, "accepted"
 
 
-def _run_epoch_driver(prob, cfg, solver_name, *, extrapolate, epoch_fn=None,
-                      order_fn=None, slots=None):
-    p = prob.dim if isinstance(prob, Quadratic) else prob.A.n_cols
-    x = np.zeros(p)
-    quadratic = isinstance(prob, Quadratic)
-    state = None if quadratic else ResidualState(prob.A, x)
-    Ax0 = None if quadratic else state.Ax
-    if epoch_fn is None:
-        run = _epoch_runner(prob)
-        n_slots = _slot_count(prob)
-        cyclic = np.arange(n_slots, dtype=np.int64)
+def _drive(prob, cfg, solver_name, step, extrapolate=False):
+    """Run ``step(x, Ax) -> (x, Ax)`` from ``x = 0``, one call per epoch.
 
-        def epoch_fn(x, state, order):
-            run(x, None if quadratic else state.Ax, order)
-    else:
-        n_slots = slots if slots is not None else p
-        cyclic = np.arange(n_slots, dtype=np.int64)
-
-    rng = np.random.default_rng(cfg.seed)
+    With ``extrapolate``, every ``cfg.K`` epochs the window of the last
+    ``K + 1`` epoch iterates is extrapolated under the objective guard.
+    The predictions ``Ax`` (``None`` for quadratics) are recomputed from
+    ``x`` every ``ResidualState.REFRESH_EVERY`` epochs, since coordinate
+    epochs update them incrementally.
+    """
+    datafit = prob.datafit
+    x = np.zeros(datafit.n_coef)
+    Ax = datafit.predict(x)
     window = None
     if extrapolate:
-        window = ExtrapolationWindow(cfg.K, cfg.lambda_reg)
+        window = ExtrapolationWindow(cfg.K)
         window.push(x)
 
     trace = Trace(solver=solver_name)
-    gap, measure = _instrument(prob, x, Ax0)
-    trace.record(0, 0.0, objective_value(prob, x, Ax0), gap)
+    gap, measure = _instrument(prob, x, Ax)
+    trace.record(0, 0.0, objective_value(prob, x, Ax), gap)
     elapsed = 0.0
-    if measure <= cfg.tol:
-        trace.x = x
-        return trace
-
     for epoch in range(1, cfg.max_epochs + 1):
+        if measure <= cfg.tol:
+            break
         t0 = time.perf_counter()
-        order = order_fn(rng, n_slots) if order_fn is not None else cyclic
-        epoch_fn(x, state, order)
+        x, Ax = step(x, Ax)
         if window is not None:
             window.push(x)
             if epoch % cfg.K == 0:
-                Ax = None if quadratic else state.Ax
-                x_new, Ax_new, status = _extrapolation_step(
-                    window, prob, x, Ax, cfg.use_guard)
-                if status == "accepted":
-                    x = x_new
-                    if not quadratic:
-                        state.Ax = Ax_new
+                x, Ax, status = _extrapolation_step(window, prob, datafit,
+                                                    x, Ax)
                 trace.events.append((epoch, status))
                 window.reset(x)
-        if state is not None:
-            state.after_epoch(x)
+        if Ax is not None and epoch % ResidualState.REFRESH_EVERY == 0:
+            Ax = datafit.predict(x)
         elapsed += time.perf_counter() - t0
 
-        Ax = None if quadratic else state.Ax
         gap, measure = _instrument(prob, x, Ax)
         trace.record(epoch, elapsed, objective_value(prob, x, Ax), gap)
-        if measure <= cfg.tol:
-            break
     trace.x = x
     return trace
-
-
-def _random_order(rng, n):
-    return rng.integers(0, n, size=n, dtype=np.int64)
 
 
 # ---------------------------------------------------------------------------
@@ -311,12 +246,13 @@ def anderson_pcd(prob, cfg):
     not increase the objective.  After an accepted extrapolation the
     maintained predictions are recomputed exactly.
     """
-    return _run_epoch_driver(prob, cfg, "pcd_anderson", extrapolate=True)
+    return _drive(prob, cfg, "pcd_anderson", _cd_step(prob),
+                  extrapolate=True)
 
 
 def baseline_pcd(prob, cfg):
     """Plain cyclic proximal coordinate descent."""
-    return _run_epoch_driver(prob, cfg, "pcd", extrapolate=False)
+    return _drive(prob, cfg, "pcd", _cd_step(prob))
 
 
 def baseline_prcd(prob, cfg):
@@ -325,8 +261,8 @@ def baseline_prcd(prob, cfg):
     One epoch draws ``p`` indices with replacement; runs are
     bit-reproducible for a fixed ``cfg.seed``.
     """
-    return _run_epoch_driver(prob, cfg, "prcd", extrapolate=False,
-                             order_fn=_random_order)
+    rng = np.random.default_rng(cfg.seed)
+    return _drive(prob, cfg, "prcd", _cd_step(prob, rng=rng))
 
 
 def _require_quadratic(prob, who):
@@ -334,26 +270,24 @@ def _require_quadratic(prob, who):
         raise ArgumentError(f"{who} supports quadratic problems only")
 
 
+def _cdsym_step(prob, who):
+    _require_quadratic(prob, who)
+
+    def step(x, Ax):
+        cdsym_epoch_quadratic(prob, x)
+        return x, Ax
+    return step
+
+
 def baseline_cdsym(prob, cfg):
     """Double-sweep coordinate descent (one epoch = both sweeps)."""
-    _require_quadratic(prob, "cdsym")
-
-    def epoch_fn(x, state, order):
-        cdsym_epoch_quadratic(prob, x)
-
-    return _run_epoch_driver(prob, cfg, "cdsym", extrapolate=False,
-                             epoch_fn=epoch_fn)
+    return _drive(prob, cfg, "cdsym", _cdsym_step(prob, "cdsym"))
 
 
 def anderson_cdsym(prob, cfg):
     """Double-sweep coordinate descent with guarded online extrapolation."""
-    _require_quadratic(prob, "cdsym_anderson")
-
-    def epoch_fn(x, state, order):
-        cdsym_epoch_quadratic(prob, x)
-
-    return _run_epoch_driver(prob, cfg, "cdsym_anderson", extrapolate=True,
-                             epoch_fn=epoch_fn)
+    return _drive(prob, cfg, "cdsym_anderson",
+                  _cdsym_step(prob, "cdsym_anderson"), extrapolate=True)
 
 
 # ---------------------------------------------------------------------------
@@ -383,183 +317,104 @@ def power_iteration(matvec, dim, tol=1e-10, max_iter=1000, seed=0):
 
 def global_lipschitz(prob):
     """Lipschitz constant of the smooth datafit gradient (full-vector step)."""
-    if isinstance(prob, Quadratic):
-        return power_iteration(lambda v: prob.H @ v, prob.dim)
-    A = prob.A
-    top = power_iteration(lambda v: A.rmatvec(A.matvec(v)), A.n_cols)
-    if isinstance(prob, (Lasso, GroupLasso)):
-        return top
-    if isinstance(prob, ElasticNet):
-        return top / A.n_rows
-    if isinstance(prob, (LogRegL1, LogRegL2)):
-        return top / 4.0
-    raise ArgumentError(f"unsupported problem type {type(prob).__name__}")
+    datafit = prob.datafit
+    return power_iteration(datafit.gram, datafit.n_coef) / datafit.scale
 
 
-def _smooth_gradient(prob, x, Ax):
-    if isinstance(prob, Quadratic):
-        return prob.gradient(x)
-    return prob.A.rmatvec(problems.datafit_gradient(prob, Ax))
+def _gd_step(prob):
+    """Gradient step ``1/L`` on a smooth objective (datafit plus ridge)."""
+    datafit, penalty = prob.datafit, prob.penalty
+    if not penalty.smooth:
+        raise ArgumentError("gradient descent needs a smooth objective "
+                            "(quadratic or LogRegL2)")
+    l2 = penalty.l2
+    L = global_lipschitz(prob) + l2
 
-
-def _prox_full(prob, v, step):
-    if isinstance(prob, Quadratic):
-        return v
-    lam = prob.lam
-    if isinstance(prob, (Lasso, LogRegL1)):
-        return np.sign(v) * np.maximum(np.abs(v) - step * lam, 0.0)
-    if isinstance(prob, ElasticNet):
-        st = np.sign(v) * np.maximum(np.abs(v) - step * lam, 0.0)
-        return st / (1.0 + step * prob.rho)
-    if isinstance(prob, LogRegL2):
-        return v / (1.0 + step * lam)
-    if isinstance(prob, GroupLasso):
-        out = np.empty_like(v)
-        for idx in prob.groups:
-            out[idx] = problems.prox_group(v[idx], step * lam)
-        return out
-    raise ArgumentError(f"unsupported problem type {type(prob).__name__}")
-
-
-def _gd_step_map(prob):
-    """Full gradient step for problems whose objective is smooth."""
-    if isinstance(prob, Quadratic):
-        L = global_lipschitz(prob)
-
-        def step(x):
-            return x - prob.gradient(x) / L
-        return step
-    if isinstance(prob, LogRegL2):
-        L = global_lipschitz(prob) + prob.lam
-
-        def step(x):
-            g = prob.A.rmatvec(problems.datafit_gradient(prob, prob.A.matvec(x)))
-            return x - (g + prob.lam * x) / L
-        return step
-    raise ArgumentError("gradient descent needs a smooth objective "
-                        "(quadratic or LogRegL2)")
+    def step(x, Ax):
+        g = datafit.gradient_x(x, Ax)
+        if l2:
+            g = g + l2 * x
+        x = x - g / L
+        return x, datafit.predict(x)
+    return step
 
 
 def baseline_gd(prob, cfg):
     """Plain gradient descent with step ``1/L`` (smooth objectives only)."""
-    step = _gd_step_map(prob)
-
-    def epoch_fn(x, state, order):
-        x[:] = step(x)
-        if state is not None:
-            state.Ax = prob.A.matvec(x)
-
-    return _run_epoch_driver(prob, cfg, "gd", extrapolate=False,
-                             epoch_fn=epoch_fn, slots=1)
+    return _drive(prob, cfg, "gd", _gd_step(prob))
 
 
 def anderson_gd(prob, cfg):
     """Gradient descent with guarded online extrapolation every K steps."""
-    step = _gd_step_map(prob)
-
-    def epoch_fn(x, state, order):
-        x[:] = step(x)
-        if state is not None:
-            state.Ax = prob.A.matvec(x)
-
-    return _run_epoch_driver(prob, cfg, "gd_anderson", extrapolate=True,
-                             epoch_fn=epoch_fn, slots=1)
+    return _drive(prob, cfg, "gd_anderson", _gd_step(prob), extrapolate=True)
 
 
-def _pg_trace_loop(prob, cfg, solver_name, update):
-    """Shared stop/record loop for full-vector methods."""
-    p = prob.dim if isinstance(prob, Quadratic) else prob.A.n_cols
-    quadratic = isinstance(prob, Quadratic)
-    x = np.zeros(p)
-    Ax = None if quadratic else np.zeros(prob.A.n_rows)
-    trace = Trace(solver=solver_name)
-    gap, measure = _instrument(prob, x, Ax)
-    trace.record(0, 0.0, objective_value(prob, x, Ax), gap)
-    if measure <= cfg.tol:
-        trace.x = x
-        return trace
-    elapsed = 0.0
-    carry = None
-    for epoch in range(1, cfg.max_epochs + 1):
-        t0 = time.perf_counter()
-        x, Ax, carry = update(x, Ax, carry)
-        elapsed += time.perf_counter() - t0
-        gap, measure = _instrument(prob, x, Ax)
-        trace.record(epoch, elapsed, objective_value(prob, x, Ax), gap)
-        if measure <= cfg.tol:
-            break
-    trace.x = x
-    return trace
+def _prox_step_size(prob):
+    L = global_lipschitz(prob)
+    if L <= 0:
+        raise ArgumentError("datafit curvature is zero; nothing to solve")
+    return 1.0 / L
 
 
 def baseline_pgd(prob, cfg):
     """Proximal gradient descent with the global step ``1/L``."""
-    L = global_lipschitz(prob)
-    if L <= 0:
-        raise ArgumentError("datafit curvature is zero; nothing to solve")
-    step = 1.0 / L
-    quadratic = isinstance(prob, Quadratic)
+    t = _prox_step_size(prob)
+    datafit, penalty = prob.datafit, prob.penalty
 
-    def update(x, Ax, carry):
-        g = _smooth_gradient(prob, x, Ax)
-        x_new = _prox_full(prob, x - step * g, step)
-        Ax_new = None if quadratic else prob.A.matvec(x_new)
-        return x_new, Ax_new, None
+    def step(x, Ax):
+        x = penalty.prox(x - t * datafit.gradient_x(x, Ax), t)
+        return x, datafit.predict(x)
 
-    return _pg_trace_loop(prob, cfg, "pgd", update)
+    return _drive(prob, cfg, "pgd", step)
 
 
 def baseline_fista(prob, cfg):
     """Accelerated proximal gradient with the standard momentum recursion."""
-    L = global_lipschitz(prob)
-    if L <= 0:
-        raise ArgumentError("datafit curvature is zero; nothing to solve")
-    step = 1.0 / L
-    quadratic = isinstance(prob, Quadratic)
+    t = _prox_step_size(prob)
+    datafit, penalty = prob.datafit, prob.penalty
+    momentum, z, Az = 1.0, None, None
 
-    def update(x, Ax, carry):
-        if carry is None:
-            z, Az, t = x.copy(), (None if quadratic else Ax.copy()), 1.0
-        else:
-            z, Az, t = carry
-        g = _smooth_gradient(prob, z, Az)
-        x_new = _prox_full(prob, z - step * g, step)
-        Ax_new = None if quadratic else prob.A.matvec(x_new)
-        t_new = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
-        beta = (t - 1.0) / t_new
-        z_new = x_new + beta * (x_new - x)
-        Az_new = None
-        if not quadratic:
-            Az_new = Ax_new + beta * (Ax_new - Ax)
-        return x_new, Ax_new, (z_new, Az_new, t_new)
+    def step(x, Ax):
+        nonlocal momentum, z, Az
+        if z is None:
+            z, Az = x, Ax
+        x_new = penalty.prox(z - t * datafit.gradient_x(z, Az), t)
+        Ax_new = datafit.predict(x_new)
+        m_new = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * momentum * momentum))
+        beta = (momentum - 1.0) / m_new
+        z = x_new + beta * (x_new - x)
+        if Ax is not None:
+            Az = Ax_new + beta * (Ax_new - Ax)
+        momentum = m_new
+        return x_new, Ax_new
 
-    return _pg_trace_loop(prob, cfg, "fista", update)
+    return _drive(prob, cfg, "fista", step)
 
 
 def conjugate_gradient(prob, cfg):
     """Conjugate gradient on ``Hx = -b`` (quadratics only)."""
     _require_quadratic(prob, "conjugate_gradient")
     H, b = prob.H, prob.b
-    state = {"r": None, "d": None}
+    r = d = None
 
-    def update(x, Ax, carry):
-        if carry is None:
+    def step(x, Ax):
+        nonlocal r, d
+        if r is None:
             r = -b - H @ x
             d = r.copy()
-        else:
-            r, d = carry
         Hd = H @ d
         dHd = d @ Hd
         if dHd <= 0:
-            return x, None, (r, d)
+            return x, None
         alpha = (r @ r) / dHd
-        x_new = x + alpha * d
+        x = x + alpha * d
         r_new = r - alpha * Hd
         beta = (r_new @ r_new) / (r @ r) if r @ r > 0 else 0.0
-        d_new = r_new + beta * d
-        return x_new, None, (r_new, d_new)
+        d = r_new + beta * d
+        r = r_new
+        return x, None
 
-    return _pg_trace_loop(prob, cfg, "cg", update)
+    return _drive(prob, cfg, "cg", step)
 
 
 SOLVERS = {

@@ -283,17 +283,6 @@ class TestRunBench:
         for pa, pb in zip(sorted(a["csv"]), sorted(b["csv"])):
             assert rows_without_seconds(pa) == rows_without_seconds(pb)
 
-    def test_threaded_matches_sequential(self, tmp_path):
-        seq = run_bench(tiny_spec(tmp_path / "s"))
-        par = run_bench(tiny_spec(tmp_path / "t"), threads=2)
-        assert par["errors"] == []
-        for ps, pp in zip(sorted(seq["csv"]), sorted(par["csv"])):
-            assert rows_without_seconds(ps) == rows_without_seconds(pp)
-
-    def test_thread_count_validated(self, tmp_path):
-        with pytest.raises(ArgumentError, match="threads"):
-            run_bench(tiny_spec(tmp_path / "x"), threads=0)
-
     def test_svg_well_formed_with_legend(self, tmp_path):
         spec = tiny_spec(tmp_path / "out")
         summary = run_bench(spec)

@@ -48,14 +48,6 @@ class TestCscMatrix:
         assert A.nnz == 0
         np.testing.assert_array_equal(A.matvec(np.ones(3)), np.zeros(4))
 
-    def test_take_cols(self):
-        M = random_sparse(9, 6, 0.5, seed=3)
-        A = CscMatrix.from_dense(M)
-        B = A.take_cols(4)
-        np.testing.assert_array_equal(B.toarray(), M[:, :4])
-        with pytest.raises(ArgumentError):
-            A.take_cols(7)
-
     def test_invariant_violations(self):
         with pytest.raises(ArgumentError):
             CscMatrix(2, 1, np.array([0, 1]), np.array([5]), np.array([1.0]))

@@ -133,6 +133,20 @@ class TestLipschitz:
         np.testing.assert_allclose(coordinate_lipschitz(probs["group"]),
                                    expect_g)
 
+    def test_group_blocks_not_densified(self, monkeypatch):
+        rng = np.random.default_rng(23)
+        M = rng.standard_normal((15, 10))
+        M[:, 3] = 0.0
+        prob = GroupLasso(CscMatrix.from_dense(M), rng.standard_normal(15),
+                          0.5, groups_from_size(10, 4))
+
+        def refuse(self):
+            raise AssertionError("the whole design was densified")
+
+        monkeypatch.setattr(CscMatrix, "toarray", refuse)
+        expect = [np.linalg.norm(M[:, g], 2) ** 2 for g in prob.groups]
+        np.testing.assert_array_equal(coordinate_lipschitz(prob), expect)
+
     def test_quadratic_diagonal(self):
         H = np.diag([3.0, 5.0]) + 0.1
         quad = Quadratic(H, np.zeros(2))
