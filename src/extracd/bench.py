@@ -12,6 +12,7 @@ reference optimum computed once per problem fingerprint.
 import configparser
 import hashlib
 import os
+import tempfile
 from dataclasses import dataclass, fields, is_dataclass, replace
 
 import numpy as np
@@ -270,10 +271,27 @@ def compute_reference(prob, budget, cache_dir=None, tol=1e-12):
         epochs=int(trace.epochs[-1]),
         verified=bool(measure <= tol))
     if cache_path is not None:
-        np.savez(cache_path, f_star=ref.f_star, x_star=ref.x_star,
-                 producer=ref.producer, epochs=ref.epochs,
-                 verified=ref.verified)
+        _write_atomic_npz(cache_path, f_star=ref.f_star, x_star=ref.x_star,
+                          producer=ref.producer, epochs=ref.epochs,
+                          verified=ref.verified)
     return ref
+
+
+def _write_atomic_npz(path, **arrays):
+    """``np.savez`` to a temporary file beside ``path``, then rename it.
+
+    A reader sees either no file or a complete one, and a failed write
+    leaves nothing behind.  The open handle keeps ``np.savez`` from
+    appending ``.npz`` to the temporary name.
+    """
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), suffix=".tmp")
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            np.savez(fh, **arrays)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def write_trace_csv(path, trace, f_star):

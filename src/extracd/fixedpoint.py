@@ -241,6 +241,20 @@ def numerical_range_boundary(T, q=1, n_angles=360):
     the Hermitian part of ``exp(1j*theta) T^q`` yields one boundary point
     ``v* T^q v`` and the support value in that direction.
 
+    ``T`` is cast to float64, so ``M = T^q`` is real and the Hermitian
+    part is ``Hh(theta) = cos(theta) S + 1j sin(theta) K`` with
+    ``S = (M + M.T)/2`` and ``K = (M - M.T)/2``.  Two identities follow,
+    and both need ``M`` real:
+
+    * ``Hh(theta + pi) = -Hh(theta)``: the top eigenpair at ``theta + pi``
+      is the bottom eigenpair at ``theta`` with its eigenvalue negated;
+    * ``Hh(-theta) = conj(Hh(theta))``: the support at ``2*pi - theta``
+      equals the one at ``theta`` and the point is its conjugate.
+
+    Only the angles that neither identity maps from another grid angle
+    are decomposed: ``n_angles // 4 + 1`` Hermitian eigendecompositions
+    for an even grid, ``n_angles // 2 + 1`` for an odd one.
+
     Parameters
     ----------
     T : ndarray
@@ -261,14 +275,28 @@ def numerical_range_boundary(T, q=1, n_angles=360):
         raise ArgumentError("n_angles must be >= 3")
     _check_dense_size(T.shape[0])
     M = np.linalg.matrix_power(T, q)
-    angles = np.linspace(0.0, 2.0 * np.pi, n_angles, endpoint=False)
-    points = np.empty(n_angles, dtype=np.complex128)
-    support = np.empty(n_angles)
-    for i, theta in enumerate(angles):
-        R = np.exp(1j * theta) * M
-        Hh = 0.5 * (R + R.conj().T)
-        w, V = np.linalg.eigh(Hh)
-        v = V[:, -1]
-        support[i] = w[-1]
-        points[i] = v.conj() @ (M @ v)
+    S = 0.5 * (M + M.T)
+    K = 0.5 * (M - M.T)
+    n = n_angles
+    angles = np.linspace(0.0, 2.0 * np.pi, n, endpoint=False)
+    points = np.empty(n, dtype=np.complex128)
+    support = np.empty(n)
+    # grid index of theta + pi, when the grid holds it
+    half = n // 2 if n % 2 == 0 else 0
+    n_solve = (n // 4 if half else n // 2) + 1
+    solved = np.zeros(n, dtype=bool)
+    for i in range(n_solve):
+        theta = angles[i]
+        w, V = np.linalg.eigh(np.cos(theta) * S + 1j * np.sin(theta) * K)
+        ends = V[:, [-1, 0]]
+        top, bottom = np.einsum("ij,ij->j", ends.conj(), M @ ends)
+        support[i], points[i] = w[-1], top
+        solved[i] = True
+        if half:
+            support[i + half], points[i + half] = -w[0], bottom
+            solved[i + half] = True
+    # every remaining index j mirrors a solved one at n - j (angle -theta)
+    rest = np.flatnonzero(~solved)
+    support[rest] = support[n - rest]
+    points[rest] = points[n - rest].conj()
     return NumericalRange(q=q, angles=angles, points=points, support=support)

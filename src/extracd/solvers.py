@@ -171,10 +171,13 @@ def pcd_epoch(prob, x, state=None, order=None):
 # ---------------------------------------------------------------------------
 
 def _instrument(prob, x, Ax):
+    """``(objective, gap, stopping measure)`` at ``x``; gap is ``None``
+    for problems without a dual."""
     report = duality_gap(prob, x, Ax)
     if report is not None:
-        return report.gap, report.gap
-    return None, stopping_measure(prob, x, Ax)
+        return report.primal, report.gap, report.gap
+    return (objective_value(prob, x, Ax), None,
+            stopping_measure(prob, x, Ax))
 
 
 def _extrapolation_step(window, prob, datafit, x, Ax):
@@ -211,8 +214,8 @@ def _drive(prob, cfg, solver_name, step, extrapolate=False):
         window.push(x)
 
     trace = Trace(solver=solver_name)
-    gap, measure = _instrument(prob, x, Ax)
-    trace.record(0, 0.0, objective_value(prob, x, Ax), gap)
+    objective, gap, measure = _instrument(prob, x, Ax)
+    trace.record(0, 0.0, objective, gap)
     elapsed = 0.0
     for epoch in range(1, cfg.max_epochs + 1):
         if measure <= cfg.tol:
@@ -230,8 +233,8 @@ def _drive(prob, cfg, solver_name, step, extrapolate=False):
             Ax = datafit.predict(x)
         elapsed += time.perf_counter() - t0
 
-        gap, measure = _instrument(prob, x, Ax)
-        trace.record(epoch, elapsed, objective_value(prob, x, Ax), gap)
+        objective, gap, measure = _instrument(prob, x, Ax)
+        trace.record(epoch, elapsed, objective, gap)
     trace.x = x
     return trace
 

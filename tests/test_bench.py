@@ -193,6 +193,31 @@ class TestReference:
         assert hit.f_star == -123.5
         assert hit.verified == ref.verified
 
+    def test_failed_cache_write_leaves_no_file(self, tmp_path, monkeypatch):
+        prob = small_lasso(seed=5)
+        cache = tmp_path / "refs"
+
+        def broken_savez(file, **arrays):
+            # some bytes reach the target (a path or an open handle)
+            partial = b"PK\x03\x04 half an archive"
+            if isinstance(file, (str, os.PathLike)):
+                with open(file, "wb") as fh:
+                    fh.write(partial)
+            else:
+                file.write(partial)
+            raise OSError("disk full")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(np, "savez", broken_savez)
+            with pytest.raises(OSError, match="disk full"):
+                compute_reference(prob, budget=4000, cache_dir=str(cache))
+        assert list(cache.iterdir()) == []
+
+        # nothing half-written is reused: the next call solves and caches
+        ref = compute_reference(prob, budget=4000, cache_dir=str(cache))
+        assert ref.verified
+        assert list(cache.iterdir()) == [cache / f"{ref.fingerprint}.npz"]
+
     def test_distinct_problems_distinct_cache_files(self, tmp_path):
         cache = str(tmp_path / "refs")
         compute_reference(small_lasso(seed=6), budget=3000, cache_dir=cache)

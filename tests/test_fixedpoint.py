@@ -201,7 +201,54 @@ class TestRateBound:
             RateBound.from_iteration(expanding, np.eye(3))
 
 
+def brute_force_range(T, q, n_angles):
+    """One Hermitian eigendecomposition per grid angle."""
+    M = np.linalg.matrix_power(np.asarray(T, dtype=np.float64), q)
+    angles = np.linspace(0.0, 2.0 * np.pi, n_angles, endpoint=False)
+    support = np.empty(n_angles)
+    for i, theta in enumerate(angles):
+        R = np.exp(1j * theta) * M
+        support[i] = np.linalg.eigh(0.5 * (R + R.conj().T))[0][-1]
+    return angles, support
+
+
 class TestNumericalRange:
+    @pytest.mark.parametrize("n_angles", [8, 10, 9, 180])
+    @pytest.mark.parametrize("q", [1, 3])
+    def test_matches_brute_force(self, q, n_angles):
+        rng = np.random.default_rng(21)
+        T = np.triu(rng.standard_normal((12, 12))) * 0.3
+        T[4, 1] = 0.7
+        nr = numerical_range_boundary(T, q=q, n_angles=n_angles)
+        angles, support = brute_force_range(T, q, n_angles)
+        np.testing.assert_array_equal(nr.angles, angles)
+        np.testing.assert_allclose(nr.support, support, rtol=0, atol=1e-12)
+        on_line = np.real(np.exp(1j * angles) * nr.points)
+        np.testing.assert_allclose(on_line, support, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("n_angles", [8, 10, 9])
+    def test_degenerate_top_eigenvalue(self, n_angles):
+        nr = numerical_range_boundary(np.eye(3) * 0.5, q=1, n_angles=n_angles)
+        angles, support = brute_force_range(np.eye(3) * 0.5, 1, n_angles)
+        np.testing.assert_allclose(nr.support, support, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(nr.points, 0.5, rtol=0, atol=1e-12)
+
+    def test_eigendecompositions_per_sweep(self, monkeypatch):
+        calls = []
+        eigh = np.linalg.eigh
+
+        def counting_eigh(a, *args, **kwargs):
+            calls.append(a.shape)
+            return eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+        T = np.random.default_rng(22).standard_normal((6, 6)) * 0.3
+        numerical_range_boundary(T, q=2, n_angles=180)
+        assert len(calls) == 180 // 4 + 1 == 46
+        calls.clear()
+        numerical_range_boundary(T, q=2, n_angles=9)
+        assert len(calls) == 9 // 2 + 1
+
     def test_symmetric_matrix_segment(self):
         # for symmetric T the range is the segment [min eig, max eig]
         T = np.diag([0.2, 0.5, 0.9])
