@@ -240,8 +240,12 @@ def compute_reference(prob, budget, cache_dir=None, tol=1e-12):
     """Solve to high accuracy (or budget) and cache by fingerprint.
 
     The reference is produced by the guarded extrapolated coordinate
-    solver.  If the budget runs out before the convergence measure
-    reaches ``tol`` the best point is stored with ``verified=False``.
+    solver.  It is ``verified`` when the convergence measure, recomputed
+    at the returned point, is at most ``tol + 1e-14 * |f*|``: the
+    relative term allows for the few ulps of f* by which a measure from a
+    fresh ``A x`` differs from the solver's, which double precision cannot
+    drive below ``tol`` when f* is large.  A reference cut short by its
+    budget far from ``tol`` is stored with ``verified=False``.
     """
     if budget < 1:
         raise ArgumentError("reference budget must be >= 1")
@@ -263,13 +267,14 @@ def compute_reference(prob, budget, cache_dir=None, tol=1e-12):
     trace = anderson_pcd(prob, cfg)
     x = trace.x
     measure = stopping_measure(prob, x)
+    f_star = float(objective_value(prob, x))
     ref = ReferenceOptimum(
         fingerprint=fp,
-        f_star=float(objective_value(prob, x)),
+        f_star=f_star,
         x_star=x,
         producer="pcd_anderson",
         epochs=int(trace.epochs[-1]),
-        verified=bool(measure <= tol))
+        verified=bool(measure <= tol + 1e-14 * abs(f_star)))
     if cache_path is not None:
         _write_atomic_npz(cache_path, f_star=ref.f_star, x_star=ref.x_star,
                           producer=ref.producer, epochs=ref.epochs,

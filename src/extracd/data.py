@@ -63,11 +63,15 @@ class CscMatrix:
         if values.size:
             if row_idx.min() < 0 or row_idx.max() >= self.n_rows:
                 raise ArgumentError("row index out of range")
-            for j in range(self.n_cols):
-                rows = row_idx[col_ptr[j]:col_ptr[j + 1]]
-                if rows.size > 1 and np.any(np.diff(rows) <= 0):
-                    raise ArgumentError(
-                        f"row indices in column {j} must be strictly increasing")
+            # a step into the first entry of a column crosses a boundary
+            bad = np.diff(row_idx) <= 0
+            starts = col_ptr[(col_ptr > 0) & (col_ptr < values.size)]
+            bad[starts - 1] = False
+            if bad.any():
+                k = int(np.argmax(bad)) + 1
+                j = int(np.searchsorted(col_ptr, k, "right")) - 1
+                raise ArgumentError(
+                    f"row indices in column {j} must be strictly increasing")
         if not np.all(np.isfinite(values)):
             raise ArgumentError("matrix values must be finite")
         for arr in (col_ptr, row_idx, values):
@@ -83,17 +87,10 @@ class CscMatrix:
         if arr.ndim != 2:
             raise ArgumentError("from_dense expects a 2-d array")
         n, p = arr.shape
-        col_ptr = [0]
-        rows = []
-        vals = []
-        for j in range(p):
-            nz = np.nonzero(arr[:, j])[0]
-            rows.append(nz)
-            vals.append(arr[nz, j])
-            col_ptr.append(col_ptr[-1] + nz.size)
-        row_idx = np.concatenate(rows) if rows else np.empty(0, dtype=np.int64)
-        values = np.concatenate(vals) if vals else np.empty(0)
-        return cls(n, p, np.array(col_ptr, dtype=np.int64), row_idx, values)
+        cols, row_idx = np.nonzero(arr.T)
+        col_ptr = np.zeros(p + 1, dtype=np.int64)
+        np.cumsum(np.bincount(cols, minlength=p), out=col_ptr[1:])
+        return cls(n, p, col_ptr, row_idx, arr[row_idx, cols])
 
     def toarray(self):
         return self.columns(range(self.n_cols))

@@ -1,11 +1,11 @@
 """Hot numerical kernels with two interchangeable backends.
 
 Every kernel exists twice: an explicit-loop version compiled with numba
-(``@njit(cache=True)``) and a per-column vectorized pure-numpy version.
-The backend is chosen at import time: set the environment variable
-``EXTRACD_NUMBA=0`` to force the numpy fallback; otherwise numba is used
-whenever it imports.  ``IMPLS`` keeps both tables alive so tests and the
-kernel benchmark can compare them.
+(``@njit(cache=True)``) and a pure-numpy version.  The backend is chosen
+at import time: set the environment variable ``EXTRACD_NUMBA=0`` to force
+the numpy fallback; otherwise numba is used whenever it imports.
+``IMPLS`` keeps both tables alive so tests and the kernel benchmark can
+compare them.
 
 All sparse kernels operate on raw CSC arrays (values, row indices,
 column pointers) and update ``x`` / ``Ax`` in place.  Coordinates whose
@@ -13,11 +13,16 @@ curvature bound is zero are skipped, which freezes them at their initial
 value.
 
 Python loops over columns and coordinates are slow, so the numpy backend
-has dense paths, each chosen from its input:
+avoids per-column work where the input allows:
 
-- the numpy ``csc_matvec`` and ``csc_rmatvec`` make one BLAS call when
-  the matrix is fully dense (``nnz == n_rows * n_cols``): its values are
-  then A' in C order;
+- the numpy ``csc_matvec`` and ``csc_rmatvec`` are one ``np.bincount``
+  each on a sparse matrix (over the row, resp. column, of every entry),
+  which adds the entries in storage order, as the loop sources do; they
+  make one BLAS call when the matrix is fully dense
+  (``nnz == n_rows * n_cols``): its values are then A' in C order;
+- the numpy logistic epochs keep the per-row gradient factor
+  ``-y * sigma(-y * Ax)`` for the whole epoch and recompute its rows under
+  a column only when that coordinate moves;
 - `lsq_gram_epoch` runs a least-squares coordinate epoch on a dense design
   through its Gram matrix (``problems.LeastSquares.epoch`` chooses it);
 - ``problems.Quadratic.cd_pass`` runs a cyclic pass on a quadratic as one
@@ -228,7 +233,7 @@ def _group_epoch_loops(data, indices, indptr, y, x, Ax, grp_cols, grp_ptr,
 
 
 # ---------------------------------------------------------------------------
-# per-column vectorized numpy fallback
+# numpy fallback
 # ---------------------------------------------------------------------------
 
 def dense_transpose(data, indptr, n_rows):
@@ -247,12 +252,8 @@ def _csc_matvec_numpy(data, indices, indptr, n_rows, x):
     AT = dense_transpose(data, indptr, n_rows)
     if AT is not None:
         return x @ AT
-    out = np.zeros(n_rows)
-    for j in range(indptr.size - 1):
-        if x[j] != 0.0:
-            sl = slice(indptr[j], indptr[j + 1])
-            out[indices[sl]] += data[sl] * x[j]
-    return out
+    return np.bincount(indices, weights=data * np.repeat(x, np.diff(indptr)),
+                       minlength=n_rows)
 
 
 def _csc_rmatvec_numpy(data, indices, indptr, v):
@@ -260,11 +261,8 @@ def _csc_rmatvec_numpy(data, indices, indptr, v):
     if AT is not None:
         return AT @ v
     p = indptr.size - 1
-    out = np.empty(p)
-    for j in range(p):
-        sl = slice(indptr[j], indptr[j + 1])
-        out[j] = data[sl] @ v[indices[sl]]
-    return out
+    cols = np.repeat(np.arange(p), np.diff(indptr))
+    return np.bincount(cols, weights=data * v[indices], minlength=p)
 
 
 def _csc_col_norms_sq_numpy(data, indptr):
@@ -315,38 +313,48 @@ def _enet_epoch_numpy(data, indices, indptr, y, x, Ax, lip, lam, rho,
             x[j] = new
 
 
-def _logreg_l1_epoch_numpy(data, indices, indptr, y, x, Ax, lip, lam, order):
-    for j in order:
+def _logreg_epoch_numpy(data, indices, indptr, y, x, Ax, lip, l1, l2, order):
+    """Logistic coordinate epoch with an optional l1 and an l2 prox.
+
+    ``r = -y * sigma(-y * Ax)`` is the per-row factor of the gradient, so
+    coordinate ``j`` has gradient ``A_j' r``.  It is computed once, and its
+    rows under column ``j`` are recomputed only when ``x_j`` moves.  The
+    elementwise operations are those of the per-column form, so the
+    iterates are bitwise the same.  ``l1=None`` (the l2 kernel) leaves out
+    the soft threshold, which would turn a NaN or -0.0 step into 0.0.
+    """
+    r = -y * _sig_neg_vec(y * Ax)
+    ptr = indptr.tolist()
+    lip = lip.tolist()
+    xs = x.tolist()
+    for j in order.tolist():
         lj = lip[j]
         if lj <= 0.0:
             continue
-        sl = slice(indptr[j], indptr[j + 1])
-        rows = indices[sl]
-        vals = data[sl]
-        yr = y[rows]
-        grad = vals @ (-yr * _sig_neg_vec(yr * Ax[rows]))
-        new = _st(x[j] - grad / lj, lam / lj)
-        d = new - x[j]
+        rows = indices[ptr[j]:ptr[j + 1]]
+        vals = data[ptr[j]:ptr[j + 1]]
+        old = xs[j]
+        # ndarray.dot: the BLAS ddot of ``@`` with less call overhead
+        new = old - vals.dot(r[rows]) / lj
+        if l1 is not None:
+            new = _st(new, l1 / lj)
+        new /= 1.0 + l2 / lj
+        d = new - old
         if d != 0.0:
-            Ax[rows] += d * vals
-            x[j] = new
+            Ax_rows = Ax[rows] + d * vals
+            Ax[rows] = Ax_rows
+            yr = y[rows]
+            r[rows] = -yr * _sig_neg_vec(yr * Ax_rows)
+            xs[j] = new
+    x[:] = xs
+
+
+def _logreg_l1_epoch_numpy(data, indices, indptr, y, x, Ax, lip, lam, order):
+    _logreg_epoch_numpy(data, indices, indptr, y, x, Ax, lip, lam, 0.0, order)
 
 
 def _logreg_l2_epoch_numpy(data, indices, indptr, y, x, Ax, lip, lam, order):
-    for j in order:
-        lj = lip[j]
-        if lj <= 0.0:
-            continue
-        sl = slice(indptr[j], indptr[j + 1])
-        rows = indices[sl]
-        vals = data[sl]
-        yr = y[rows]
-        grad = vals @ (-yr * _sig_neg_vec(yr * Ax[rows]))
-        new = (x[j] - grad / lj) / (1.0 + lam / lj)
-        d = new - x[j]
-        if d != 0.0:
-            Ax[rows] += d * vals
-            x[j] = new
+    _logreg_epoch_numpy(data, indices, indptr, y, x, Ax, lip, None, lam, order)
 
 
 def _group_epoch_numpy(data, indices, indptr, y, x, Ax, grp_cols, grp_ptr,

@@ -7,13 +7,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from extracd import bench
 from extracd.bench import (BenchSpec, ReferenceOptimum, build_dataset,
                            build_problems, compute_reference, fingerprint,
                            load_config, run_bench, write_trace_csv)
 from extracd.cli import main
 from extracd.data import CscMatrix
 from extracd.errors import ArgumentError
-from extracd.problems import ElasticNet, Lasso, lambda_max
+from extracd.problems import (ElasticNet, Lasso, lambda_max, objective_value,
+                              stopping_measure)
 from extracd.solvers import Trace
 
 
@@ -217,6 +219,24 @@ class TestReference:
         ref = compute_reference(prob, budget=4000, cache_dir=str(cache))
         assert ref.verified
         assert list(cache.iterdir()) == [cache / f"{ref.fingerprint}.npz"]
+
+    def test_verified_allows_ulps_of_f_star(self, monkeypatch):
+        # the recomputed measure sits a few ulps of f* above tol, where
+        # double precision leaves a converged solve with a large f*
+        def measure(prob, x):
+            return 1e-12 + 8 * np.spacing(objective_value(prob, x))
+
+        monkeypatch.setattr(bench, "stopping_measure", measure)
+        ref = compute_reference(small_lasso(seed=5), budget=4000)
+        assert ref.verified
+
+    @pytest.mark.parametrize("budget", [6, 10])
+    def test_budget_cut_reference_unverified(self, budget):
+        prob = small_lasso(seed=5)
+        ref = compute_reference(prob, budget=budget)
+        assert ref.epochs == budget
+        assert stopping_measure(prob, ref.x_star) > 1e-10
+        assert not ref.verified
 
     def test_distinct_problems_distinct_cache_files(self, tmp_path):
         cache = str(tmp_path / "refs")

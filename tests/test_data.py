@@ -62,6 +62,35 @@ class TestCscMatrix:
             CscMatrix(2, 1, np.array([0, 1]), np.array([0]),
                       np.array([np.nan]))
 
+    def test_row_order_checked_within_columns_only(self):
+        # rows fall across every column boundary; empty columns at both
+        # ends and in between
+        col_ptr = np.array([0, 0, 1, 1, 3, 3])
+        A = CscMatrix(3, 5, col_ptr, np.array([2, 0, 1]), np.ones(3))
+        assert A.nnz == 3
+        for rows, bad_col in (([2, 1, 0], 3), ([2, 1, 1], 3)):
+            with pytest.raises(ArgumentError, match=f"in column {bad_col} "):
+                CscMatrix(3, 5, col_ptr, np.array(rows), np.ones(3))
+        with pytest.raises(ArgumentError, match="in column 2 "):
+            CscMatrix(3, 4, np.array([0, 1, 1, 4, 4]),
+                      np.array([0, 0, 2, 1]), np.ones(4))
+
+    @pytest.mark.parametrize("shape", [(6, 5), (1, 4), (4, 1), (0, 3),
+                                       (3, 0)])
+    def test_from_dense_matches_column_loop(self, shape):
+        M = random_sparse(*shape, 0.4, seed=sum(shape))
+        if M.size:
+            M[:, 0] = 0.0
+            M[0, -1] = -0.0
+        A = CscMatrix.from_dense(M)
+        nz = [np.nonzero(M[:, j])[0] for j in range(M.shape[1])]
+        col_ptr = np.cumsum([0] + [r.size for r in nz])
+        rows = np.concatenate(nz) if nz else np.empty(0, dtype=np.int64)
+        vals = np.array([M[i, j] for j, r in enumerate(nz) for i in r])
+        assert A.col_ptr.tobytes() == col_ptr.astype(np.int64).tobytes()
+        assert A.row_idx.tobytes() == rows.astype(np.int64).tobytes()
+        assert A.values.tobytes() == vals.astype(np.float64).tobytes()
+
     def test_arrays_read_only(self):
         A = CscMatrix.from_dense(np.eye(2))
         with pytest.raises(ValueError):

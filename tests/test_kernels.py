@@ -303,6 +303,95 @@ class TestDensePaths:
             assert float(np.abs(got - ref).max()) <= 1e-12, quad.dim
 
 
+def random_csc(seed):
+    """A random CSC holding empty, single-entry and all-zero columns.
+
+    Every tenth seed gives a design with no rows at all.
+    """
+    rng = np.random.default_rng(seed)
+    n = 0 if seed % 10 == 0 else int(rng.integers(1, 25))
+    p = int(rng.integers(4, 20))
+    kinds = rng.permutation(np.resize(["empty", "single", "zeros", "any"], p))
+    col_ptr, rows, vals = [0], [], []
+    for kind in kinds:
+        if n == 0 or kind == "empty":
+            k = 0
+        else:
+            k = 1 if kind == "single" else int(rng.integers(1, n + 1))
+        rows.extend(np.sort(rng.choice(n, k, replace=False)).tolist())
+        vals.extend([0.0] * k if kind == "zeros"
+                    else rng.standard_normal(k).tolist())
+        col_ptr.append(len(rows))
+    return CscMatrix(n, p, np.array(col_ptr), np.array(rows, dtype=np.int64),
+                     np.array(vals)), rng
+
+
+def per_column_logreg_epoch(l1, data, indices, indptr, y, x, Ax, lip, lam,
+                            order):
+    """The numpy logistic epoch as a per-column loop: every coordinate
+    recomputes its rows of the gradient factor from ``Ax``."""
+    for j in order:
+        lj = lip[j]
+        if lj <= 0.0:
+            continue
+        sl = slice(indptr[j], indptr[j + 1])
+        rows = indices[sl]
+        vals = data[sl]
+        yr = y[rows]
+        grad = vals @ (-yr * kernels._sig_neg_vec(yr * Ax[rows]))
+        if l1:
+            new = kernels._st(x[j] - grad / lj, lam / lj)
+        else:
+            new = (x[j] - grad / lj) / (1.0 + lam / lj)
+        d = new - x[j]
+        if d != 0.0:
+            Ax[rows] += d * vals
+            x[j] = new
+
+
+class TestNumpySparsePath:
+    """The numpy backend's sparse products and logistic epochs, bit for
+    bit, against the explicit-loop sources run as plain Python and the
+    per-column logistic epoch."""
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_products_match_loops(self, seed):
+        A, rng = random_csc(seed)
+        args = (A.values, A.row_idx, A.col_ptr)
+        x = rng.standard_normal(A.n_cols) * (rng.random(A.n_cols) < 0.7)
+        v = rng.standard_normal(A.n_rows)
+        got = IMPLS["numpy"]["csc_matvec"](*args, A.n_rows, x)
+        ref = kernels._csc_matvec_loops(*args, A.n_rows, x)
+        assert np.array_equal(got, ref)
+        got = IMPLS["numpy"]["csc_rmatvec"](*args, v)
+        ref = kernels._csc_rmatvec_loops(*args, v)
+        assert np.array_equal(got, ref)
+
+    @pytest.mark.parametrize("l1", [True, False])
+    @pytest.mark.parametrize("seed", range(40))
+    def test_logreg_epochs_match_per_column(self, seed, l1):
+        A, rng = random_csc(seed)
+        n, p = A.n_rows, A.n_cols
+        args = (A.values, A.row_idx, A.col_ptr)
+        y = np.where(rng.random(n) < 0.5, -1.0, 1.0)
+        lip = kernels._csc_col_norms_sq_loops(A.values, A.col_ptr) / 4.0
+        lam = float(rng.uniform(0.0, 0.3)) * max(n, 1)
+        x0 = rng.standard_normal(p) * (rng.random(p) < 0.5)
+        cyclic = np.arange(p, dtype=np.int64)
+        repeats = rng.integers(0, p, size=2 * p)
+        kernel = IMPLS["numpy"]["logreg_l1_epoch" if l1 else "logreg_l2_epoch"]
+        x, Ax = x0.copy(), kernels._csc_matvec_loops(*args, n, x0)
+        x_ref, Ax_ref = x.copy(), Ax.copy()
+        for order in (cyclic, cyclic[::-1].copy(), repeats) * 2:
+            kernel(*args, y, x, Ax, lip, lam, order)
+            per_column_logreg_epoch(l1, *args, y, x_ref, Ax_ref, lip, lam,
+                                    order)
+            assert x.tobytes() == x_ref.tobytes()
+            assert Ax.tobytes() == Ax_ref.tobytes()
+        if n:
+            assert not np.array_equal(x, x0)  # some coordinate moved
+
+
 def test_warmup_idempotent():
     warmup()
     warmup()
