@@ -6,7 +6,11 @@ same kernels (epochs from x = 0 at lambda_max / 10) on a 1000 x 1000,
 1 %-dense 0/1 design (cases ``sparse_*``), for every backend
 in ``extracd.kernels.IMPLS`` (numba only when it is installed), and one
 ``numerical_range_boundary`` sweep (180 angles) of a 200 x 200
-coordinate-pass matrix at the powers 1 and 128.  Run as::
+coordinate-pass matrix at the powers 1 and 128.  On the same p = 200
+quadratic (cases ``quad_solve_*``), ``pcd_anderson``, ``cdsym_anderson``,
+``gd_anderson`` and ``cg`` solve to gradient 1e-10 with the active backend;
+their epochs and seconds per epoch (whole solve, instrumentation included)
+are reported.  Run as::
 
     python3 benchmarks/kernel_bench.py [--n 2000] [--p 4000] [--repeat 20]
         [--json PATH]
@@ -23,7 +27,7 @@ import time
 
 import numpy as np
 
-from extracd import fixedpoint
+from extracd import fixedpoint, solvers
 from extracd.data import CscMatrix, gen_correlated_gaussian
 from extracd.kernels import BACKEND, IMPLS, warmup
 
@@ -31,6 +35,8 @@ RANGE_DIM = 200
 RANGE_ANGLES = 180
 RANGE_POWERS = (1, 128)
 RANGE_REPEAT = 3
+QUAD_SOLVERS = ("pcd_anderson", "cdsym_anderson", "gd_anderson", "cg")
+QUAD_TOL = 1e-10
 SPARSE_DIM = 1000
 SPARSE_DENSITY = 0.01
 
@@ -44,12 +50,18 @@ def time_call(fn, *args, repeat):
     return best
 
 
-def range_matrix():
-    """Coordinate-pass matrix of a p=200 quadratic with condition 1e4."""
+def criterion_quadratic(b):
+    """p=200 quadratic with spectrum log-spaced over 1e-4..1 and
+    eigenvectors from seed 11."""
     rng = np.random.default_rng(11)
     Q, _ = np.linalg.qr(rng.standard_normal((RANGE_DIM, RANGE_DIM)))
     H = (Q * np.logspace(-4, 0, RANGE_DIM)) @ Q.T
-    quad = fixedpoint.Quadratic(0.5 * (H + H.T), np.zeros(RANGE_DIM))
+    return fixedpoint.Quadratic(0.5 * (H + H.T), b)
+
+
+def range_matrix():
+    """Coordinate-pass matrix of the criterion quadratic."""
+    quad = criterion_quadratic(np.zeros(RANGE_DIM))
     return fixedpoint.cd_iteration(quad).T
 
 
@@ -116,6 +128,21 @@ def main():
         results.append({"case": f"numerical_range_boundary_q{q}",
                         "backend": "numpy", "best_s": t})
         print(f"  q={q:<4d} {t:8.3f}s")
+
+    quad = criterion_quadratic(
+        np.random.default_rng(0).standard_normal(RANGE_DIM))
+    print(f"quad_solve p={RANGE_DIM} tol={QUAD_TOL:g} backend={BACKEND} "
+          f"(best of {RANGE_REPEAT})")
+    for alg in QUAD_SOLVERS:
+        cfg = solvers.SolverConfig(algorithm=alg, tol=QUAD_TOL,
+                                   max_epochs=100000)
+        epochs = solvers.solve(quad, cfg).epochs[-1]
+        t = time_call(solvers.solve, quad, cfg, repeat=RANGE_REPEAT)
+        results.append({"case": f"quad_solve_{alg}", "backend": BACKEND,
+                        "best_s": t, "epochs": epochs,
+                        "s_per_epoch": t / epochs})
+        print(f"  {alg:16s} {epochs:6d} epochs {t:8.3f}s "
+              f"{t / epochs * 1e6:8.1f}us/epoch")
 
     if args.json:
         blas_env = {k: os.environ.get(k) for k in (

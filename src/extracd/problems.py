@@ -74,7 +74,12 @@ DENSE_LIMIT = 2000
 
 @dataclass(frozen=True, eq=False)
 class QuadraticFit:
-    """``0.5 x'Hx + b'x``, a function of ``x`` itself (there is no ``Ax``)."""
+    """``0.5 x'Hx + b'x``, whose "predictions" are the Hessian product.
+
+    ``Ax`` stands for ``Hx`` here: the driver keeps it as it keeps the
+    predictions of a design, so every oracle of an epoch reads the one
+    product instead of multiplying again.
+    """
 
     quad: "Quadratic"
     A = None
@@ -85,17 +90,21 @@ class QuadraticFit:
         return self.quad.dim
 
     def predict(self, x):
-        return None
+        return self.quad.H @ x
 
     def value(self, x, Ax):
-        return float(self.quad.value(x))
+        if Ax is None:
+            Ax = self.predict(x)
+        return float(0.5 * x @ Ax + self.quad.b @ x)
 
     def gradient(self, Ax):
         raise ArgumentError(
             "datafit_gradient needs a problem with a design matrix")
 
     def gradient_x(self, x, Ax):
-        return self.quad.gradient(x)
+        if Ax is None:
+            Ax = self.predict(x)
+        return Ax + self.quad.b
 
     def gram(self, v):
         return self.quad.H @ v
@@ -110,7 +119,7 @@ class QuadraticFit:
         quad = self.quad
 
         def epoch(x, Ax, order):
-            quad.cd_pass(x, order)
+            quad.cd_pass(x, order, Ax)
         return epoch
 
 
@@ -394,16 +403,16 @@ class Quadratic:
         return self.H.shape[0]
 
     def value(self, x):
-        return 0.5 * x @ (self.H @ x) + self.b @ x
+        return self.datafit.value(x, None)
 
     def gradient(self, x):
-        return self.H @ x + self.b
+        return self.datafit.gradient_x(x, None)
 
     def solve(self):
         """The minimizer ``-H^{-1} b``."""
         return np.linalg.solve(self.H, -self.b)
 
-    def cd_pass(self, x, order):
+    def cd_pass(self, x, order, Hx=None):
         """One coordinate-descent pass over ``order``, in place.
 
         Coordinate ``j`` moves to its exact minimizer, ``x_j -= (H_j x +
@@ -413,16 +422,24 @@ class Quadratic:
         diagonal included; the inverse of each triangle is computed once
         per quadratic (H is read-only).  Other orders, and the numba
         backend, run ``kernels.cd_dense_epoch``.
+
+        ``Hx``, when given, must equal ``H @ x``: the Gauss-Seidel step
+        takes its gradient from it, and the pass ends by overwriting it
+        with ``H @ x`` of the new ``x``.
         """
+        inv = None
         if kernels.BACKEND == "numpy" and order.size == self.dim:
             cyclic = np.arange(self.dim)
             if np.array_equal(order, cyclic):
-                x -= self._lower_inv @ (self.H @ x + self.b)
-                return
-            if np.array_equal(order, cyclic[::-1]):
-                x -= self._upper_inv @ (self.H @ x + self.b)
-                return
-        kernels.cd_dense_epoch(self.H, self.b, x, order)
+                inv = self._lower_inv
+            elif np.array_equal(order, cyclic[::-1]):
+                inv = self._upper_inv
+        if inv is None:
+            kernels.cd_dense_epoch(self.H, self.b, x, order)
+        else:
+            x -= inv @ ((self.H @ x if Hx is None else Hx) + self.b)
+        if Hx is not None:
+            Hx[:] = self.H @ x
 
     @cached_property
     def _lower_inv(self):

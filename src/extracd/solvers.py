@@ -128,11 +128,12 @@ def cd_epoch_quadratic(quad, x, order=None):
     return x
 
 
-def cdsym_epoch_quadratic(quad, x):
-    """One double-sweep epoch (coordinates 1..p then p..1)."""
+def cdsym_epoch_quadratic(quad, x, Hx=None):
+    """One double-sweep epoch (coordinates 1..p then p..1); ``Hx`` as in
+    `Quadratic.cd_pass`."""
     fwd = np.arange(quad.dim, dtype=np.int64)
-    quad.cd_pass(x, fwd)
-    quad.cd_pass(x, fwd[::-1].copy())
+    quad.cd_pass(x, fwd, Hx)
+    quad.cd_pass(x, fwd[::-1].copy(), Hx)
     return x
 
 
@@ -158,7 +159,8 @@ def pcd_epoch(prob, x, state=None, order=None):
     """One proximal coordinate-descent epoch in place.
 
     ``state`` carries the maintained predictions for problems with a
-    design matrix; it is ignored for quadratics.
+    design matrix.  A quadratic needs none: without it the epoch computes
+    ``Hx`` from ``x`` itself.
     """
     if state is None and prob.datafit.A is not None:
         raise ArgumentError("sparse problems need a ResidualState")
@@ -201,7 +203,7 @@ def _drive(prob, cfg, solver_name, step, extrapolate=False):
 
     With ``extrapolate``, every ``cfg.K`` epochs the window of the last
     ``K + 1`` epoch iterates is extrapolated under the objective guard.
-    The predictions ``Ax`` (``None`` for quadratics) are recomputed from
+    The predictions ``Ax`` (``Hx`` for a quadratic) are recomputed from
     ``x`` every ``ResidualState.REFRESH_EVERY`` epochs, since coordinate
     epochs update them incrementally.
     """
@@ -229,7 +231,7 @@ def _drive(prob, cfg, solver_name, step, extrapolate=False):
                                                     x, Ax)
                 trace.events.append((epoch, status))
                 window.reset(x)
-        if Ax is not None and epoch % ResidualState.REFRESH_EVERY == 0:
+        if epoch % ResidualState.REFRESH_EVERY == 0:
             Ax = datafit.predict(x)
         elapsed += time.perf_counter() - t0
 
@@ -279,7 +281,7 @@ def _cdsym_step(prob, who):
     _require_quadratic(prob, who)
 
     def step(x, Ax):
-        cdsym_epoch_quadratic(prob, x)
+        cdsym_epoch_quadratic(prob, x, Ax)
         return x, Ax
     return step
 
@@ -388,8 +390,7 @@ def baseline_fista(prob, cfg):
         m_new = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * momentum * momentum))
         beta = (momentum - 1.0) / m_new
         z = x_new + beta * (x_new - x)
-        if Ax is not None:
-            Az = Ax_new + beta * (Ax_new - Ax)
+        Az = Ax_new + beta * (Ax_new - Ax)
         momentum = m_new
         return x_new, Ax_new
 
@@ -405,19 +406,19 @@ def conjugate_gradient(prob, cfg):
     def step(x, Ax):
         nonlocal r, d
         if r is None:
-            r = -b - H @ x
+            r = -b - Ax
             d = r.copy()
         Hd = H @ d
         dHd = d @ Hd
         if dHd <= 0:
-            return x, None
+            return x, Ax
         alpha = (r @ r) / dHd
         x = x + alpha * d
         r_new = r - alpha * Hd
         beta = (r_new @ r_new) / (r @ r) if r @ r > 0 else 0.0
         d = r_new + beta * d
         r = r_new
-        return x, None
+        return x, H @ x
 
     return _drive(prob, cfg, "cg", step)
 

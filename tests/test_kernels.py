@@ -302,6 +302,30 @@ class TestDensePaths:
             kernels._cd_dense_epoch_loops(quad.H, quad.b, ref, order)
             assert float(np.abs(got - ref).max()) <= 1e-12, quad.dim
 
+    @pytest.mark.parametrize("path", ["numpy", "loops"])
+    def test_cd_pass_carries_hx(self, path, monkeypatch):
+        # "loops" takes the path of the numba backend with the loop source
+        # run as plain Python, so it runs with or without numba
+        monkeypatch.setattr(kernels, "BACKEND",
+                            "numpy" if path == "numpy" else "numba")
+        monkeypatch.setattr(kernels, "cd_dense_epoch",
+                            IMPLS["numpy"]["cd_dense_epoch"]
+                            if path == "numpy"
+                            else kernels._cd_dense_epoch_loops)
+        for quad in acceptance_quadratics():
+            p = quad.dim
+            rng = np.random.default_rng(p)
+            cyclic = np.arange(p, dtype=np.int64)
+            repeats = rng.integers(0, p, size=p + 3).astype(np.int64)
+            x0 = rng.standard_normal(p)
+            for order in (cyclic, cyclic[::-1].copy(), repeats):
+                want = x0.copy()
+                quad.cd_pass(want, order)
+                got, Hx = x0.copy(), quad.H @ x0
+                quad.cd_pass(got, order, Hx)
+                assert got.tobytes() == want.tobytes(), (p, order[:3])
+                assert np.array_equal(Hx, quad.H @ got), (p, order[:3])
+
 
 def random_csc(seed):
     """A random CSC holding empty, single-entry and all-zero columns.
@@ -395,3 +419,14 @@ class TestNumpySparsePath:
 def test_warmup_idempotent():
     warmup()
     warmup()
+
+
+def test_warmup_calls_no_kernel_on_numpy(monkeypatch):
+    # the numpy backend compiles nothing, so warming it up is wasted work
+    called = []
+    monkeypatch.setattr(kernels, "BACKEND", "numpy")
+    for name in IMPLS["numpy"]:
+        monkeypatch.setattr(kernels, name,
+                            lambda *args, name=name: called.append(name))
+    warmup()
+    assert called == []

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from extracd import kernels, solvers
 from extracd.data import CscMatrix, gen_correlated_gaussian
 from extracd.errors import ArgumentError
 from extracd.fixedpoint import cd_iteration, cdsym_iteration
@@ -456,6 +457,96 @@ def test_solver_problem_cross_product(solver, problem):
     else:
         assert all(g is not None for g in tr.gaps)
     assert bool(tr.events) == solver.endswith("_anderson")
+
+
+# ---------------------------------------------------------------------------
+# Hessian products on a quadratic
+# ---------------------------------------------------------------------------
+
+def hessian_counter(quad):
+    """Make every product by H, or by the inverse triangles of the
+    Gauss-Seidel passes, add one to the returned counter."""
+    count = [0]
+
+    class Counted(np.ndarray):
+        def __matmul__(self, other):
+            if self.ndim == 2:
+                count[0] += 1
+            return np.ndarray.__matmul__(self, other).view(np.ndarray)
+
+    for name in ("_lower_inv", "_upper_inv", "H"):
+        object.__setattr__(quad, name, getattr(quad, name).view(Counted))
+    return count
+
+
+class TestQuadraticProducts:
+    """A quadratic's predictions are ``Hx``; the driver carries them as it
+    carries ``Ax``, and every oracle reads them instead of multiplying."""
+
+    @pytest.mark.parametrize("solver", sorted(SOLVERS))
+    def test_carried_hx_is_exact(self, solver, monkeypatch):
+        quad = make_quad(p=20, seed=47)
+        fit = type(quad.datafit)
+        instrumented, gradients = [], []
+        instrument, gradient_x = solvers._instrument, fit.gradient_x
+
+        def recording_instrument(prob, x, Ax):
+            instrumented.append((x.copy(), Ax.copy()))
+            return instrument(prob, x, Ax)
+
+        def recording_gradient_x(self, x, Ax):
+            gradients.append((x.copy(), Ax.copy()))
+            return gradient_x(self, x, Ax)
+
+        monkeypatch.setattr(solvers, "_instrument", recording_instrument)
+        monkeypatch.setattr(fit, "gradient_x", recording_gradient_x)
+        solve(quad, SolverConfig(algorithm=solver, max_epochs=250, tol=0.0))
+        assert len(instrumented) == 251
+        for x, Ax in instrumented:
+            assert np.array_equal(Ax, quad.H @ x)
+        # fista steps from its momentum point z, whose Hz it forms as the
+        # same combination of two exact products as z itself, so only
+        # fista's gradient reads are allowed 1e-12 relative
+        for x, Ax in gradients:
+            Hx = quad.H @ x
+            if solver == "fista":
+                assert np.abs(Ax - Hx).max() <= 1e-12 * np.abs(Hx).max()
+            else:
+                assert np.array_equal(Ax, Hx)
+
+    @pytest.mark.parametrize("solver, per_epoch", [
+        ("gd", 1), ("gd_anderson", 1), ("pgd", 1), ("fista", 1),
+        ("pcd", 2), ("pcd_anderson", 2), ("cdsym", 4), ("cdsym_anderson", 4),
+        ("cg", 2)])
+    def test_hessian_products_per_epoch(self, solver, per_epoch,
+                                        monkeypatch):
+        # the cyclic passes run as Gauss-Seidel steps on the numpy backend
+        monkeypatch.setattr(kernels, "BACKEND", "numpy")
+        quad = make_quad(p=20, seed=48)
+        count = hessian_counter(quad)
+        marks = []
+        instrument = solvers._instrument
+
+        def counting_instrument(prob, x, Ax):
+            before = count[0]
+            out = instrument(prob, x, Ax)
+            marks.append((before, count[0]))
+            return out
+
+        monkeypatch.setattr(solvers, "_instrument", counting_instrument)
+        # past about 240 epochs cg's residual underflows to zero, and a
+        # step with a zero direction needs no product
+        tr = solve(quad, SolverConfig(algorithm=solver, max_epochs=150,
+                                      tol=0.0))
+        assert len(marks) == 151
+        assert all(before == after for before, after in marks)
+        # a singular window gives no candidate, hence no product
+        attempts = {e for e, status in tr.events if status != "singular"}
+        assert bool(attempts) == solver.endswith("_anderson")
+        for epoch in range(1, len(marks)):
+            want = (per_epoch + (epoch in attempts)
+                    + (epoch % ResidualState.REFRESH_EVERY == 0))
+            assert marks[epoch][0] - marks[epoch - 1][1] == want, epoch
 
 
 # ---------------------------------------------------------------------------
