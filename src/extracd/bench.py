@@ -246,6 +246,11 @@ def compute_reference(prob, budget, cache_dir=None, tol=1e-12):
     fresh ``A x`` differs from the solver's, which double precision cannot
     drive below ``tol`` when f* is large.  A reference cut short by its
     budget far from ``tol`` is stored with ``verified=False``.
+
+    A cache entry records the ``tol`` and ``budget`` it was solved with.
+    It is reused only for the same ``tol``, and only when it is verified
+    or the new budget is not larger; otherwise the problem is solved again
+    and the entry replaced.
     """
     if budget < 1:
         raise ArgumentError("reference budget must be >= 1")
@@ -256,13 +261,16 @@ def compute_reference(prob, budget, cache_dir=None, tol=1e-12):
         cache_path = os.path.join(cache_dir, f"{fp}.npz")
         if os.path.exists(cache_path):
             with np.load(cache_path, allow_pickle=False) as blob:
-                return ReferenceOptimum(
-                    fingerprint=fp,
-                    f_star=float(blob["f_star"]),
-                    x_star=blob["x_star"],
-                    producer=str(blob["producer"]),
-                    epochs=int(blob["epochs"]),
-                    verified=bool(blob["verified"]))
+                if ("tol" in blob.files and float(blob["tol"]) == tol
+                        and (bool(blob["verified"])
+                             or budget <= int(blob["budget"]))):
+                    return ReferenceOptimum(
+                        fingerprint=fp,
+                        f_star=float(blob["f_star"]),
+                        x_star=blob["x_star"],
+                        producer=str(blob["producer"]),
+                        epochs=int(blob["epochs"]),
+                        verified=bool(blob["verified"]))
     cfg = SolverConfig(algorithm="pcd_anderson", max_epochs=budget, tol=tol)
     trace = anderson_pcd(prob, cfg)
     x = trace.x
@@ -278,7 +286,7 @@ def compute_reference(prob, budget, cache_dir=None, tol=1e-12):
     if cache_path is not None:
         _write_atomic_npz(cache_path, f_star=ref.f_star, x_star=ref.x_star,
                           producer=ref.producer, epochs=ref.epochs,
-                          verified=ref.verified)
+                          verified=ref.verified, tol=tol, budget=budget)
     return ref
 
 

@@ -7,6 +7,7 @@ never from the file name.
 
 import gzip
 import io
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -139,7 +140,7 @@ class Dataset:
 
 
 def _open_text(source):
-    if isinstance(source, (str, bytes)) and not isinstance(source, bytes):
+    if isinstance(source, (str, os.PathLike)):
         with open(source, "rb") as fh:
             raw = fh.read()
     elif isinstance(source, bytes):

@@ -1,16 +1,26 @@
 """Hot numerical kernels with two interchangeable backends.
 
-Every kernel exists twice: an explicit-loop version compiled with numba
-(``@njit(cache=True)``) and a pure-numpy version.  The backend is chosen
-at import time: set the environment variable ``EXTRACD_NUMBA=0`` to force
-the numpy fallback; otherwise numba is used whenever it imports.
-``IMPLS`` keeps both tables alive so tests and the kernel benchmark can
-compare them.
+Every kernel has an explicit-loop source and a pure-numpy version.  The
+loop sources are compiled with numba (``@njit(cache=True)``) into the
+numba backend; run as plain Python they are the reference that tests
+compare the numpy backend against.  The backend is chosen at import
+time: set the environment variable ``EXTRACD_NUMBA=0`` to force the numpy
+fallback; otherwise numba is used whenever it imports.  ``IMPLS`` keeps
+both tables alive so tests and the kernel benchmark can compare them.
 
 All sparse kernels operate on raw CSC arrays (values, row indices,
 column pointers) and update ``x`` / ``Ax`` in place.  Coordinates whose
 curvature bound is zero are skipped, which freezes them at their initial
 value.
+
+The lasso, elastic-net and both logistic epochs apply one proximal
+coordinate update, ``x_j <- st(x_j - A_j'r / scale / L_j, l1 / L_j) /
+(1 + l2 / L_j)``, where ``r`` is the datafit's per-row gradient factor:
+``Ax - y`` for least squares, ``-y * sigma(-y * Ax)`` for logistic
+regression.  Each backend has one body per datafit (the numpy backend
+one for both), and the four public kernels are wrappers that fix
+``(l1, l2, scale)``.  ``l1 = 0`` leaves out the soft threshold, which
+would turn a NaN or -0.0 step into 0.0.
 
 Python loops over columns and coordinates are slow, so the numpy backend
 avoids per-column work where the input allows:
@@ -20,9 +30,9 @@ avoids per-column work where the input allows:
   which adds the entries in storage order, as the loop sources do; they
   make one BLAS call when the matrix is fully dense
   (``nnz == n_rows * n_cols``): its values are then A' in C order;
-- the numpy logistic epochs keep the per-row gradient factor
-  ``-y * sigma(-y * Ax)`` for the whole epoch and recompute its rows under
-  a column only when that coordinate moves;
+- the numpy coordinate epoch computes ``r`` once and recomputes its rows
+  under a column from the new ``Ax`` only when that coordinate moves, so
+  ``r`` always equals the fresh expression bit for bit;
 - `lsq_gram_epoch` runs a least-squares coordinate epoch on a dense design
   through its Gram matrix (``problems.LeastSquares.epoch`` chooses it);
 - ``problems.Quadratic.cd_pass`` runs a cyclic pass on a quadratic as one
@@ -121,7 +131,8 @@ def _cd_dense_epoch_loops(H, b, x, order):
         x[j] -= r / H[j, j]
 
 
-def _lasso_epoch_loops(data, indices, indptr, y, x, Ax, lip, lam, order):
+def _lsq_epoch_loops(data, indices, indptr, y, x, Ax, lip, l1, l2, scale,
+                     order):
     for idx in range(order.size):
         j = order[idx]
         lj = lip[j]
@@ -132,7 +143,10 @@ def _lasso_epoch_loops(data, indices, indptr, y, x, Ax, lip, lam, order):
         for k in range(start, end):
             i = indices[k]
             grad += data[k] * (Ax[i] - y[i])
-        new = _st(x[j] - grad / lj, lam / lj)
+        new = x[j] - grad / scale / lj
+        if l1 != 0.0:
+            new = _st(new, l1 / lj)
+        new /= 1.0 + l2 / lj
         d = new - x[j]
         if d != 0.0:
             for k in range(start, end):
@@ -140,28 +154,7 @@ def _lasso_epoch_loops(data, indices, indptr, y, x, Ax, lip, lam, order):
             x[j] = new
 
 
-def _enet_epoch_loops(data, indices, indptr, y, x, Ax, lip, lam, rho,
-                      n_samples, order):
-    for idx in range(order.size):
-        j = order[idx]
-        lj = lip[j]
-        if lj <= 0.0:
-            continue
-        start, end = indptr[j], indptr[j + 1]
-        grad = 0.0
-        for k in range(start, end):
-            i = indices[k]
-            grad += data[k] * (Ax[i] - y[i])
-        grad /= n_samples
-        new = _st(x[j] - grad / lj, lam / lj) / (1.0 + rho / lj)
-        d = new - x[j]
-        if d != 0.0:
-            for k in range(start, end):
-                Ax[indices[k]] += d * data[k]
-            x[j] = new
-
-
-def _logreg_l1_epoch_loops(data, indices, indptr, y, x, Ax, lip, lam, order):
+def _logreg_epoch_loops(data, indices, indptr, y, x, Ax, lip, l1, l2, order):
     for idx in range(order.size):
         j = order[idx]
         lj = lip[j]
@@ -172,26 +165,10 @@ def _logreg_l1_epoch_loops(data, indices, indptr, y, x, Ax, lip, lam, order):
         for k in range(start, end):
             i = indices[k]
             grad += data[k] * (-y[i] * _sig_neg(y[i] * Ax[i]))
-        new = _st(x[j] - grad / lj, lam / lj)
-        d = new - x[j]
-        if d != 0.0:
-            for k in range(start, end):
-                Ax[indices[k]] += d * data[k]
-            x[j] = new
-
-
-def _logreg_l2_epoch_loops(data, indices, indptr, y, x, Ax, lip, lam, order):
-    for idx in range(order.size):
-        j = order[idx]
-        lj = lip[j]
-        if lj <= 0.0:
-            continue
-        start, end = indptr[j], indptr[j + 1]
-        grad = 0.0
-        for k in range(start, end):
-            i = indices[k]
-            grad += data[k] * (-y[i] * _sig_neg(y[i] * Ax[i]))
-        new = (x[j] - grad / lj) / (1.0 + lam / lj)
+        new = x[j] - grad / lj
+        if l1 != 0.0:
+            new = _st(new, l1 / lj)
+        new /= 1.0 + l2 / lj
         d = new - x[j]
         if d != 0.0:
             for k in range(start, end):
@@ -280,50 +257,26 @@ def _cd_dense_epoch_numpy(H, b, x, order):
         x[j] -= r / H[j, j]
 
 
-def _lasso_epoch_numpy(data, indices, indptr, y, x, Ax, lip, lam, order):
-    for j in order:
-        lj = lip[j]
-        if lj <= 0.0:
-            continue
-        sl = slice(indptr[j], indptr[j + 1])
-        rows = indices[sl]
-        vals = data[sl]
-        grad = vals @ (Ax[rows] - y[rows])
-        new = _st(x[j] - grad / lj, lam / lj)
-        d = new - x[j]
-        if d != 0.0:
-            Ax[rows] += d * vals
-            x[j] = new
+def _lsq_rows(y, Ax):
+    return Ax - y
 
 
-def _enet_epoch_numpy(data, indices, indptr, y, x, Ax, lip, lam, rho,
-                      n_samples, order):
-    for j in order:
-        lj = lip[j]
-        if lj <= 0.0:
-            continue
-        sl = slice(indptr[j], indptr[j + 1])
-        rows = indices[sl]
-        vals = data[sl]
-        grad = (vals @ (Ax[rows] - y[rows])) / n_samples
-        new = _st(x[j] - grad / lj, lam / lj) / (1.0 + rho / lj)
-        d = new - x[j]
-        if d != 0.0:
-            Ax[rows] += d * vals
-            x[j] = new
+def _logreg_rows(y, Ax):
+    return -y * _sig_neg_vec(y * Ax)
 
 
-def _logreg_epoch_numpy(data, indices, indptr, y, x, Ax, lip, l1, l2, order):
-    """Logistic coordinate epoch with an optional l1 and an l2 prox.
+def _cd_epoch_numpy(row_factor, data, indices, indptr, y, x, Ax, lip, l1, l2,
+                    scale, order):
+    """Proximal coordinate epoch of a datafit with per-row factor ``r``.
 
-    ``r = -y * sigma(-y * Ax)`` is the per-row factor of the gradient, so
-    coordinate ``j`` has gradient ``A_j' r``.  It is computed once, and its
-    rows under column ``j`` are recomputed only when ``x_j`` moves.  The
-    elementwise operations are those of the per-column form, so the
-    iterates are bitwise the same.  ``l1=None`` (the l2 kernel) leaves out
-    the soft threshold, which would turn a NaN or -0.0 step into 0.0.
+    ``r = row_factor(y, Ax)`` is the per-row factor of the datafit's
+    gradient, so coordinate ``j`` has gradient ``A_j' r / scale``.  It is
+    computed once, and its rows under column ``j`` are recomputed from the
+    new ``Ax`` rows only when ``x_j`` moves, so ``r`` is bitwise the fresh
+    ``row_factor(y, Ax)`` and the iterates are those of the per-column
+    form.
     """
-    r = -y * _sig_neg_vec(y * Ax)
+    r = row_factor(y, Ax)
     ptr = indptr.tolist()
     lip = lip.tolist()
     xs = x.tolist()
@@ -335,26 +288,54 @@ def _logreg_epoch_numpy(data, indices, indptr, y, x, Ax, lip, l1, l2, order):
         vals = data[ptr[j]:ptr[j + 1]]
         old = xs[j]
         # ndarray.dot: the BLAS ddot of ``@`` with less call overhead
-        new = old - vals.dot(r[rows]) / lj
-        if l1 is not None:
+        new = old - vals.dot(r[rows]) / scale / lj
+        if l1 != 0.0:
             new = _st(new, l1 / lj)
         new /= 1.0 + l2 / lj
         d = new - old
         if d != 0.0:
             Ax_rows = Ax[rows] + d * vals
             Ax[rows] = Ax_rows
-            yr = y[rows]
-            r[rows] = -yr * _sig_neg_vec(yr * Ax_rows)
+            r[rows] = row_factor(y[rows], Ax_rows)
             xs[j] = new
     x[:] = xs
 
 
-def _logreg_l1_epoch_numpy(data, indices, indptr, y, x, Ax, lip, lam, order):
-    _logreg_epoch_numpy(data, indices, indptr, y, x, Ax, lip, lam, 0.0, order)
+def _lsq_epoch_numpy(data, indices, indptr, y, x, Ax, lip, l1, l2, scale,
+                     order):
+    _cd_epoch_numpy(_lsq_rows, data, indices, indptr, y, x, Ax, lip, l1, l2,
+                    scale, order)
 
 
-def _logreg_l2_epoch_numpy(data, indices, indptr, y, x, Ax, lip, lam, order):
-    _logreg_epoch_numpy(data, indices, indptr, y, x, Ax, lip, None, lam, order)
+def _logreg_epoch_numpy(data, indices, indptr, y, x, Ax, lip, l1, l2, order):
+    _cd_epoch_numpy(_logreg_rows, data, indices, indptr, y, x, Ax, lip, l1,
+                    l2, 1.0, order)
+
+
+def _epoch_kernels(lsq, logreg):
+    """The four public L1/L2 epoch kernels of one backend.
+
+    ``lsq(..., l1, l2, scale, order)`` and ``logreg(..., l1, l2, order)``
+    are the backend's least-squares and logistic epochs.  Each kernel is
+    its own function object, so a tracer that rebinds kernels by identity
+    sees four.
+    """
+    def lasso_epoch(data, indices, indptr, y, x, Ax, lip, lam, order):
+        lsq(data, indices, indptr, y, x, Ax, lip, lam, 0.0, 1.0, order)
+
+    def enet_epoch(data, indices, indptr, y, x, Ax, lip, lam, rho, n_samples,
+                   order):
+        lsq(data, indices, indptr, y, x, Ax, lip, lam, rho, n_samples, order)
+
+    def logreg_l1_epoch(data, indices, indptr, y, x, Ax, lip, lam, order):
+        logreg(data, indices, indptr, y, x, Ax, lip, lam, 0.0, order)
+
+    def logreg_l2_epoch(data, indices, indptr, y, x, Ax, lip, lam, order):
+        logreg(data, indices, indptr, y, x, Ax, lip, 0.0, lam, order)
+
+    return {"lasso_epoch": lasso_epoch, "enet_epoch": enet_epoch,
+            "logreg_l1_epoch": logreg_l1_epoch,
+            "logreg_l2_epoch": logreg_l2_epoch}
 
 
 def _group_epoch_numpy(data, indices, indptr, y, x, Ax, grp_cols, grp_ptr,
@@ -408,15 +389,26 @@ def lsq_gram_epoch(AT, G_rows, y, x, Ax, lip, l1, l2, scale, order):
     Ax[:] = x @ AT
 
 
+def _loop_kernels(jit):
+    """The kernel table of the explicit-loop sources, each passed through
+    ``jit``: numba's compiler for the numba backend, or the identity for a
+    plain-Python reference."""
+    return {
+        "csc_matvec": jit(_csc_matvec_loops),
+        "csc_rmatvec": jit(_csc_rmatvec_loops),
+        "csc_col_norms_sq": jit(_csc_col_norms_sq_loops),
+        "cd_dense_epoch": jit(_cd_dense_epoch_loops),
+        **_epoch_kernels(jit(_lsq_epoch_loops), jit(_logreg_epoch_loops)),
+        "group_epoch": jit(_group_epoch_loops),
+    }
+
+
 _NUMPY_IMPLS = {
     "csc_matvec": _csc_matvec_numpy,
     "csc_rmatvec": _csc_rmatvec_numpy,
     "csc_col_norms_sq": _csc_col_norms_sq_numpy,
     "cd_dense_epoch": _cd_dense_epoch_numpy,
-    "lasso_epoch": _lasso_epoch_numpy,
-    "enet_epoch": _enet_epoch_numpy,
-    "logreg_l1_epoch": _logreg_l1_epoch_numpy,
-    "logreg_l2_epoch": _logreg_l2_epoch_numpy,
+    **_epoch_kernels(_lsq_epoch_numpy, _logreg_epoch_numpy),
     "group_epoch": _group_epoch_numpy,
 }
 
@@ -425,17 +417,7 @@ IMPLS = {"numpy": _NUMPY_IMPLS}
 if HAVE_NUMBA:
     _st = njit(cache=True, inline="always")(_st)
     _sig_neg = njit(cache=True, inline="always")(_sig_neg)
-    IMPLS["numba"] = {
-        "csc_matvec": njit(cache=True)(_csc_matvec_loops),
-        "csc_rmatvec": njit(cache=True)(_csc_rmatvec_loops),
-        "csc_col_norms_sq": njit(cache=True)(_csc_col_norms_sq_loops),
-        "cd_dense_epoch": njit(cache=True)(_cd_dense_epoch_loops),
-        "lasso_epoch": njit(cache=True)(_lasso_epoch_loops),
-        "enet_epoch": njit(cache=True)(_enet_epoch_loops),
-        "logreg_l1_epoch": njit(cache=True)(_logreg_l1_epoch_loops),
-        "logreg_l2_epoch": njit(cache=True)(_logreg_l2_epoch_loops),
-        "group_epoch": njit(cache=True)(_group_epoch_loops),
-    }
+    IMPLS["numba"] = _loop_kernels(njit(cache=True))
 
 _ACTIVE = IMPLS[BACKEND]
 

@@ -217,7 +217,7 @@ class Logistic(_DesignFit):
                      .sum())
 
     def gradient(self, Ax):
-        return -self.y * kernels._sig_neg_vec(self.y * Ax)
+        return kernels._logreg_rows(self.y, Ax)
 
     def lambda_max(self, penalty):
         # the gradient at Ax = 0 is -y / 2

@@ -231,12 +231,36 @@ class TestReference:
         assert ref.verified
 
     @pytest.mark.parametrize("budget", [6, 10])
-    def test_budget_cut_reference_unverified(self, budget):
+    def test_budget_cut_reference_unverified(self, budget, tmp_path,
+                                             monkeypatch):
         prob = small_lasso(seed=5)
         ref = compute_reference(prob, budget=budget)
         assert ref.epochs == budget
         assert stopping_measure(prob, ref.x_star) > 1e-10
         assert not ref.verified
+
+        # a cached cut reference serves no larger budget than its own
+        solves = []
+        solve = bench.anderson_pcd
+        monkeypatch.setattr(bench, "anderson_pcd", lambda prob, cfg: (
+            solves.append(cfg.max_epochs) or solve(prob, cfg)))
+        cache = str(tmp_path / "refs")
+        cut = compute_reference(prob, budget=budget, cache_dir=cache)
+        assert (cut.epochs, cut.verified) == (budget, False)
+        for smaller in (budget, budget - 1):
+            hit = compute_reference(prob, budget=smaller, cache_dir=cache)
+            assert hit.f_star == cut.f_star
+        assert solves == [budget]
+        full = compute_reference(prob, budget=4000, cache_dir=cache)
+        assert full.verified and full.epochs < 4000
+        assert solves == [budget, 4000]
+        # the verified entry replaced the cut one and serves any budget
+        hit = compute_reference(prob, budget=budget, cache_dir=cache)
+        assert (hit.f_star, hit.epochs, hit.verified) == (
+            full.f_star, full.epochs, True)
+        # a different tol is a different reference
+        compute_reference(prob, budget=4000, cache_dir=cache, tol=1e-8)
+        assert solves == [budget, 4000, 4000]
 
     def test_distinct_problems_distinct_cache_files(self, tmp_path):
         cache = str(tmp_path / "refs")

@@ -131,7 +131,7 @@ class TestParseLibsvm:
         plain.write_text(GOLDEN)
         zipped = tmp_path / "d.libsvm.gz"
         zipped.write_bytes(gzip.compress(GOLDEN.encode()))
-        for src in (str(plain), str(zipped),
+        for src in (str(plain), str(zipped), plain, zipped,
                     io.BytesIO(GOLDEN.encode()), GOLDEN.encode()):
             ds = parse_libsvm(src)
             assert ds.A.n_rows == 3 and ds.A.n_cols == 3

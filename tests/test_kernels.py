@@ -1,4 +1,7 @@
-"""Kernel tests: both backend tables against slow dense reference code."""
+"""Kernel tests: every backend table, and the explicit-loop sources run as
+plain Python, against slow dense reference code and each other."""
+
+import functools
 
 import numpy as np
 import pytest
@@ -8,7 +11,11 @@ from extracd.data import CscMatrix
 from extracd.kernels import IMPLS, warmup
 from extracd.problems import ElasticNet, Lasso, Quadratic
 
-BACKENDS = sorted(IMPLS)
+# the loop sources uncompiled: the reference the numpy backend is checked
+# against, with or without numba
+LOOPS = kernels._loop_kernels(lambda f: f)
+TABLES = {**IMPLS, "loops": LOOPS}
+BACKENDS = sorted(TABLES)
 
 
 def soft(v, t):
@@ -28,7 +35,7 @@ def make_problem(n, p, seed, density=0.6):
 
 @pytest.fixture(params=BACKENDS)
 def impl(request):
-    return IMPLS[request.param]
+    return TABLES[request.param]
 
 
 class TestSparseOps:
@@ -187,7 +194,6 @@ class TestCompositeEpochs:
 
 
 class TestBackendAgreement:
-    @pytest.mark.skipif(len(BACKENDS) < 2, reason="single backend")
     def test_epochs_agree_across_backends(self):
         M, A, y, x = make_problem(30, 12, seed=12)
         yb = np.where(y > 0, 1.0, -1.0)
@@ -198,14 +204,15 @@ class TestBackendAgreement:
             ("logreg_l2_epoch", yb, {"lam": 0.3}),
         ]
         for name, target, extra in cases:
-            res = {}
+            want, want_Ax, _ = run_epoch(IMPLS["numpy"], name, M, A, target,
+                                         x, extra)
+            assert not np.array_equal(want, x), name  # some coordinate moved
             for backend in BACKENDS:
-                got, Ax, _ = run_epoch(IMPLS[backend], name, M, A, target,
+                got, Ax, _ = run_epoch(TABLES[backend], name, M, A, target,
                                        x, extra)
-                res[backend] = (got, Ax)
-            a, b = (res[k] for k in BACKENDS)
-            np.testing.assert_allclose(a[0], b[0], rtol=1e-12, atol=1e-15)
-            np.testing.assert_allclose(a[1], b[1], rtol=1e-12, atol=1e-15)
+                np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-15)
+                np.testing.assert_allclose(Ax, want_Ax, rtol=1e-12,
+                                           atol=1e-15)
 
 
 def dense_problem(n, p, seed):
@@ -266,12 +273,11 @@ class TestDensePaths:
         for order in (cyclic, repeats, cyclic, cyclic[::-1].copy(), cyclic):
             epoch(x, Ax, order)
             if rho == 0.0:
-                kernels._lasso_epoch_loops(A.values, A.row_idx, A.col_ptr, y,
-                                           x_ref, Ax_ref, lip, lam, order)
+                LOOPS["lasso_epoch"](A.values, A.row_idx, A.col_ptr, y, x_ref,
+                                     Ax_ref, lip, lam, order)
             else:
-                kernels._enet_epoch_loops(A.values, A.row_idx, A.col_ptr, y,
-                                          x_ref, Ax_ref, lip, lam / n, rho,
-                                          n, order)
+                LOOPS["enet_epoch"](A.values, A.row_idx, A.col_ptr, y, x_ref,
+                                    Ax_ref, lip, lam / n, rho, n, order)
             assert float(np.abs(x - x_ref).max()) <= 1e-12
             assert float(np.abs(Ax - Ax_ref).max()) <= 1e-12
         assert np.count_nonzero(x) not in (0, 25)  # the l1 part is active
@@ -285,8 +291,8 @@ class TestDensePaths:
         kernels.lsq_gram_epoch(AT, list(AT @ AT.T), y, x, Ax, lip, 0.3, 0.0,
                                1.0, order)
         x_ref, Ax_ref = x0.copy(), M @ x0
-        kernels._lasso_epoch_loops(A.values, A.row_idx, A.col_ptr, y, x_ref,
-                                   Ax_ref, lip, 0.3, order)
+        LOOPS["lasso_epoch"](A.values, A.row_idx, A.col_ptr, y, x_ref, Ax_ref,
+                             lip, 0.3, order)
         assert float(np.abs(x - x_ref).max()) <= 1e-12
         assert float(np.abs(Ax - Ax_ref).max()) <= 1e-12
 
@@ -373,10 +379,46 @@ def per_column_logreg_epoch(l1, data, indices, indptr, y, x, Ax, lip, lam,
             x[j] = new
 
 
+def per_column_lasso_epoch(data, indices, indptr, y, x, Ax, lip, lam, order):
+    """The numpy lasso epoch as a per-column loop: every coordinate
+    recomputes its rows of the residual ``Ax - y``."""
+    for j in order:
+        lj = lip[j]
+        if lj <= 0.0:
+            continue
+        sl = slice(indptr[j], indptr[j + 1])
+        rows = indices[sl]
+        vals = data[sl]
+        grad = vals @ (Ax[rows] - y[rows])
+        new = kernels._st(x[j] - grad / lj, lam / lj)
+        d = new - x[j]
+        if d != 0.0:
+            Ax[rows] += d * vals
+            x[j] = new
+
+
+def per_column_enet_epoch(data, indices, indptr, y, x, Ax, lip, lam, rho,
+                          n_samples, order):
+    """The numpy elastic-net epoch as a per-column loop."""
+    for j in order:
+        lj = lip[j]
+        if lj <= 0.0:
+            continue
+        sl = slice(indptr[j], indptr[j + 1])
+        rows = indices[sl]
+        vals = data[sl]
+        grad = (vals @ (Ax[rows] - y[rows])) / n_samples
+        new = kernels._st(x[j] - grad / lj, lam / lj) / (1.0 + rho / lj)
+        d = new - x[j]
+        if d != 0.0:
+            Ax[rows] += d * vals
+            x[j] = new
+
+
 class TestNumpySparsePath:
-    """The numpy backend's sparse products and logistic epochs, bit for
+    """The numpy backend's sparse products and coordinate epochs, bit for
     bit, against the explicit-loop sources run as plain Python and the
-    per-column logistic epoch."""
+    per-column epochs."""
 
     @pytest.mark.parametrize("seed", range(40))
     def test_products_match_loops(self, seed):
@@ -391,25 +433,40 @@ class TestNumpySparsePath:
         ref = kernels._csc_rmatvec_loops(*args, v)
         assert np.array_equal(got, ref)
 
-    @pytest.mark.parametrize("l1", [True, False])
+    # the logistic cases keep the ids of the l1 flag that first
+    # parametrized this test
+    @pytest.mark.parametrize("kernel", [
+        pytest.param("logreg_l1_epoch", id="True"),
+        pytest.param("logreg_l2_epoch", id="False"),
+        "lasso_epoch", "enet_epoch"])
     @pytest.mark.parametrize("seed", range(40))
-    def test_logreg_epochs_match_per_column(self, seed, l1):
+    def test_logreg_epochs_match_per_column(self, seed, kernel):
         A, rng = random_csc(seed)
         n, p = A.n_rows, A.n_cols
         args = (A.values, A.row_idx, A.col_ptr)
         y = np.where(rng.random(n) < 0.5, -1.0, 1.0)
-        lip = kernels._csc_col_norms_sq_loops(A.values, A.col_ptr) / 4.0
+        norms = kernels._csc_col_norms_sq_loops(A.values, A.col_ptr)
         lam = float(rng.uniform(0.0, 0.3)) * max(n, 1)
         x0 = rng.standard_normal(p) * (rng.random(p) < 0.5)
         cyclic = np.arange(p, dtype=np.int64)
         repeats = rng.integers(0, p, size=2 * p)
-        kernel = IMPLS["numpy"]["logreg_l1_epoch" if l1 else "logreg_l2_epoch"]
+        if kernel == "lasso_epoch":
+            lip, extra = norms, (lam,)
+            ref = per_column_lasso_epoch
+        elif kernel == "enet_epoch":
+            rho, n_samples = 0.1, max(n, 1)
+            lip, extra = norms / n_samples + rho, (lam / n_samples, rho,
+                                                   n_samples)
+            ref = per_column_enet_epoch
+        else:
+            lip, extra = norms / 4.0, (lam,)
+            ref = functools.partial(per_column_logreg_epoch,
+                                    kernel == "logreg_l1_epoch")
         x, Ax = x0.copy(), kernels._csc_matvec_loops(*args, n, x0)
         x_ref, Ax_ref = x.copy(), Ax.copy()
         for order in (cyclic, cyclic[::-1].copy(), repeats) * 2:
-            kernel(*args, y, x, Ax, lip, lam, order)
-            per_column_logreg_epoch(l1, *args, y, x_ref, Ax_ref, lip, lam,
-                                    order)
+            IMPLS["numpy"][kernel](*args, y, x, Ax, lip, *extra, order)
+            ref(*args, y, x_ref, Ax_ref, lip, *extra, order)
             assert x.tobytes() == x_ref.tobytes()
             assert Ax.tobytes() == Ax_ref.tobytes()
         if n:
