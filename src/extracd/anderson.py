@@ -92,6 +92,19 @@ class ExtrapolationResult:
     solved: bool
 
 
+def _extrapolate(points, lambda_reg):
+    """`ExtrapolationWindow.extrapolate` of the iterates ``points``."""
+    k = len(points) - 1
+    U = np.column_stack([points[i + 1] - points[i] for i in range(k)])
+    c, solved = extrapolation_coefficients(U, lambda_reg)
+    if not solved:
+        return ExtrapolationResult(None, points[-1].copy(), False)
+    x_e = np.zeros_like(points[-1])
+    for i in range(k):
+        x_e += c[i] * points[i + 1]
+    return ExtrapolationResult(c, x_e, True)
+
+
 class ExtrapolationWindow:
     """Ring buffer of the last ``K + 1`` iterates feeding extrapolation."""
 
@@ -129,15 +142,7 @@ class ExtrapolationWindow:
         if not self.ready:
             raise ArgumentError(
                 f"window holds {len(self._points)} points, needs {self.K + 1}")
-        pts = self._points
-        U = np.column_stack([pts[i + 1] - pts[i] for i in range(self.K)])
-        c, solved = extrapolation_coefficients(U, self.lambda_reg)
-        if not solved:
-            return ExtrapolationResult(None, pts[-1].copy(), False)
-        x_e = np.zeros_like(pts[-1])
-        for i in range(self.K):
-            x_e += c[i] * pts[i + 1]
-        return ExtrapolationResult(c, x_e, True)
+        return _extrapolate(self._points, self.lambda_reg)
 
 
 @dataclass(frozen=True)
@@ -166,21 +171,11 @@ def offline_anderson(step, x0, k_max, lambda_reg=0.0):
     base = [x0]
     for _ in range(k_max):
         base.append(np.asarray(step(base[-1]), dtype=np.float64))
-    diffs = np.column_stack([base[i + 1] - base[i] for i in range(k_max)])
-    extrapolated = []
-    solved_flags = []
-    for k in range(1, k_max + 1):
-        c, solved = extrapolation_coefficients(diffs[:, :k], lambda_reg)
-        if solved:
-            x_e = np.zeros_like(x0)
-            for i in range(k):
-                x_e += c[i] * base[i + 1]
-        else:
-            x_e = base[k].copy()
-        extrapolated.append(x_e)
-        solved_flags.append(solved)
-    return OfflineTrace(base=base, extrapolated=extrapolated,
-                        solved=solved_flags)
+    results = [_extrapolate(base[:k + 1], lambda_reg)
+               for k in range(1, k_max + 1)]
+    return OfflineTrace(base=base,
+                        extrapolated=[res.point for res in results],
+                        solved=[res.solved for res in results])
 
 
 @dataclass(frozen=True)

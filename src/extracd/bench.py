@@ -31,6 +31,7 @@ __all__ = [
     "BenchSpec",
     "ReferenceOptimum",
     "load_config",
+    "references",
     "build_dataset",
     "build_problems",
     "fingerprint",
@@ -41,14 +42,6 @@ __all__ = [
 
 _KINDS = ("lasso", "enet", "logreg_l1", "logreg_l2", "group_lasso",
           "quadratic")
-
-_SCHEMA = {
-    "dataset": {"source", "path", "n_cols", "n", "p", "corr", "snr", "seed"},
-    "problem": {"kind", "lambda_fracs", "rho_fracs", "group_size", "kappa"},
-    "solvers": {"names"},
-    "run": {"max_epochs", "tol", "seed", "ref_budget_factor"},
-    "output": {"dir"},
-}
 
 
 @dataclass(frozen=True)
@@ -76,6 +69,39 @@ class BenchSpec:
     out_dir: str = "results"
 
 
+def _floats(raw):
+    return tuple(float(tok) for tok in raw.replace(",", " ").split())
+
+
+def _names(raw):
+    return tuple(tok.strip() for tok in raw.split(",") if tok.strip())
+
+
+# config (section, key) -> (BenchSpec field, parser of the raw value); the
+# defaults are those of BenchSpec
+_SCHEMA = {
+    ("dataset", "source"): ("source", str),
+    ("dataset", "path"): ("path", str),
+    ("dataset", "n_cols"): ("n_cols", int),
+    ("dataset", "n"): ("n", int),
+    ("dataset", "p"): ("p", int),
+    ("dataset", "corr"): ("corr", float),
+    ("dataset", "snr"): ("snr", float),
+    ("dataset", "seed"): ("data_seed", int),
+    ("problem", "kind"): ("kind", str),
+    ("problem", "lambda_fracs"): ("lambda_fracs", _floats),
+    ("problem", "rho_fracs"): ("rho_fracs", _floats),
+    ("problem", "group_size"): ("group_size", int),
+    ("problem", "kappa"): ("kappa", float),
+    ("solvers", "names"): ("solvers", _names),
+    ("run", "max_epochs"): ("max_epochs", int),
+    ("run", "tol"): ("tol", float),
+    ("run", "seed"): ("seed", int),
+    ("run", "ref_budget_factor"): ("ref_budget_factor", int),
+    ("output", "dir"): ("out_dir", str),
+}
+
+
 def load_config(path, out_dir=None, seed=None):
     """Parse and validate an INI benchmark config.
 
@@ -87,51 +113,21 @@ def load_config(path, out_dir=None, seed=None):
     read = parser.read(path)
     if not read:
         raise OSError(f"config file not found: {path}")
+    values = {}
     for section in parser.sections():
-        if section not in _SCHEMA:
+        if section not in {sec for sec, _ in _SCHEMA}:
             raise ArgumentError(f"unknown config section [{section}]")
-        for key in parser[section]:
-            if key not in _SCHEMA[section]:
+        for key, raw in parser[section].items():
+            if (section, key) not in _SCHEMA:
                 raise ArgumentError(
                     f"unknown config key {key!r} in section [{section}]")
-
-    def get(section, key, fallback, conv=str):
-        if parser.has_option(section, key):
-            raw = parser.get(section, key)
+            name, conv = _SCHEMA[section, key]
             try:
-                return conv(raw)
+                values[name] = conv(raw)
             except ValueError:
                 raise ArgumentError(
                     f"bad value {raw!r} for {section}.{key}") from None
-        return fallback
-
-    def floats(raw):
-        return tuple(float(tok) for tok in raw.replace(",", " ").split())
-
-    def names(raw):
-        return tuple(tok.strip() for tok in raw.split(",") if tok.strip())
-
-    spec = BenchSpec(
-        source=get("dataset", "source", "synthetic"),
-        path=get("dataset", "path", ""),
-        n_cols=get("dataset", "n_cols", 0, int),
-        n=get("dataset", "n", 100, int),
-        p=get("dataset", "p", 200, int),
-        corr=get("dataset", "corr", 0.5, float),
-        snr=get("dataset", "snr", 3.0, float),
-        data_seed=get("dataset", "seed", 0, int),
-        kind=get("problem", "kind", "lasso"),
-        lambda_fracs=get("problem", "lambda_fracs", (0.1,), floats),
-        rho_fracs=get("problem", "rho_fracs", (0.1,), floats),
-        group_size=get("problem", "group_size", 5, int),
-        kappa=get("problem", "kappa", 0.0, float),
-        solvers=get("solvers", "names", ("pcd", "pcd_anderson"), names),
-        max_epochs=get("run", "max_epochs", 500, int),
-        tol=get("run", "tol", 1e-10, float),
-        seed=get("run", "seed", 0, int),
-        ref_budget_factor=get("run", "ref_budget_factor", 10, int),
-        out_dir=get("output", "dir", "results"),
-    )
+    spec = BenchSpec(**values)
     if out_dir is not None:
         spec = replace(spec, out_dir=str(out_dir))
     if seed is not None:
@@ -186,8 +182,12 @@ def build_problems(spec, dataset):
     elif spec.kind == "logreg_l2":
         yb = binarize_labels(y)
         kappa = spec.kappa or 1e5
-        eigs = np.linalg.eigvalsh(A.toarray().T @ A.toarray()) / 4.0
-        lam = tikhonov_for_condition(eigs, kappa)
+        M = A.toarray()
+        if M.shape[1] <= M.shape[0]:  # M.T @ M would use syrk: other bits
+            eigs = np.linalg.eigvalsh(M.T @ M.copy())
+        else:  # A'A is singular, with the nonzero spectrum of AA'
+            eigs = np.append(np.linalg.eigvalsh(M @ M.T), 0.0)
+        lam = tikhonov_for_condition(eigs / 4.0, kappa)
         if lam <= 0:
             raise ArgumentError(
                 "kappa is above the unregularized condition number")
@@ -321,6 +321,16 @@ def write_trace_csv(path, trace, f_star):
                      f"{obj - f_star:.17g},{gap_s}\n")
 
 
+def references(spec, tagged):
+    """Reference optimum of each ``(tag, problem)`` in ``tagged``, by tag:
+    tol 1e-12, a budget of ``ref_budget_factor * max_epochs`` epochs and
+    the cache ``<out_dir>/refs``, shared by ``extracd ref`` and ``bench``."""
+    return {tag: compute_reference(
+        prob, budget=spec.ref_budget_factor * spec.max_epochs,
+        cache_dir=os.path.join(spec.out_dir, "refs"), tol=1e-12)
+        for tag, prob in tagged}
+
+
 def run_bench(spec):
     """Execute the whole grid and write CSV/SVG outputs.
 
@@ -331,11 +341,7 @@ def run_bench(spec):
     os.makedirs(spec.out_dir, exist_ok=True)
     dataset = build_dataset(spec)
     tagged = build_problems(spec, dataset)
-    refs = {}
-    for tag, prob in tagged:
-        refs[tag] = compute_reference(
-            prob, budget=spec.ref_budget_factor * spec.max_epochs,
-            cache_dir=os.path.join(spec.out_dir, "refs"), tol=1e-12)
+    refs = references(spec, tagged)
 
     traces = {}
     errors = []

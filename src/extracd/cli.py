@@ -14,8 +14,8 @@ import argparse
 import os
 import sys
 
-from .bench import build_dataset, build_problems, compute_reference, \
-    load_config, run_bench
+from .bench import build_dataset, build_problems, load_config, references, \
+    run_bench
 from .data import gen_correlated_gaussian, parse_libsvm
 from .errors import ArgumentError, ParseError
 from .fixedpoint import cd_iteration, numerical_range_boundary
@@ -94,13 +94,8 @@ def _cmd_range(args):
 
 def _cmd_ref(args):
     spec = load_config(args.config, out_dir=args.out, seed=args.seed)
-    os.makedirs(spec.out_dir, exist_ok=True)
-    dataset = build_dataset(spec)
-    cache_dir = os.path.join(spec.out_dir, "refs")
-    for tag, prob in build_problems(spec, dataset):
-        ref = compute_reference(
-            prob, budget=spec.ref_budget_factor * spec.max_epochs,
-            cache_dir=cache_dir, tol=1e-12)
+    tagged = build_problems(spec, build_dataset(spec))
+    for tag, ref in references(spec, tagged).items():
         state = "verified" if ref.verified else "UNVERIFIED"
         print(f"{tag}: f_star={ref.f_star:.12g} epochs={ref.epochs} "
               f"{state} cache={ref.fingerprint}.npz")

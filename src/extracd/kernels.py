@@ -1,12 +1,11 @@
 """Hot numerical kernels with two interchangeable backends.
 
-Every kernel has an explicit-loop source and a pure-numpy version.  The
-loop sources are compiled with numba (``@njit(cache=True)``) into the
-numba backend; run as plain Python they are the reference that tests
-compare the numpy backend against.  The backend is chosen at import
-time: set the environment variable ``EXTRACD_NUMBA=0`` to force the numpy
-fallback; otherwise numba is used whenever it imports.  ``IMPLS`` keeps
-both tables alive so tests and the kernel benchmark can compare them.
+Every kernel has an explicit-loop source.  The loop sources are compiled
+with numba (``@njit(cache=True)``) into the numba backend; run as plain
+Python they are the reference that tests compare the numpy backend
+against.  The backend is numba exactly when numba imports, and numpy
+otherwise.  ``IMPLS`` keeps both tables alive so tests and the kernel
+benchmark can compare them.
 
 All sparse kernels operate on raw CSC arrays (values, row indices,
 column pointers) and update ``x`` / ``Ax`` in place.  Coordinates whose
@@ -18,9 +17,10 @@ coordinate update, ``x_j <- st(x_j - A_j'r / scale / L_j, l1 / L_j) /
 (1 + l2 / L_j)``, where ``r`` is the datafit's per-row gradient factor:
 ``Ax - y`` for least squares, ``-y * sigma(-y * Ax)`` for logistic
 regression.  Each backend has one body per datafit (the numpy backend
-one for both), and the four public kernels are wrappers that fix
-``(l1, l2, scale)``.  ``l1 = 0`` leaves out the soft threshold, which
-would turn a NaN or -0.0 step into 0.0.
+one for both), all called as ``(..., l1, l2, scale, order)``, and the
+four public kernels are wrappers that fix ``(l1, l2, scale)``.
+``l1 = 0`` leaves out the soft threshold, which would turn a NaN or
+-0.0 step into 0.0.
 
 Python loops over columns and coordinates are slow, so the numpy backend
 avoids per-column work where the input allows:
@@ -38,25 +38,21 @@ avoids per-column work where the input allows:
 - ``problems.Quadratic.cd_pass`` runs a cyclic pass on a quadratic as one
   Gauss-Seidel step instead of ``cd_dense_epoch``.
 
-The numba kernels have no such paths: their loops are already compiled.
+The numpy ``cd_dense_epoch`` is its loop source, whose steps are already
+one BLAS dot each.  The numba kernels need no fast paths: they compile.
 """
 
 import math
-import os
+from functools import partial
 
 import numpy as np
 
-_env = os.environ.get("EXTRACD_NUMBA", "1").strip().lower()
-_want_numba = _env not in ("0", "false", "off", "no")
+try:
+    from numba import njit
 
-HAVE_NUMBA = False
-if _want_numba:
-    try:
-        from numba import njit
-
-        HAVE_NUMBA = True
-    except ImportError:  # numba is optional; use the numpy kernels
-        HAVE_NUMBA = False
+    HAVE_NUMBA = True
+except ImportError:  # numba is optional; use the numpy kernels
+    HAVE_NUMBA = False
 
 BACKEND = "numba" if HAVE_NUMBA else "numpy"
 
@@ -154,7 +150,8 @@ def _lsq_epoch_loops(data, indices, indptr, y, x, Ax, lip, l1, l2, scale,
             x[j] = new
 
 
-def _logreg_epoch_loops(data, indices, indptr, y, x, Ax, lip, l1, l2, order):
+def _logreg_epoch_loops(data, indices, indptr, y, x, Ax, lip, l1, l2, scale,
+                        order):
     for idx in range(order.size):
         j = order[idx]
         lj = lip[j]
@@ -165,7 +162,7 @@ def _logreg_epoch_loops(data, indices, indptr, y, x, Ax, lip, l1, l2, order):
         for k in range(start, end):
             i = indices[k]
             grad += data[k] * (-y[i] * _sig_neg(y[i] * Ax[i]))
-        new = x[j] - grad / lj
+        new = x[j] - grad / scale / lj
         if l1 != 0.0:
             new = _st(new, l1 / lj)
         new /= 1.0 + l2 / lj
@@ -251,12 +248,6 @@ def _csc_col_norms_sq_numpy(data, indptr):
     return out
 
 
-def _cd_dense_epoch_numpy(H, b, x, order):
-    for j in order:
-        r = H[j] @ x + b[j]
-        x[j] -= r / H[j, j]
-
-
 def _lsq_rows(y, Ax):
     return Ax - y
 
@@ -301,24 +292,13 @@ def _cd_epoch_numpy(row_factor, data, indices, indptr, y, x, Ax, lip, l1, l2,
     x[:] = xs
 
 
-def _lsq_epoch_numpy(data, indices, indptr, y, x, Ax, lip, l1, l2, scale,
-                     order):
-    _cd_epoch_numpy(_lsq_rows, data, indices, indptr, y, x, Ax, lip, l1, l2,
-                    scale, order)
-
-
-def _logreg_epoch_numpy(data, indices, indptr, y, x, Ax, lip, l1, l2, order):
-    _cd_epoch_numpy(_logreg_rows, data, indices, indptr, y, x, Ax, lip, l1,
-                    l2, 1.0, order)
-
-
 def _epoch_kernels(lsq, logreg):
     """The four public L1/L2 epoch kernels of one backend.
 
-    ``lsq(..., l1, l2, scale, order)`` and ``logreg(..., l1, l2, order)``
-    are the backend's least-squares and logistic epochs.  Each kernel is
-    its own function object, so a tracer that rebinds kernels by identity
-    sees four.
+    ``lsq`` and ``logreg``, both called as ``(..., l1, l2, scale,
+    order)``, are the backend's least-squares and logistic epochs.  Each
+    kernel is its own function object, so a tracer that rebinds kernels by
+    identity sees four.
     """
     def lasso_epoch(data, indices, indptr, y, x, Ax, lip, lam, order):
         lsq(data, indices, indptr, y, x, Ax, lip, lam, 0.0, 1.0, order)
@@ -328,10 +308,10 @@ def _epoch_kernels(lsq, logreg):
         lsq(data, indices, indptr, y, x, Ax, lip, lam, rho, n_samples, order)
 
     def logreg_l1_epoch(data, indices, indptr, y, x, Ax, lip, lam, order):
-        logreg(data, indices, indptr, y, x, Ax, lip, lam, 0.0, order)
+        logreg(data, indices, indptr, y, x, Ax, lip, lam, 0.0, 1.0, order)
 
     def logreg_l2_epoch(data, indices, indptr, y, x, Ax, lip, lam, order):
-        logreg(data, indices, indptr, y, x, Ax, lip, 0.0, lam, order)
+        logreg(data, indices, indptr, y, x, Ax, lip, 0.0, lam, 1.0, order)
 
     return {"lasso_epoch": lasso_epoch, "enet_epoch": enet_epoch,
             "logreg_l1_epoch": logreg_l1_epoch,
@@ -407,8 +387,9 @@ _NUMPY_IMPLS = {
     "csc_matvec": _csc_matvec_numpy,
     "csc_rmatvec": _csc_rmatvec_numpy,
     "csc_col_norms_sq": _csc_col_norms_sq_numpy,
-    "cd_dense_epoch": _cd_dense_epoch_numpy,
-    **_epoch_kernels(_lsq_epoch_numpy, _logreg_epoch_numpy),
+    "cd_dense_epoch": _cd_dense_epoch_loops,
+    **_epoch_kernels(partial(_cd_epoch_numpy, _lsq_rows),
+                     partial(_cd_epoch_numpy, _logreg_rows)),
     "group_epoch": _group_epoch_numpy,
 }
 

@@ -89,30 +89,17 @@ def epochs_to_target(trace, f_star, tol):
 
 
 class ResidualState:
-    """Incrementally maintained predictions ``Ax`` for sparse problems.
+    """Predictions ``Ax`` of a problem with a design matrix, which
+    `pcd_epoch` updates in place.
 
-    The invariant ``||Ax - A x||_inf <= 1e-8 (1 + ||Ax||_inf)`` is kept
-    by recomputing the product every ``REFRESH_EVERY`` epochs.
+    Coordinate epochs update the predictions incrementally, so the driver
+    recomputes them from ``x`` every ``REFRESH_EVERY`` epochs.
     """
 
     REFRESH_EVERY = 100
 
     def __init__(self, A, x):
-        self.A = A
         self.Ax = A.matvec(x)
-        self._epochs_since = 0
-
-    def refresh(self, x):
-        self.Ax = self.A.matvec(x)
-        self._epochs_since = 0
-
-    def after_epoch(self, x):
-        self._epochs_since += 1
-        if self._epochs_since >= self.REFRESH_EVERY:
-            self.refresh(x)
-
-    def drift(self, x):
-        return float(np.abs(self.Ax - self.A.matvec(x)).max() or 0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import configparser
+import dataclasses
 import math
 import os
 import xml.etree.ElementTree as ET
@@ -12,10 +13,10 @@ from extracd.bench import (BenchSpec, ReferenceOptimum, build_dataset,
                            build_problems, compute_reference, fingerprint,
                            load_config, run_bench, write_trace_csv)
 from extracd.cli import main
-from extracd.data import CscMatrix
+from extracd.data import CscMatrix, Dataset
 from extracd.errors import ArgumentError
 from extracd.problems import (ElasticNet, Lasso, lambda_max, objective_value,
-                              stopping_measure)
+                              stopping_measure, tikhonov_for_condition)
 from extracd.solvers import Trace
 
 
@@ -66,27 +67,28 @@ def rows_without_seconds(path):
 class TestLoadConfig:
     def test_full_round_trip(self, tmp_path):
         path = write_config(tmp_path / "b.ini", {
-            "dataset": {"corr": "0.8", "seed": "11"},
+            "dataset": {"source": "path", "path": "data/x.libsvm",
+                        "n_cols": "25", "corr": "0.8", "snr": "2.5",
+                        "seed": "11"},
             "problem": {"kind": "enet", "lambda_fracs": "0.5 0.05",
-                        "rho_fracs": "1.0"},
+                        "rho_fracs": "1.0", "group_size": "4",
+                        "kappa": "1e4"},
             "solvers": {"names": "pcd, pcd_anderson, fista"},
-            "run": {"max_epochs": "77", "tol": "1e-8",
+            "run": {"max_epochs": "77", "tol": "1e-8", "seed": "5",
                     "ref_budget_factor": "12"},
             "output": {"dir": "out_here"},
         })
         spec = load_config(path)
-        assert spec.source == "synthetic"
-        assert (spec.n, spec.p) == (40, 16)
-        assert spec.corr == 0.8
-        assert spec.data_seed == 11
-        assert spec.kind == "enet"
-        assert spec.lambda_fracs == (0.5, 0.05)
-        assert spec.rho_fracs == (1.0,)
-        assert spec.solvers == ("pcd", "pcd_anderson", "fista")
-        assert spec.max_epochs == 77
-        assert spec.tol == 1e-8
-        assert spec.ref_budget_factor == 12
-        assert spec.out_dir == "out_here"
+        assert spec == BenchSpec(
+            source="path", path="data/x.libsvm", n_cols=25, n=40, p=16,
+            corr=0.8, snr=2.5, data_seed=11, kind="enet",
+            lambda_fracs=(0.5, 0.05), rho_fracs=(1.0,), group_size=4,
+            kappa=1e4, solvers=("pcd", "pcd_anderson", "fista"),
+            max_epochs=77, tol=1e-8, seed=5, ref_budget_factor=12,
+            out_dir="out_here")
+        # every key is set away from its default, so each one is checked
+        assert all(getattr(spec, f.name) != f.default
+                   for f in dataclasses.fields(BenchSpec))
 
     def test_defaults_fill_missing_keys(self, tmp_path):
         path = tmp_path / "m.ini"
@@ -146,6 +148,28 @@ class TestGridAndFingerprint:
         for _, prob in tagged:
             assert isinstance(prob, ElasticNet)
             assert prob.rho == prob.lam
+
+    @pytest.mark.parametrize("n,p", [(10, 40), (40, 10)])
+    def test_logreg_l2_eigenvalues_from_smaller_gram(self, monkeypatch, n,
+                                                     p):
+        rng = np.random.default_rng(21)
+        M = rng.standard_normal((n, p))
+        ds = Dataset(CscMatrix.from_dense(M), np.sign(rng.standard_normal(n)))
+        eigvalsh = np.linalg.eigvalsh
+        seen = []
+
+        def spy(a):
+            seen.append(a.shape)
+            return eigvalsh(a)
+        monkeypatch.setattr(np.linalg, "eigvalsh", spy)
+        (_, prob), = build_problems(BenchSpec(kind="logreg_l2", kappa=2.0),
+                                    ds)
+        assert seen == [(min(n, p), min(n, p))]
+        want = tikhonov_for_condition(eigvalsh(M.T @ M.copy()) / 4.0, 2.0)
+        if p <= n:
+            assert prob.lam == want
+        else:
+            assert abs(prob.lam - want) <= 1e-10 * want
 
     def test_fingerprint_stable_and_sensitive(self):
         prob = small_lasso(seed=1)
@@ -417,6 +441,22 @@ class TestCli:
         assert "lasso_lf0.1: f_star=" in printed
         assert ".npz" in printed
         assert list((out / "refs").glob("*.npz"))
+
+    def test_ref_then_bench_share_references(self, tmp_path, monkeypatch,
+                                             capsys):
+        cfg = write_config(tmp_path / "b.ini",
+                           {"problem": {"lambda_fracs": "0.1 0.05"}})
+        out = str(tmp_path / "res")
+        solve = bench.anderson_pcd
+        calls = []
+
+        def counted(prob, cfg):
+            calls.append(prob)
+            return solve(prob, cfg)
+        monkeypatch.setattr(bench, "anderson_pcd", counted)
+        assert main(["ref", "--config", str(cfg), "--out", out]) == 0
+        assert main(["bench", "--config", str(cfg), "--out", out]) == 0
+        assert len(calls) == 2
 
     def test_parse_check_ok(self, tmp_path, capsys):
         data = tmp_path / "d.libsvm"

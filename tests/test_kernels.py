@@ -315,9 +315,7 @@ class TestDensePaths:
         monkeypatch.setattr(kernels, "BACKEND",
                             "numpy" if path == "numpy" else "numba")
         monkeypatch.setattr(kernels, "cd_dense_epoch",
-                            IMPLS["numpy"]["cd_dense_epoch"]
-                            if path == "numpy"
-                            else kernels._cd_dense_epoch_loops)
+                            kernels._cd_dense_epoch_loops)
         for quad in acceptance_quadratics():
             p = quad.dim
             rng = np.random.default_rng(p)
