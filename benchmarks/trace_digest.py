@@ -1,0 +1,241 @@
+"""Fixed-seed digests of extracd's solver traces and oracles.
+
+Prints one ``name sha256`` line per fixed-seed record, so that two trees
+can be compared bit for bit: run the script in each and ``diff`` the
+outputs.  A record hashes the exact bytes of its values (epochs, events,
+objectives, gaps and the final ``x`` for a trace; floats as float64
+bytes; error messages as text).  Wall-clock seconds are left out.
+
+Records:
+
+- ``solve/<design>/<problem>/<solver>/<budget>``: every solver on every
+  problem type, on a dense and on a 30 %-dense 40 x 16 design, at
+  (40 epochs, tol 0) and (3000 epochs, tol 1e-12); unsupported pairs
+  record their error text;
+- ``oracle/<design>/<problem>``: the public oracles of ``problems`` at a
+  fixed ``x``;
+- ``anderson/offline`` and ``anderson/online``: both drivers of
+  ``anderson`` on a linear map (the online one with a guard);
+- ``fixedpoint/cd`` and ``fixedpoint/cdsym``: the probed pass matrices;
+- ``wide_lasso``: 300 epochs of ``pcd_anderson`` on the 100 x 5000
+  dense-stored lasso at lambda_max / 100;
+- ``bench/<kind>/...``: tags, lambdas and fingerprints of every bench
+  problem kind;
+- ``reference/sample_logreg_l1``: the ``logreg_l1`` reference optimum of
+  the bundled ``sample.libsvm``.
+
+BLAS is pinned to one thread so that products keep their bits.  Run from
+the repository root as::
+
+    PYTHONPATH=src python3 benchmarks/trace_digest.py > digest.txt
+"""
+
+import os
+
+for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+import hashlib  # noqa: E402
+
+import numpy as np  # noqa: E402
+
+from extracd import anderson, bench, fixedpoint, problems, solvers  # noqa: E402
+from extracd.data import CscMatrix, gen_correlated_gaussian  # noqa: E402
+
+N, P = 40, 16
+BUDGETS = ((40, 0.0), (3000, 1e-12))
+
+
+def digest(*values):
+    h = hashlib.sha256()
+
+    def feed(v):
+        if v is None:
+            h.update(b"None")
+        elif isinstance(v, str):
+            h.update(v.encode())
+        elif isinstance(v, (tuple, list)):
+            h.update(b"[")
+            for item in v:
+                feed(item)
+            h.update(b"]")
+        else:
+            h.update(np.ascontiguousarray(v).tobytes())
+    feed(values)
+    return h.hexdigest()
+
+
+def emit(name, *values):
+    print(name, digest(*values), flush=True)
+
+
+def trace_values(tr):
+    return (tr.epochs, [(e, s) for e, s in tr.events], tr.objectives,
+            [np.nan if g is None else g for g in tr.gaps], tr.x)
+
+
+def outcome(fn, *args):
+    """``fn(*args)``, or the text of the exception it raises."""
+    try:
+        return fn(*args)
+    except Exception as exc:  # noqa: BLE001 - the message is the record
+        return f"{type(exc).__name__}: {exc}"
+
+
+def designs():
+    rng = np.random.default_rng(0)
+    M = rng.standard_normal((N, P))
+    sparse = M * (rng.random((N, P)) < 0.3)
+    y = rng.standard_normal(N)
+    yb = np.where(rng.random(N) > 0.5, 1.0, -1.0)
+    return {"dense": (M, y, yb), "sparse": (sparse, y, yb)}
+
+
+def make_problems(M, y, yb):
+    A = CscMatrix.from_dense(M)
+    lasso_max = problems.lambda_max(problems.Lasso(A, y, 1.0))
+    enet_max = problems.lambda_max(problems.ElasticNet(A, y, 1.0, 0.0))
+    logreg_max = problems.lambda_max(problems.LogRegL1(A, yb, 1.0))
+    groups = problems.groups_from_size(P, 4)
+    group_max = problems.lambda_max(problems.GroupLasso(A, y, 1.0, groups))
+    return {
+        "quadratic": problems.Quadratic(M.T @ M + 0.1 * np.eye(P), -M.T @ y),
+        "lasso": problems.Lasso(A, y, 0.1 * lasso_max),
+        "enet": problems.ElasticNet(A, y, 0.1 * enet_max, 0.01 * enet_max),
+        "logreg_l1": problems.LogRegL1(A, yb, 0.1 * logreg_max),
+        "logreg_l2": problems.LogRegL2(A, yb, 0.05),
+        "group": problems.GroupLasso(A, y, 0.1 * group_max, groups),
+    }
+
+
+def solve_records(probs, design):
+    for pname, prob in probs.items():
+        for solver in sorted(solvers.SOLVERS):
+            for max_epochs, tol in BUDGETS:
+                cfg = solvers.SolverConfig(algorithm=solver,
+                                           max_epochs=max_epochs, tol=tol)
+                tr = outcome(solvers.solve, prob, cfg)
+                emit(f"solve/{design}/{pname}/{solver}/{max_epochs}",
+                     tr if isinstance(tr, str) else trace_values(tr))
+
+
+def gap_values(report):
+    if report is None or isinstance(report, str):
+        return report
+    return report.primal, report.dual, report.gap
+
+
+def oracle_records(probs, design):
+    rng = np.random.default_rng(1)
+    x = rng.standard_normal(P) * (rng.random(P) < 0.5)
+    for pname, prob in probs.items():
+        Ax = prob.datafit.predict(x)
+        values = [
+            problems.objective_value(prob, x),
+            problems.objective_value(prob, x, Ax),
+            problems.datafit_value(prob, x),
+            problems.penalty_value(prob, x),
+            outcome(problems.datafit_gradient, prob, Ax),
+            problems.coordinate_lipschitz(prob),
+            outcome(problems.lambda_max, prob),
+            gap_values(outcome(problems.duality_gap, prob, x)),
+            gap_values(outcome(problems.duality_gap, prob, x, Ax)),
+            problems.stopping_measure(prob, x),
+            problems.stopping_measure(prob, x, Ax),
+        ]
+        if pname == "quadratic":
+            values += [prob.value(x), prob.gradient(x)]
+        emit(f"oracle/{design}/{pname}", values)
+
+
+def anderson_records():
+    rng = np.random.default_rng(3)
+    p = 8
+    Q = np.linalg.qr(rng.standard_normal((p, p)))[0]
+    T = (Q * np.linspace(-0.5, 0.95, p)) @ Q.T
+    b = rng.standard_normal(p)
+
+    def step(x):
+        return T @ x + b
+
+    def guard(x):
+        r = step(x) - x
+        return float(r @ r)
+
+    off = anderson.offline_anderson(step, np.zeros(p), k_max=12)
+    emit("anderson/offline", off.base, off.extrapolated, off.solved)
+    on = anderson.online_anderson(step, np.zeros(p), K=3, k_max=40,
+                                  guard=guard)
+    emit("anderson/online", on.final, on.iterates, on.events)
+
+
+def fixedpoint_records():
+    rng = np.random.default_rng(4)
+    M = rng.standard_normal((30, 12))
+    quad = problems.Quadratic(M.T @ M + 0.5 * np.eye(12),
+                              rng.standard_normal(12))
+    it = fixedpoint.cd_iteration(quad)
+    emit("fixedpoint/cd", it.T, it.b_vec, it.kind)
+    it, S = fixedpoint.cdsym_iteration(quad)
+    emit("fixedpoint/cdsym", it.T, it.b_vec, it.kind, S)
+
+
+def wide_lasso_record():
+    ds, _ = gen_correlated_gaussian(100, 5000, 0.5, 3.0, seed=0)
+    lam = problems.lambda_max(problems.Lasso(ds.A, ds.y, 1.0)) / 100.0
+    prob = problems.Lasso(ds.A, ds.y, lam)
+    cfg = solvers.SolverConfig(algorithm="pcd_anderson", max_epochs=300,
+                               tol=0.0)
+    emit("wide_lasso", trace_values(solvers.solve(prob, cfg)))
+
+
+def bench_records():
+    # spelled out rather than read from ``bench``, whose kind table may
+    # differ between the trees compared
+    kinds = ("lasso", "enet", "logreg_l1", "logreg_l2", "group_lasso",
+             "quadratic")
+    # synthetic labels are not binary, so the logistic kinds build from
+    # the sample only
+    datasets = {"30x20": dict(n=30, p=20), "20x30": dict(n=20, p=30),
+                "sample": dict(source="sample")}
+    for data_name, data in datasets.items():
+        for kind in kinds:
+            for kappa in (0.0, 50.0):
+                spec = bench.BenchSpec(kind=kind, lambda_fracs=(0.3, 0.05),
+                                       rho_fracs=(0.1, 0.7), group_size=3,
+                                       kappa=kappa, **data)
+                tagged = outcome(bench.build_problems, spec,
+                                 bench.build_dataset(spec))
+                if isinstance(tagged, str):
+                    values = tagged
+                else:
+                    values = [(tag, bench.fingerprint(prob),
+                               getattr(prob, "lam", None),
+                               getattr(prob, "rho", None))
+                              for tag, prob in tagged]
+                emit(f"bench/{kind}/{data_name}/k{kappa:g}", values)
+
+
+def reference_record():
+    spec = bench.BenchSpec(source="sample", kind="logreg_l1",
+                           lambda_fracs=(0.05,))
+    ((tag, prob),) = bench.build_problems(spec, bench.build_dataset(spec))
+    ref = bench.compute_reference(prob, budget=5000, tol=1e-12)
+    emit("reference/sample_logreg_l1", tag, ref.fingerprint, ref.f_star,
+         ref.x_star, ref.epochs, ref.verified)
+
+
+def main():
+    for design, (M, y, yb) in designs().items():
+        probs = make_problems(M, y, yb)
+        solve_records(probs, design)
+        oracle_records(probs, design)
+    anderson_records()
+    fixedpoint_records()
+    wide_lasso_record()
+    bench_records()
+    reference_record()
+
+
+if __name__ == "__main__":
+    main()

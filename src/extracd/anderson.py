@@ -3,8 +3,8 @@
 Given consecutive iterates ``x0..xk`` of a fixed-point map, the
 extrapolation weights solve a least-squares problem on the matrix ``U``
 of successive differences: minimize ``||U c||`` subject to the weights
-summing to one.  The closed form is ``(U'U + reg*I)^{-1} 1`` normalized
-by its sum.  Weights are applied to the *later* iterate of each
+summing to one.  The closed form is ``(U'U)^{-1} 1`` normalized by its
+sum.  Weights are applied to the *later* iterate of each
 difference, so the extrapolated point is ``sum_i c_i x_i`` over the last
 ``k`` iterates.
 
@@ -14,7 +14,6 @@ extrapolates every ``K`` steps and restarts the base sequence from the
 extrapolated point (optionally vetoed by a guard functional).
 """
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -31,22 +30,20 @@ __all__ = [
     "OnlineTrace",
 ]
 
-def extrapolation_coefficients(U, lambda_reg=0.0):
+def extrapolation_coefficients(U):
     """Normalized extrapolation weights for a difference matrix.
 
-    The weights minimize ``||U c||^2 + reg * ||c||^2`` subject to the
-    entries summing to one; the closed form is ``(U'U + reg*I)^{-1} 1``
-    normalized by its sum.  To avoid squaring the conditioning of ``U``
-    the solve eliminates the constraint (pivot on the last weight) and
-    runs a rank-revealing least squares on ``U`` itself, which yields
-    the same weights whenever the regularized Gram matrix is invertible.
+    The weights minimize ``||U c||^2`` subject to the entries summing to
+    one; the closed form is ``(U'U)^{-1} 1`` normalized by its sum.  To
+    avoid squaring the conditioning of ``U`` the solve eliminates the
+    constraint (pivot on the last weight) and runs a rank-revealing least
+    squares on ``U`` itself, which yields the same weights whenever
+    ``U'U`` is invertible.
 
     Parameters
     ----------
     U : ndarray, shape (p, k)
         Columns are consecutive iterate differences.
-    lambda_reg : float
-        Tikhonov term added to ``U'U`` (0 disables regularization).
 
     Returns
     -------
@@ -58,16 +55,12 @@ def extrapolation_coefficients(U, lambda_reg=0.0):
     U = np.asarray(U, dtype=np.float64)
     if U.ndim != 2 or U.shape[1] < 1:
         raise ArgumentError("U must be a p x k matrix with k >= 1")
-    if lambda_reg < 0:
-        raise ArgumentError("lambda_reg must be nonnegative")
     k = U.shape[1]
     if not np.all(np.isfinite(U)):
         return None, False
     if k == 1:
         # sum constraint pins the single weight
         return np.ones(1), True
-    if lambda_reg:
-        U = np.vstack([U, math.sqrt(lambda_reg) * np.eye(k)])
     # c = e_k + sum_i w_i (e_i - e_k) keeps sum(c) = 1 exactly
     rhs = -U[:, -1]
     cols = U[:, :-1] - U[:, -1:]
@@ -92,11 +85,11 @@ class ExtrapolationResult:
     solved: bool
 
 
-def _extrapolate(points, lambda_reg):
+def _extrapolate(points):
     """`ExtrapolationWindow.extrapolate` of the iterates ``points``."""
     k = len(points) - 1
     U = np.column_stack([points[i + 1] - points[i] for i in range(k)])
-    c, solved = extrapolation_coefficients(U, lambda_reg)
+    c, solved = extrapolation_coefficients(U)
     if not solved:
         return ExtrapolationResult(None, points[-1].copy(), False)
     x_e = np.zeros_like(points[-1])
@@ -108,13 +101,10 @@ def _extrapolate(points, lambda_reg):
 class ExtrapolationWindow:
     """Ring buffer of the last ``K + 1`` iterates feeding extrapolation."""
 
-    def __init__(self, K, lambda_reg=0.0):
+    def __init__(self, K):
         if K < 1:
             raise ArgumentError("window size K must be >= 1")
-        if lambda_reg < 0:
-            raise ArgumentError("lambda_reg must be nonnegative")
         self.K = K
-        self.lambda_reg = lambda_reg
         self._points = []
 
     def __len__(self):
@@ -142,7 +132,7 @@ class ExtrapolationWindow:
         if not self.ready:
             raise ArgumentError(
                 f"window holds {len(self._points)} points, needs {self.K + 1}")
-        return _extrapolate(self._points, self.lambda_reg)
+        return _extrapolate(self._points)
 
 
 @dataclass(frozen=True)
@@ -154,7 +144,7 @@ class OfflineTrace:
     solved: list
 
 
-def offline_anderson(step, x0, k_max, lambda_reg=0.0):
+def offline_anderson(step, x0, k_max):
     """Extrapolate every prefix of a base sequence without altering it.
 
     For each ``k = 1..k_max`` the weights are computed from the first
@@ -171,8 +161,7 @@ def offline_anderson(step, x0, k_max, lambda_reg=0.0):
     base = [x0]
     for _ in range(k_max):
         base.append(np.asarray(step(base[-1]), dtype=np.float64))
-    results = [_extrapolate(base[:k + 1], lambda_reg)
-               for k in range(1, k_max + 1)]
+    results = [_extrapolate(base[:k + 1]) for k in range(1, k_max + 1)]
     return OfflineTrace(base=base,
                         extrapolated=[res.point for res in results],
                         solved=[res.solved for res in results])
@@ -187,7 +176,7 @@ class OnlineTrace:
     events: list = field(default_factory=list)
 
 
-def online_anderson(step, x0, K, k_max, lambda_reg=0.0, guard=None):
+def online_anderson(step, x0, K, k_max, guard=None):
     """Run ``step`` and extrapolate in place every ``K`` iterations.
 
     Every ``K`` steps the window of the last ``K+1`` points (anchor
@@ -198,7 +187,7 @@ def online_anderson(step, x0, K, k_max, lambda_reg=0.0, guard=None):
     """
     if k_max < 0:
         raise ArgumentError("k_max must be nonnegative")
-    window = ExtrapolationWindow(K, lambda_reg)
+    window = ExtrapolationWindow(K)
     x = np.array(x0, dtype=np.float64, copy=True)
     window.push(x)
     iterates = []

@@ -40,10 +40,6 @@ __all__ = [
     "write_trace_csv",
 ]
 
-_KINDS = ("lasso", "enet", "logreg_l1", "logreg_l2", "group_lasso",
-          "quadratic")
-
-
 @dataclass(frozen=True)
 class BenchSpec:
     """Validated benchmark description (one problem kind, solver list)."""
@@ -136,7 +132,7 @@ def load_config(path, out_dir=None, seed=None):
         raise ArgumentError(f"unknown dataset.source {spec.source!r}")
     if spec.source == "path" and not spec.path:
         raise ArgumentError("dataset.path is required when source = path")
-    if spec.kind not in _KINDS:
+    if spec.kind not in _GRIDS:
         raise ArgumentError(f"unknown problem.kind {spec.kind!r}")
     for name in spec.solvers:
         if name not in SOLVERS:
@@ -159,50 +155,67 @@ def build_dataset(spec):
     return parse_libsvm(spec.path, n_cols=spec.n_cols or None)
 
 
+def _lasso_grid(spec, ds):
+    lmax = lambda_max(Lasso(ds.A, ds.y, 1.0))
+    return [(f"lasso_lf{f:g}", Lasso(ds.A, ds.y, f * lmax))
+            for f in spec.lambda_fracs]
+
+
+def _enet_grid(spec, ds):
+    lmax = lambda_max(ElasticNet(ds.A, ds.y, 1.0, 0.0))
+    return [(f"enet_lf{f:g}_rf{rf:g}",
+             ElasticNet(ds.A, ds.y, f * lmax, rf * (f * lmax)))
+            for f in spec.lambda_fracs for rf in spec.rho_fracs]
+
+
+def _logreg_l1_grid(spec, ds):
+    yb = binarize_labels(ds.y)
+    lmax = lambda_max(LogRegL1(ds.A, yb, 1.0))
+    return [(f"logreg_l1_lf{f:g}", LogRegL1(ds.A, yb, f * lmax))
+            for f in spec.lambda_fracs]
+
+
+def _logreg_l2_grid(spec, ds):
+    yb = binarize_labels(ds.y)
+    kappa = spec.kappa or 1e5
+    M = ds.A.toarray()
+    if M.shape[1] <= M.shape[0]:  # M.T @ M would use syrk: other bits
+        eigs = np.linalg.eigvalsh(M.T @ M.copy())
+    else:  # A'A is singular, with the nonzero spectrum of AA'
+        eigs = np.append(np.linalg.eigvalsh(M @ M.T), 0.0)
+    lam = tikhonov_for_condition(eigs / 4.0, kappa)
+    if lam <= 0:
+        raise ArgumentError(
+            "kappa is above the unregularized condition number")
+    return [(f"logreg_l2_k{kappa:g}", LogRegL2(ds.A, yb, lam))]
+
+
+def _group_lasso_grid(spec, ds):
+    groups = groups_from_size(ds.A.n_cols, spec.group_size)
+    lmax = lambda_max(GroupLasso(ds.A, ds.y, 1.0, groups))
+    return [(f"group_lasso_lf{f:g}", GroupLasso(ds.A, ds.y, f * lmax, groups))
+            for f in spec.lambda_fracs]
+
+
+def _quadratic_grid(spec, ds):
+    tag = "quadratic" if not spec.kappa else f"quadratic_k{spec.kappa:g}"
+    return [(tag, ridge_quadratic(ds, spec.kappa or None))]
+
+
+# problem.kind -> builder of its (tag, problem) grid from (spec, dataset)
+_GRIDS = {
+    "lasso": _lasso_grid,
+    "enet": _enet_grid,
+    "logreg_l1": _logreg_l1_grid,
+    "logreg_l2": _logreg_l2_grid,
+    "group_lasso": _group_lasso_grid,
+    "quadratic": _quadratic_grid,
+}
+
+
 def build_problems(spec, dataset):
     """Instantiate the (tag, problem) grid described by the config."""
-    A, y = dataset.A, dataset.y
-    out = []
-    if spec.kind == "lasso":
-        lmax = lambda_max(Lasso(A, y, 1.0))
-        for f in spec.lambda_fracs:
-            out.append((f"lasso_lf{f:g}", Lasso(A, y, f * lmax)))
-    elif spec.kind == "enet":
-        lmax = lambda_max(ElasticNet(A, y, 1.0, 0.0))
-        for f in spec.lambda_fracs:
-            for rf in spec.rho_fracs:
-                lam = f * lmax
-                out.append((f"enet_lf{f:g}_rf{rf:g}",
-                            ElasticNet(A, y, lam, rf * lam)))
-    elif spec.kind == "logreg_l1":
-        yb = binarize_labels(y)
-        lmax = lambda_max(LogRegL1(A, yb, 1.0))
-        for f in spec.lambda_fracs:
-            out.append((f"logreg_l1_lf{f:g}", LogRegL1(A, yb, f * lmax)))
-    elif spec.kind == "logreg_l2":
-        yb = binarize_labels(y)
-        kappa = spec.kappa or 1e5
-        M = A.toarray()
-        if M.shape[1] <= M.shape[0]:  # M.T @ M would use syrk: other bits
-            eigs = np.linalg.eigvalsh(M.T @ M.copy())
-        else:  # A'A is singular, with the nonzero spectrum of AA'
-            eigs = np.append(np.linalg.eigvalsh(M @ M.T), 0.0)
-        lam = tikhonov_for_condition(eigs / 4.0, kappa)
-        if lam <= 0:
-            raise ArgumentError(
-                "kappa is above the unregularized condition number")
-        out.append((f"logreg_l2_k{kappa:g}", LogRegL2(A, yb, lam)))
-    elif spec.kind == "group_lasso":
-        groups = groups_from_size(A.n_cols, spec.group_size)
-        lmax = lambda_max(GroupLasso(A, y, 1.0, groups))
-        for f in spec.lambda_fracs:
-            out.append((f"group_lasso_lf{f:g}",
-                        GroupLasso(A, y, f * lmax, groups)))
-    else:  # quadratic
-        quad = ridge_quadratic(dataset, spec.kappa or None)
-        tag = "quadratic" if not spec.kappa else f"quadratic_k{spec.kappa:g}"
-        out.append((tag, quad))
-    return out
+    return _GRIDS[spec.kind](spec, dataset)
 
 
 def fingerprint(prob):

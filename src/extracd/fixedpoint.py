@@ -2,8 +2,8 @@
 
 Gradient descent and cyclic coordinate descent on a positive definite
 quadratic are affine maps ``x -> T x + b_vec``.  This module materializes
-``T`` (by probing with unit vectors, which doubles as a consistency check
-against the solvers' epochs), measures spectral radii, builds the
+``T`` (by probing the solvers' own epochs with unit vectors, so ``T`` is
+the map the solvers run), measures spectral radii, builds the
 similarity-symmetrized matrix of the double-sweep iteration, and traces
 numerical-range boundaries used to judge whether acceleration is safe.
 
@@ -18,6 +18,7 @@ import numpy as np
 
 from .errors import ArgumentError
 from .problems import DENSE_LIMIT, Quadratic
+from .solvers import cd_epoch_quadratic, cdsym_epoch_quadratic
 
 __all__ = [
     "DENSE_LIMIT",
@@ -86,18 +87,11 @@ def _probe_affine(epoch, p):
 def cd_iteration(quad):
     """One cyclic coordinate-descent epoch (coordinate 1 first) as an affine map.
 
-    The matrix is built by probing `Quadratic.cd_pass` with unit vectors,
-    so it reflects exactly what the solver executes.
+    The matrix is built by probing `solvers.cd_epoch_quadratic` with unit
+    vectors, so it reflects exactly what the solver executes.
     """
     _check_dense_size(quad.dim)
-    p = quad.dim
-    order = np.arange(p, dtype=np.int64)
-
-    def epoch(x):
-        quad.cd_pass(x, order)
-        return x
-
-    T, b_vec = _probe_affine(epoch, p)
+    T, b_vec = _probe_affine(lambda x: cd_epoch_quadratic(quad, x), quad.dim)
     return LinearIteration(T, b_vec, kind="cd")
 
 
@@ -115,19 +109,12 @@ def cdsym_iteration(quad):
 
     Returns the affine map of one double sweep together with the
     symmetric matrix ``S = H^{1/2} T H^{-1/2}``, which shares its
-    spectrum with ``T`` and certifies that all eigenvalues are real.
+    spectrum with ``T`` and certifies that all eigenvalues are real.  The
+    map is probed from `solvers.cdsym_epoch_quadratic`.
     """
     _check_dense_size(quad.dim)
-    p = quad.dim
-    fwd = np.arange(p, dtype=np.int64)
-    bwd = fwd[::-1].copy()
-
-    def epoch(x):
-        quad.cd_pass(x, fwd)
-        quad.cd_pass(x, bwd)
-        return x
-
-    T, b_vec = _probe_affine(epoch, p)
+    T, b_vec = _probe_affine(lambda x: cdsym_epoch_quadratic(quad, x),
+                             quad.dim)
     H_half, H_half_inv = _sqrt_psd(quad.H)
     S = H_half @ T @ H_half_inv
     S = 0.5 * (S + S.T)

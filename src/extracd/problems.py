@@ -93,8 +93,6 @@ class QuadraticFit:
         return self.quad.H @ x
 
     def value(self, x, Ax):
-        if Ax is None:
-            Ax = self.predict(x)
         return float(0.5 * x @ Ax + self.quad.b @ x)
 
     def gradient(self, Ax):
@@ -102,12 +100,9 @@ class QuadraticFit:
             "datafit_gradient needs a problem with a design matrix")
 
     def gradient_x(self, x, Ax):
-        if Ax is None:
-            Ax = self.predict(x)
         return Ax + self.quad.b
 
-    def gram(self, v):
-        return self.quad.H @ v
+    gram = predict  # both are the Hessian product
 
     def coordinate_lipschitz(self, penalty):
         return np.diag(self.quad.H).copy()
@@ -137,13 +132,8 @@ class _DesignFit:
     def predict(self, x):
         return self.A.matvec(x)
 
-    def _predictions(self, x, Ax):
-        if Ax is None:
-            Ax = self.A.matvec(np.asarray(x, dtype=np.float64))
-        return Ax
-
     def gradient_x(self, x, Ax):
-        return self.A.rmatvec(self.gradient(self._predictions(x, Ax)))
+        return self.A.rmatvec(self.gradient(Ax))
 
     def gram(self, v):
         return self.A.rmatvec(self.A.matvec(v))
@@ -159,7 +149,7 @@ class LeastSquares(_DesignFit):
     scale: float = 1.0
 
     def value(self, x, Ax):
-        r = self.y - self._predictions(x, Ax)
+        r = self.y - Ax
         return float((r @ r) / (2.0 * self.scale))
 
     def gradient(self, Ax):
@@ -213,8 +203,7 @@ class Logistic(_DesignFit):
             raise ArgumentError("logistic labels must be -1/+1")
 
     def value(self, x, Ax):
-        return float(np.logaddexp(0.0, -self.y * self._predictions(x, Ax))
-                     .sum())
+        return float(np.logaddexp(0.0, -self.y * Ax).sum())
 
     def gradient(self, Ax):
         return kernels._logreg_rows(self.y, Ax)
@@ -280,7 +269,7 @@ class L1L2:
         if not self.l1:
             raise ArgumentError(
                 "lambda_max requires a sparsity-inducing penalty")
-        return float(np.abs(g).max())
+        return float(np.abs(g).max() if g.size else 0.0)
 
     def stationarity(self, x, g):
         """Largest entry of the smooth objective's gradient ``g + l2 x``.
@@ -403,10 +392,10 @@ class Quadratic:
         return self.H.shape[0]
 
     def value(self, x):
-        return self.datafit.value(x, None)
+        return self.datafit.value(x, self.H @ x)
 
     def gradient(self, x):
-        return self.datafit.gradient_x(x, None)
+        return self.datafit.gradient_x(x, self.H @ x)
 
     def solve(self):
         """The minimizer ``-H^{-1} b``."""
@@ -477,7 +466,7 @@ class Lasso:
     def dual(self, Ax):
         y, lam = self.y, self.lam
         r = y - Ax
-        scale = max(lam, float(np.abs(self.A.rmatvec(r)).max() or 0.0))
+        scale = max(lam, self.penalty.dual_norm(self.A.rmatvec(r)))
         theta = r / scale
         resid = y - lam * theta
         return 0.5 * (y @ y) - 0.5 * (resid @ resid)
@@ -494,6 +483,9 @@ class ElasticNet:
         y = _check_data(self)
         if not (np.isfinite(self.rho) and self.rho >= 0):
             raise ArgumentError("rho must be nonnegative")
+        if self.A.n_rows == 0:
+            raise ArgumentError("ElasticNet needs a design with rows: its "
+                                "loss is a mean over rows")
         _attach(self, LeastSquares(self.A, y, self.A.n_rows),
                  L1L2(self.lam, self.rho))
 
@@ -510,8 +502,7 @@ class ElasticNet:
             return val
 
         cands = []
-        at = self.A.rmatvec(theta)
-        inf_norm = float(np.abs(at).max() if at.size else 0.0)
+        inf_norm = self.penalty.dual_norm(self.A.rmatvec(theta))
         if self.rho > 0:
             cands.append(dual_at(theta))
         if inf_norm > lam:
@@ -540,8 +531,7 @@ class LogRegL1:
 
     def dual(self, Ax):
         theta = self.datafit.gradient(Ax)
-        at = self.A.rmatvec(theta)
-        inf_norm = float(np.abs(at).max() if at.size else 0.0)
+        inf_norm = self.penalty.dual_norm(self.A.rmatvec(theta))
         if inf_norm > self.lam:
             theta = theta * (self.lam / inf_norm)
         s = -theta * self.y
@@ -594,11 +584,16 @@ def groups_from_size(p, size):
 # oracles
 # ---------------------------------------------------------------------------
 
+def _predictions(prob, x, Ax):
+    """``Ax`` if given, else the datafit's predictions at ``x``."""
+    return prob.datafit.predict(x) if Ax is None else Ax
+
+
 def datafit_value(prob, x, Ax=None):
     """Smooth data-fitting term of the objective."""
     if x is not None:
         x = np.asarray(x, dtype=np.float64)
-    return prob.datafit.value(x, Ax)
+    return prob.datafit.value(x, _predictions(prob, x, Ax))
 
 
 def penalty_value(prob, x):
@@ -609,7 +604,8 @@ def penalty_value(prob, x):
 def objective_value(prob, x, Ax=None):
     """Full objective at ``x`` (pass ``Ax`` to avoid recomputing it)."""
     x = np.asarray(x, dtype=np.float64)
-    return prob.datafit.value(x, Ax) + prob.penalty.value(x)
+    return (prob.datafit.value(x, _predictions(prob, x, Ax))
+            + prob.penalty.value(x))
 
 
 def datafit_gradient(prob, Ax):
@@ -669,8 +665,7 @@ def duality_gap(prob, x, Ax=None) -> Optional[GapReport]:
     if dual is None:
         return None
     x = np.asarray(x, dtype=np.float64)
-    if Ax is None:
-        Ax = prob.A.matvec(x)
+    Ax = _predictions(prob, x, Ax)
     primal = objective_value(prob, x, Ax)
     value = dual(Ax)
     gap = max(float(primal - value), 0.0)
@@ -681,6 +676,7 @@ def stopping_measure(prob, x, Ax=None):
     """Convergence measure: the duality gap when defined, else a
     stationarity violation in the same units as the objective scale."""
     x = np.asarray(x, dtype=np.float64)
+    Ax = _predictions(prob, x, Ax)
     report = duality_gap(prob, x, Ax)
     if report is not None:
         return report.gap

@@ -343,37 +343,35 @@ def anderson_gd(prob, cfg):
     return _drive(prob, cfg, "gd_anderson", _gd_step(prob), extrapolate=True)
 
 
-def _prox_step_size(prob):
+def _pgd_step(prob):
+    """Proximal gradient step with the global step ``1/L``."""
     L = global_lipschitz(prob)
     if L <= 0:
         raise ArgumentError("datafit curvature is zero; nothing to solve")
-    return 1.0 / L
-
-
-def baseline_pgd(prob, cfg):
-    """Proximal gradient descent with the global step ``1/L``."""
-    t = _prox_step_size(prob)
+    t = 1.0 / L
     datafit, penalty = prob.datafit, prob.penalty
 
     def step(x, Ax):
         x = penalty.prox(x - t * datafit.gradient_x(x, Ax), t)
         return x, datafit.predict(x)
+    return step
 
-    return _drive(prob, cfg, "pgd", step)
+
+def baseline_pgd(prob, cfg):
+    """Proximal gradient descent with the global step ``1/L``."""
+    return _drive(prob, cfg, "pgd", _pgd_step(prob))
 
 
 def baseline_fista(prob, cfg):
     """Accelerated proximal gradient with the standard momentum recursion."""
-    t = _prox_step_size(prob)
-    datafit, penalty = prob.datafit, prob.penalty
+    pgd_step = _pgd_step(prob)
     momentum, z, Az = 1.0, None, None
 
     def step(x, Ax):
         nonlocal momentum, z, Az
         if z is None:
             z, Az = x, Ax
-        x_new = penalty.prox(z - t * datafit.gradient_x(z, Az), t)
-        Ax_new = datafit.predict(x_new)
+        x_new, Ax_new = pgd_step(z, Az)
         m_new = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * momentum * momentum))
         beta = (momentum - 1.0) / m_new
         z = x_new + beta * (x_new - x)

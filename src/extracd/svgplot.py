@@ -25,8 +25,8 @@ def _decades(lo, hi):
     return list(range(first, last + 1, step))
 
 
-def write_line_plot(path, title, series, xlabel="epoch", ylabel="suboptimality"):
-    """Write a log-y line plot.
+def write_line_plot(path, title, series):
+    """Write a log-y plot of suboptimality against epoch.
 
     ``series`` is a list of ``(name, xs, ys)``; nonpositive ``ys`` are
     dropped from the curve (they cannot be drawn on a log axis) but the
@@ -92,12 +92,11 @@ def write_line_plot(path, title, series, xlabel="epoch", ylabel="suboptimality")
                    f'{x:.6g}</text>')
 
     out.append(f'<text x="{_ML + pw / 2:.2f}" y="{_H - 12}" font-size="12" '
-               f'font-family="sans-serif" text-anchor="middle">'
-               f'{escape(xlabel)}</text>')
+               'font-family="sans-serif" text-anchor="middle">epoch</text>')
     out.append(f'<text x="18" y="{_MT + ph / 2:.2f}" font-size="12" '
                f'font-family="sans-serif" text-anchor="middle" '
                f'transform="rotate(-90 18 {_MT + ph / 2:.2f})">'
-               f'{escape(ylabel)}</text>')
+               'suboptimality</text>')
 
     for i, (name, kept) in enumerate(pts):
         color = _PALETTE[i % len(_PALETTE)]

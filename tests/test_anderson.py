@@ -6,14 +6,14 @@ from extracd.anderson import (ExtrapolationWindow, extrapolation_coefficients,
 from extracd.errors import ArgumentError
 
 
-def coefficients_kkt(U, reg=0.0):
+def coefficients_kkt(U):
     """Independent oracle: solve the equality-constrained normal equations.
 
-    KKT system for min ||Uc||^2 + reg||c||^2 s.t. 1'c = 1, solved with a
-    pseudo-inverse so it also covers mildly singular Grams.
+    KKT system for min ||Uc||^2 s.t. 1'c = 1, solved with a pseudo-inverse
+    so it also covers mildly singular Grams.
     """
     k = U.shape[1]
-    G = U.T @ U + reg * np.eye(k)
+    G = U.T @ U
     K = np.zeros((k + 1, k + 1))
     K[:k, :k] = 2.0 * G
     K[:k, k] = 1.0
@@ -29,14 +29,13 @@ class TestCoefficients:
         c, ok = extrapolation_coefficients(np.array([[3.0], [1.0]]))
         assert ok and c.shape == (1,) and c[0] == 1.0
 
-    @pytest.mark.parametrize("reg", [0.0, 0.05, 1.0])
-    def test_against_kkt_oracle(self, reg):
+    def test_against_kkt_oracle(self):
         rng = np.random.default_rng(0)
         for k in (2, 3, 4):
             U = rng.standard_normal((9, k))
-            c, ok = extrapolation_coefficients(U, reg)
+            c, ok = extrapolation_coefficients(U)
             assert ok
-            np.testing.assert_allclose(c, coefficients_kkt(U, reg),
+            np.testing.assert_allclose(c, coefficients_kkt(U),
                                        rtol=1e-10, atol=1e-12)
             assert abs(c.sum() - 1.0) < 1e-12
 
@@ -67,16 +66,6 @@ class TestCoefficients:
     def test_validation(self):
         with pytest.raises(ArgumentError):
             extrapolation_coefficients(np.zeros((3,)))
-        with pytest.raises(ArgumentError):
-            extrapolation_coefficients(np.zeros((3, 2)), lambda_reg=-1.0)
-
-    def test_regularization_shrinks_weights(self):
-        rng = np.random.default_rng(2)
-        U = rng.standard_normal((5, 3)) * np.array([1.0, 1e-3, 1e-3])
-        c0, _ = extrapolation_coefficients(U, 0.0)
-        c1, _ = extrapolation_coefficients(U, 10.0)
-        assert np.abs(c1).max() < np.abs(c0).max()
-        assert abs(c1.sum() - 1.0) < 1e-12
 
 
 class TestWindow:
@@ -133,8 +122,6 @@ class TestWindow:
     def test_validation(self):
         with pytest.raises(ArgumentError):
             ExtrapolationWindow(K=0)
-        with pytest.raises(ArgumentError):
-            ExtrapolationWindow(K=2, lambda_reg=-0.5)
 
 
 def linear_map(rho=0.8, p=6, seed=3):

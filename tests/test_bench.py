@@ -15,8 +15,10 @@ from extracd.bench import (BenchSpec, ReferenceOptimum, build_dataset,
 from extracd.cli import main
 from extracd.data import CscMatrix, Dataset
 from extracd.errors import ArgumentError
-from extracd.problems import (ElasticNet, Lasso, lambda_max, objective_value,
-                              stopping_measure, tikhonov_for_condition)
+from extracd.problems import (ElasticNet, GroupLasso, Lasso, LogRegL1,
+                              LogRegL2, Quadratic, lambda_max,
+                              objective_value, stopping_measure,
+                              tikhonov_for_condition)
 from extracd.solvers import Trace
 
 
@@ -170,6 +172,21 @@ class TestGridAndFingerprint:
             assert prob.lam == want
         else:
             assert abs(prob.lam - want) <= 1e-10 * want
+
+    @pytest.mark.parametrize("kind,cls", [
+        ("lasso", Lasso), ("enet", ElasticNet), ("logreg_l1", LogRegL1),
+        ("logreg_l2", LogRegL2), ("group_lasso", GroupLasso),
+        ("quadratic", Quadratic)])
+    def test_every_kind_builds_its_own_problems(self, tmp_path, kind, cls):
+        cfg = write_config(tmp_path / "b.ini", {"problem": {"kind": kind}})
+        assert load_config(cfg).kind == kind
+        rng = np.random.default_rng(22)
+        ds = Dataset(CscMatrix.from_dense(rng.standard_normal((30, 12))),
+                     np.sign(rng.standard_normal(30)))
+        tagged = build_problems(BenchSpec(kind=kind, kappa=2.0), ds)
+        assert tagged
+        for tag, prob in tagged:
+            assert tag.startswith(kind) and type(prob) is cls
 
     def test_fingerprint_stable_and_sensitive(self):
         prob = small_lasso(seed=1)
@@ -416,6 +433,16 @@ class TestCli:
                            {"problem": {"kind": "ridge"}})
         assert main(["bench", "--config", str(cfg)]) == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_bench_enet_without_rows_exit_two(self, tmp_path, capsys):
+        empty = tmp_path / "empty.libsvm"
+        empty.write_text("", encoding="utf-8")
+        cfg = write_config(tmp_path / "b.ini", {
+            "dataset": {"source": "path", "path": str(empty), "n_cols": "4"},
+            "problem": {"kind": "enet"}})
+        assert main(["bench", "--config", str(cfg), "--out",
+                     str(tmp_path / "res")]) == 2
+        assert "mean over rows" in capsys.readouterr().err
 
     def test_bench_missing_config_exit_two(self, tmp_path, capsys):
         assert main(["bench", "--config", str(tmp_path / "no.ini")]) == 2

@@ -264,6 +264,15 @@ class TestLambdaMax:
                 prob = GroupLasso(base.A, y, lmax, base.groups)
             assert stopping_measure(prob, np.zeros(12)) < 1e-10, name
 
+    def test_design_without_columns(self):
+        # the l-infinity dual norm of an empty vector is 0
+        A = CscMatrix.from_dense(np.zeros((4, 0)))
+        y = np.array([1.0, -1.0, -1.0, 1.0])
+        for prob in (Lasso(A, y, 0.5), ElasticNet(A, y, 0.5, 0.1),
+                     LogRegL1(A, y, 0.5)):
+            assert lambda_max(prob) == 0.0
+            assert duality_gap(prob, np.zeros(0)).gap <= 1e-12
+
     def test_refused_for_smooth_penalties(self):
         probs, _, _, _ = make_instances(seed=16)
         with pytest.raises(ArgumentError):
@@ -354,6 +363,13 @@ class TestGroupsAndRidge:
         shift = quad.H[0, 0] - (M.T @ M)[0, 0]
         np.testing.assert_allclose(quad.H, M.T @ M + shift * np.eye(6),
                                    atol=1e-10)
+
+    def test_elastic_net_needs_rows(self):
+        # its loss is a mean over rows; a lasso's is a sum
+        A = CscMatrix.from_dense(np.zeros((0, 3)))
+        with pytest.raises(ArgumentError, match="rows"):
+            ElasticNet(A, np.zeros(0), 0.5, 0.1)
+        assert lambda_max(Lasso(A, np.zeros(0), 0.5)) == 0.0
 
     def test_label_validation(self):
         A = CscMatrix.from_dense(np.eye(3))

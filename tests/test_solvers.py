@@ -412,12 +412,48 @@ def make_cross_problems():
     return out
 
 
-@pytest.mark.parametrize("problem", ["quadratic", "lasso", "enet",
-                                     "logreg_l1", "logreg_l2", "group"])
+PROBLEM_TYPES = ("quadratic", "lasso", "enet", "logreg_l1", "logreg_l2",
+                 "group")
+# (rows, columns) of the degenerate designs
+DEGENERATE = {"rows0": (0, 16), "cols0": (40, 0)}
+
+
+def make_degenerate_problem(problem, n, p):
+    """``problem`` on an n x p design with no rows or no columns; lam is
+    fixed, since lambda_max of such a design is 0."""
+    rng = np.random.default_rng(48)
+    M = rng.standard_normal((n, p))
+    A = CscMatrix.from_dense(M)
+    y = rng.standard_normal(n)
+    yb = np.where(np.arange(n) % 2 == 0, 1.0, -1.0)
+    build = {
+        "quadratic": lambda: Quadratic(M.T @ M + np.eye(p), -M.T @ y),
+        "lasso": lambda: Lasso(A, y, 0.1),
+        "enet": lambda: ElasticNet(A, y, 0.1, 0.01),
+        "logreg_l1": lambda: LogRegL1(A, yb, 0.1),
+        "logreg_l2": lambda: LogRegL2(A, yb, 0.1),
+        "group": lambda: GroupLasso(A, y, 0.1, groups_from_size(p, 4)),
+    }
+    return build[problem]()
+
+
+@pytest.mark.parametrize("problem", list(PROBLEM_TYPES) + [
+    f"{name}-{shape}" for shape in DEGENERATE for name in PROBLEM_TYPES])
 @pytest.mark.parametrize("solver", sorted(SOLVERS))
 def test_solver_problem_cross_product(solver, problem):
-    prob = make_cross_problems()[problem]
     cfg = SolverConfig(algorithm=solver, max_epochs=30, tol=0.0)
+    name, _, shape = problem.partition("-")
+    if shape:
+        # a degenerate design is refused, or solved to a finite trace
+        try:
+            tr = solve(make_degenerate_problem(name, *DEGENERATE[shape]), cfg)
+        except ArgumentError:
+            return
+        assert np.all(np.isfinite(tr.objectives))
+        assert all(g is None or math.isfinite(g) for g in tr.gaps)
+        assert np.all(np.isfinite(tr.x))
+        return
+    prob = make_cross_problems()[problem]
     if solver in QUADRATIC_ONLY and problem != "quadratic":
         with pytest.raises(ArgumentError, match="quadratic"):
             solve(prob, cfg)
