@@ -13,12 +13,17 @@ Records:
   (40 epochs, tol 0) and (3000 epochs, tol 1e-12); unsupported pairs
   record their error text;
 - ``oracle/<design>/<problem>``: the public oracles of ``problems`` at a
-  fixed ``x``;
+  fixed ``x`` (the problems above plus ``enet_rho0``, an elastic net
+  without its ridge part);
 - ``anderson/offline`` and ``anderson/online``: both drivers of
   ``anderson`` on a linear map (the online one with a guard);
 - ``fixedpoint/cd`` and ``fixedpoint/cdsym``: the probed pass matrices;
 - ``wide_lasso``: 300 epochs of ``pcd_anderson`` on the 100 x 5000
   dense-stored lasso at lambda_max / 100;
+- ``parse/sample`` and ``parse/padded``: the CSC arrays and labels that
+  ``parse_libsvm`` reads from the bundled ``sample.libsvm``, and from a
+  fixed text with empty rows and columns, explicit zeros, rows with
+  different column sets and ``n_cols`` padding;
 - ``bench/<kind>/...``: tags, lambdas and fingerprints of every bench
   problem kind;
 - ``reference/sample_logreg_l1``: the ``logreg_l1`` reference optimum of
@@ -40,7 +45,8 @@ import hashlib  # noqa: E402
 import numpy as np  # noqa: E402
 
 from extracd import anderson, bench, fixedpoint, problems, solvers  # noqa: E402
-from extracd.data import CscMatrix, gen_correlated_gaussian  # noqa: E402
+from extracd.data import (CscMatrix, gen_correlated_gaussian,  # noqa: E402
+                          load_sample, parse_libsvm)
 
 N, P = 40, 16
 BUDGETS = ((40, 0.0), (3000, 1e-12))
@@ -128,6 +134,9 @@ def gap_values(report):
 def oracle_records(probs, design):
     rng = np.random.default_rng(1)
     x = rng.standard_normal(P) * (rng.random(P) < 0.5)
+    enet = probs["enet"]
+    probs = {**probs, "enet_rho0": problems.ElasticNet(enet.A, enet.y,
+                                                       enet.lam, 0.0)}
     for pname, prob in probs.items():
         Ax = prob.datafit.predict(x)
         values = [
@@ -189,6 +198,24 @@ def wide_lasso_record():
     emit("wide_lasso", trace_values(solvers.solve(prob, cfg)))
 
 
+PADDED_TEXT = b"""1 2:0.5 5:1.25
+-1
+# a comment line
+0.5 1:0 3:-2 7:3.5  # trailing comment
+2 2:1e-3 3:0 4:7
+
+-3 1:4 7:0
+"""
+
+
+def parse_records():
+    for name, ds in (("sample", load_sample()),
+                     ("padded", parse_libsvm(PADDED_TEXT, n_cols=10))):
+        A = ds.A
+        emit(f"parse/{name}", A.n_rows, A.n_cols, A.col_ptr, A.row_idx,
+             A.values, ds.y)
+
+
 def bench_records():
     # spelled out rather than read from ``bench``, whose kind table may
     # differ between the trees compared
@@ -233,6 +260,7 @@ def main():
     anderson_records()
     fixedpoint_records()
     wide_lasso_record()
+    parse_records()
     bench_records()
     reference_record()
 

@@ -28,6 +28,13 @@ __all__ = [
 _GZIP_MAGIC = b"\x1f\x8b"
 
 
+def _col_ptr(cols, n_cols):
+    """Column pointers of entries sorted by their column indices ``cols``."""
+    col_ptr = np.zeros(n_cols + 1, dtype=np.int64)
+    np.cumsum(np.bincount(cols, minlength=n_cols), out=col_ptr[1:])
+    return col_ptr
+
+
 @dataclass(frozen=True)
 class CscMatrix:
     """Compressed sparse column matrix (float64 values, int64 indices).
@@ -89,9 +96,7 @@ class CscMatrix:
             raise ArgumentError("from_dense expects a 2-d array")
         n, p = arr.shape
         cols, row_idx = np.nonzero(arr.T)
-        col_ptr = np.zeros(p + 1, dtype=np.int64)
-        np.cumsum(np.bincount(cols, minlength=p), out=col_ptr[1:])
-        return cls(n, p, col_ptr, row_idx, arr[row_idx, cols])
+        return cls(n, p, _col_ptr(cols, p), row_idx, arr[row_idx, cols])
 
     def toarray(self):
         return self.columns(range(self.n_cols))
@@ -180,8 +185,7 @@ def parse_libsvm(source, n_cols=None):
         line number.
     """
     text = _open_text(source)
-    labels = []
-    cols = []
+    labels, rows, cols, vals = [], [], [], []
     max_idx = 0
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.split("#", 1)[0].strip()
@@ -193,7 +197,6 @@ def parse_libsvm(source, n_cols=None):
         except ValueError:
             raise ParseError(f"bad label {tokens[0]!r}", line=lineno) from None
         prev = 0
-        entries = []
         for tok in tokens[1:]:
             idx_s, _, val_s = tok.partition(":")
             if not _:
@@ -215,9 +218,10 @@ def parse_libsvm(source, n_cols=None):
             if not np.isfinite(val):
                 raise ParseError(f"non-finite value in {tok!r}", line=lineno)
             prev = idx
-            entries.append((idx - 1, val))
+            rows.append(len(labels) - 1)
+            cols.append(idx - 1)
+            vals.append(val)
         max_idx = max(max_idx, prev)
-        cols.append(entries)
 
     p = max_idx
     if n_cols is not None:
@@ -226,23 +230,12 @@ def parse_libsvm(source, n_cols=None):
                 f"n_cols={n_cols} is smaller than the largest feature index "
                 f"{max_idx}; the override can only pad")
         p = n_cols
-    n = len(labels)
-
-    by_col = [[] for _ in range(p)]
-    for i, entries in enumerate(cols):
-        for j, val in entries:
-            by_col[j].append((i, val))
-    col_ptr = np.zeros(p + 1, dtype=np.int64)
-    row_idx = []
-    values = []
-    for j in range(p):
-        col_ptr[j + 1] = col_ptr[j] + len(by_col[j])
-        for i, val in by_col[j]:
-            row_idx.append(i)
-            values.append(val)
-    A = CscMatrix(n, p, col_ptr,
-                  np.array(row_idx, dtype=np.int64),
-                  np.array(values, dtype=np.float64))
+    # a stable sort by column keeps each column's rows in file order
+    cols = np.array(cols, dtype=np.int64)
+    order = np.argsort(cols, kind="stable")
+    A = CscMatrix(len(labels), p, _col_ptr(cols, p),
+                  np.array(rows, dtype=np.int64)[order],
+                  np.array(vals, dtype=np.float64)[order])
     return Dataset(A, np.array(labels, dtype=np.float64), name="libsvm")
 
 

@@ -15,6 +15,10 @@ penalties are `L1L2` with weights ``(l1, l2)`` and `Group`.  A quadratic
 has the penalty ``L1L2(0, 0)``.  The module-level functions delegate to
 these parts.
 
+The five design problems share one base, ``_DesignProblem(A, y, lam)``: it
+checks that ``A`` is a `CscMatrix`, that ``y`` has one finite entry per row
+and that ``lam`` is positive, then attaches the subclass's parts.
+
 Duality gaps exist for Lasso, ElasticNet and LogRegL1 (their ``dual``
 method) and are built from the datafit gradient rescaled into the dual
 feasible set; the remaining problems report a stationarity measure
@@ -439,29 +443,34 @@ class Quadratic:
         return np.linalg.inv(np.triu(self.H))
 
 
-def _check_data(prob):
-    """Validate ``A``, ``y`` and ``lam``; store ``y`` read-only and return it."""
-    if not isinstance(prob.A, CscMatrix):
-        raise ArgumentError("A must be a CscMatrix")
-    y = np.ascontiguousarray(prob.y, dtype=np.float64)
-    if y.shape != (prob.A.n_rows,):
-        raise ArgumentError("y must have one entry per row of A")
-    if not (np.isfinite(prob.lam) and prob.lam > 0):
-        raise ArgumentError("lam must be positive")
-    y.setflags(write=False)
-    object.__setattr__(prob, "y", y)
-    return y
-
-
 @dataclass(frozen=True)
-class Lasso:
+class _DesignProblem:
+    """A datafit of the design ``A`` and labels ``y`` plus a penalty of
+    strength ``lam``: a subclass adds its fields, its ``_parts()`` (which
+    checks those fields) and its ``dual`` if it has one."""
+
     A: CscMatrix
     y: np.ndarray
     lam: float
 
     def __post_init__(self):
-        y = _check_data(self)
-        _attach(self, LeastSquares(self.A, y, 1.0), L1L2(self.lam, 0.0))
+        if not isinstance(self.A, CscMatrix):
+            raise ArgumentError("A must be a CscMatrix")
+        y = np.ascontiguousarray(self.y, dtype=np.float64)
+        if y.shape != (self.A.n_rows,):
+            raise ArgumentError("y must have one entry per row of A")
+        if not (np.isfinite(self.lam) and self.lam > 0):
+            raise ArgumentError("lam must be positive")
+        if not np.all(np.isfinite(y)):
+            raise ArgumentError("labels must be finite")
+        y.setflags(write=False)
+        object.__setattr__(self, "y", y)
+        _attach(self, *self._parts())
+
+
+class Lasso(_DesignProblem):
+    def _parts(self):
+        return LeastSquares(self.A, self.y, 1.0), L1L2(self.lam, 0.0)
 
     def dual(self, Ax):
         y, lam = self.y, self.lam
@@ -473,43 +482,38 @@ class Lasso:
 
 
 @dataclass(frozen=True)
-class ElasticNet:
-    A: CscMatrix
-    y: np.ndarray
-    lam: float
+class ElasticNet(_DesignProblem):
     rho: float
 
-    def __post_init__(self):
-        y = _check_data(self)
+    def _parts(self):
         if not (np.isfinite(self.rho) and self.rho >= 0):
             raise ArgumentError("rho must be nonnegative")
         if self.A.n_rows == 0:
             raise ArgumentError("ElasticNet needs a design with rows: its "
                                 "loss is a mean over rows")
-        _attach(self, LeastSquares(self.A, y, self.A.n_rows),
-                 L1L2(self.lam, self.rho))
+        return (LeastSquares(self.A, self.y, self.A.n_rows),
+                L1L2(self.lam, self.rho))
 
     def dual(self, Ax):
         y, lam, n = self.y, self.lam, self.A.n_rows
         theta = (Ax - y) / n
 
-        def dual_at(th):
-            at = self.A.rmatvec(th)
+        def dual_at(th, at):
             val = -(th @ y) - 0.5 * n * (th @ th)
             if self.rho > 0:
                 sq = np.maximum(np.abs(at) - lam, 0.0) ** 2
                 val -= sq.sum() / (2.0 * self.rho)
             return val
 
-        cands = []
-        inf_norm = self.penalty.dual_norm(self.A.rmatvec(theta))
-        if self.rho > 0:
-            cands.append(dual_at(theta))
+        at = self.A.rmatvec(theta)
+        inf_norm = self.penalty.dual_norm(at)
+        value = dual_at(theta, at)
         if inf_norm > lam:
-            cands.append(dual_at(theta * (lam / inf_norm)))
-        else:
-            cands.append(dual_at(theta))
-        return max(cands)
+            # rescaled into the ball; with a ridge part theta is feasible too
+            scaled = theta * (lam / inf_norm)
+            rescaled = dual_at(scaled, self.A.rmatvec(scaled))
+            value = max(value, rescaled) if self.rho > 0 else rescaled
+        return value
 
 
 def _xlogx(t):
@@ -519,15 +523,9 @@ def _xlogx(t):
     return out
 
 
-@dataclass(frozen=True)
-class LogRegL1:
-    A: CscMatrix
-    y: np.ndarray
-    lam: float
-
-    def __post_init__(self):
-        y = _check_data(self)
-        _attach(self, Logistic(self.A, y), L1L2(self.lam, 0.0))
+class LogRegL1(_DesignProblem):
+    def _parts(self):
+        return Logistic(self.A, self.y), L1L2(self.lam, 0.0)
 
     def dual(self, Ax):
         theta = self.datafit.gradient(Ax)
@@ -539,28 +537,18 @@ class LogRegL1:
         return -float((_xlogx(s) + _xlogx(1.0 - s)).sum())
 
 
-@dataclass(frozen=True)
-class LogRegL2:
-    A: CscMatrix
-    y: np.ndarray
-    lam: float
-
-    def __post_init__(self):
-        y = _check_data(self)
-        _attach(self, Logistic(self.A, y), L1L2(0.0, self.lam))
+class LogRegL2(_DesignProblem):
+    def _parts(self):
+        return Logistic(self.A, self.y), L1L2(0.0, self.lam)
 
 
 @dataclass(frozen=True)
-class GroupLasso:
+class GroupLasso(_DesignProblem):
     """Least squares with a sum of Euclidean norms over a column partition."""
 
-    A: CscMatrix
-    y: np.ndarray
-    lam: float
     groups: tuple
 
-    def __post_init__(self):
-        y = _check_data(self)
+    def _parts(self):
         groups = tuple(np.ascontiguousarray(g, dtype=np.int64)
                        for g in self.groups)
         if not groups:
@@ -569,7 +557,7 @@ class GroupLasso:
                 != list(range(self.A.n_cols))):
             raise ArgumentError("groups must partition the columns exactly")
         object.__setattr__(self, "groups", groups)
-        _attach(self, LeastSquares(self.A, y, 1.0), Group(self.lam, groups))
+        return LeastSquares(self.A, self.y, 1.0), Group(self.lam, groups)
 
 
 def groups_from_size(p, size):

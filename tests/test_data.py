@@ -158,12 +158,22 @@ class TestParseLibsvm:
         assert frag in str(err.value)
 
     def test_round_trip_random(self):
-        M = random_sparse(17, 9, 0.35, seed=4)
-        y = np.random.default_rng(5).standard_normal(17)
-        ds = Dataset(CscMatrix.from_dense(M), y)
-        back = parse_libsvm(serialize_libsvm(ds).encode(), n_cols=9)
-        np.testing.assert_array_equal(back.A.toarray(), M)
-        np.testing.assert_array_equal(back.y, y)
+        # the second design has an empty row, an empty inner column and two
+        # empty trailing columns, which only the n_cols override restores
+        padded = random_sparse(12, 7, 0.5, seed=6)
+        padded[4] = 0.0
+        padded[:, [2, 5, 6]] = 0.0
+        for M in (random_sparse(17, 9, 0.35, seed=4), padded):
+            n, p = M.shape
+            y = np.random.default_rng(5).standard_normal(n)
+            A = CscMatrix.from_dense(M)
+            back = parse_libsvm(serialize_libsvm(Dataset(A, y)).encode(),
+                                n_cols=p)
+            np.testing.assert_array_equal(back.A.toarray(), M)
+            np.testing.assert_array_equal(back.y, y)
+            for name in ("col_ptr", "row_idx", "values"):
+                assert (getattr(back.A, name).tobytes()
+                        == getattr(A, name).tobytes()), name
 
 
 class TestBinarize:

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from extracd import kernels
 from extracd.data import CscMatrix, gen_correlated_gaussian
 from extracd.errors import ArgumentError
 from extracd.problems import (ElasticNet, GroupLasso, Lasso, LogRegL1,
@@ -319,6 +320,22 @@ class TestDualityGap:
             trace = solve(probs[name], cfg)
             assert stopping_measure(probs[name], trace.x) < 1e-8, name
 
+    def test_elastic_net_gap_products(self, monkeypatch):
+        # one A' product for theta, and one more only for its rescaling
+        probs, _, y, _ = make_instances(seed=22)
+        A = probs["enet"].A
+        calls = []
+        rmatvec = kernels.csc_rmatvec
+        monkeypatch.setattr(kernels, "csc_rmatvec",
+                            lambda *args: calls.append(1) or rmatvec(*args))
+        top = lambda_max(ElasticNet(A, y, 1.0, 0.0))
+        for rho in (0.0, 0.3):
+            for frac, limit in ((2.0, 1), (0.1, 2)):
+                prob = ElasticNet(A, y, frac * top, rho)
+                calls.clear()
+                duality_gap(prob, np.zeros(12), np.zeros(25))
+                assert len(calls) <= limit, (rho, frac, len(calls))
+
     def test_quadratic_stationarity_is_gradient_norm(self):
         quad = Quadratic(np.diag([2.0, 4.0]), np.array([1.0, 1.0]))
         x = np.array([0.5, -0.5])
@@ -377,3 +394,11 @@ class TestGroupsAndRidge:
             LogRegL1(A, np.array([0.0, 1.0, 2.0]), 0.5)
         with pytest.raises(ArgumentError):
             Lasso(A, np.zeros(3), -1.0)
+        groups = groups_from_size(3, 2)
+        for bad in (np.nan, np.inf):
+            y = np.array([1.0, bad, 0.5])
+            for make in (lambda: Lasso(A, y, 0.5),
+                         lambda: ElasticNet(A, y, 0.5, 0.1),
+                         lambda: GroupLasso(A, y, 0.5, groups)):
+                with pytest.raises(ArgumentError, match="finite"):
+                    make()
