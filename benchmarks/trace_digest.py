@@ -17,6 +17,8 @@ Records:
   without its ridge part);
 - ``anderson/offline`` and ``anderson/online``: both drivers of
   ``anderson`` on a linear map (the online one with a guard);
+  ``anderson/online_singular``: the online driver on the same map when
+  its second iterate is NaN, so that the first attempt is singular;
 - ``fixedpoint/cd`` and ``fixedpoint/cdsym``: the probed pass matrices;
 - ``wide_lasso``: 300 epochs of ``pcd_anderson`` on the 100 x 5000
   dense-stored lasso at lambda_max / 100;
@@ -176,6 +178,20 @@ def anderson_records():
     on = anderson.online_anderson(step, np.zeros(p), K=3, k_max=40,
                                   guard=guard)
     emit("anderson/online", on.final, on.iterates, on.events)
+
+    calls, last = 0, None
+
+    def nan_once(x):
+        # the second call returns NaNs; the third continues from the first
+        nonlocal calls, last
+        calls += 1
+        if calls == 2:
+            last = x
+            return np.full(p, np.nan)
+        return step(last if calls == 3 else x)
+
+    on = anderson.online_anderson(nan_once, np.zeros(p), K=3, k_max=12)
+    emit("anderson/online_singular", on.final, on.iterates, on.events)
 
 
 def fixedpoint_records():

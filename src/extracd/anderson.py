@@ -9,9 +9,9 @@ difference, so the extrapolated point is ``sum_i c_i x_i`` over the last
 ``k`` iterates.
 
 Two driving modes exist: the offline mode extrapolates a growing prefix
-of a fixed base sequence without touching it; the online mode
-extrapolates every ``K`` steps and restarts the base sequence from the
-extrapolated point (optionally vetoed by a guard functional).
+of a fixed base sequence without touching it; the one online step,
+`online`, extrapolates every ``K`` calls and restarts the base sequence
+from the point its ``accept`` rule returns (or from the base iterate).
 """
 
 from dataclasses import dataclass, field
@@ -25,6 +25,7 @@ __all__ = [
     "ExtrapolationWindow",
     "extrapolation_coefficients",
     "offline_anderson",
+    "online",
     "online_anderson",
     "OfflineTrace",
     "OnlineTrace",
@@ -176,34 +177,56 @@ class OnlineTrace:
     events: list = field(default_factory=list)
 
 
-def online_anderson(step, x0, K, k_max, guard=None):
-    """Run ``step`` and extrapolate in place every ``K`` iterations.
+def online(step, K, accept):
+    """Wrap ``step(x, Ax) -> (x, Ax)`` with online extrapolation: every
+    ``K`` calls the window of the last ``K + 1`` iterates (the first ``x``
+    seen is the anchor) is extrapolated, ``accept(point, x, Ax)`` returns
+    the replacing ``(x, Ax)`` or ``None``, and the window restarts from
+    the outcome.  ``.events`` holds ``(call, status)`` per attempt."""
+    window = ExtrapolationWindow(K)
+    calls, events = 0, []
 
-    Every ``K`` steps the window of the last ``K+1`` points (anchor
-    included) is extrapolated and the current iterate is replaced by the
-    result.  When ``guard`` is given, the replacement only happens if
-    ``guard(x_e) <= guard(x)``.  Events record ``(k, status)`` with
-    status in ``{"accepted", "rejected", "singular"}``.
+    def run(x, Ax):
+        nonlocal calls
+        if calls == 0:
+            window.push(x)
+        calls += 1
+        x, Ax = step(x, Ax)
+        window.push(x)
+        if calls % K == 0:
+            res = window.extrapolate()
+            if not res.solved:
+                status = "singular"
+            elif (swap := accept(res.point, x, Ax)) is None:
+                status = "rejected"
+            else:
+                (x, Ax), status = swap, "accepted"
+            events.append((calls, status))
+            window.reset(x)
+        return x, Ax
+    # ``run`` must not refer to itself: the cycle would keep the step's
+    # arrays (a Gram matrix, say) alive until the garbage collector runs
+    run.events = events
+    return run
+
+
+def online_anderson(step, x0, K, k_max, guard=None):
+    """Iterate ``x <- step(x)`` ``k_max`` times under `online`.
+
+    The extrapolated point ``x_e`` replaces ``x`` unless ``guard`` is
+    given and ``guard(x_e) > guard(x)``.  Events are those of `online`.
     """
     if k_max < 0:
         raise ArgumentError("k_max must be nonnegative")
-    window = ExtrapolationWindow(K)
+
+    def accept(point, x, _):
+        ok = guard is None or guard(point) <= guard(x)
+        return (point, None) if ok else None
+    run = online(lambda x, _: (np.asarray(step(x), dtype=np.float64), None),
+                 K, accept)
     x = np.array(x0, dtype=np.float64, copy=True)
-    window.push(x)
     iterates = []
-    events = []
-    for k in range(1, k_max + 1):
-        x = np.asarray(step(x), dtype=np.float64)
-        window.push(x)
-        if k % K == 0:
-            res = window.extrapolate()
-            if not res.solved:
-                events.append((k, "singular"))
-            elif guard is None or guard(res.point) <= guard(x):
-                x = res.point
-                events.append((k, "accepted"))
-            else:
-                events.append((k, "rejected"))
-            window.reset(x)
+    for _ in range(k_max):
+        x, _ = run(x, None)
         iterates.append(x.copy())
-    return OnlineTrace(final=x, iterates=iterates, events=events)
+    return OnlineTrace(final=x, iterates=iterates, events=run.events)

@@ -356,23 +356,16 @@ def run_bench(spec):
     tagged = build_problems(spec, dataset)
     refs = references(spec, tagged)
 
-    traces = {}
-    errors = []
+    summary = {"csv": [], "svg": [], "errors": []}
     for tag, prob in tagged:
+        series = []
         for solver in spec.solvers:
             cfg = SolverConfig(algorithm=solver, max_epochs=spec.max_epochs,
                                tol=spec.tol, seed=spec.seed)
             try:
-                traces[(tag, solver)] = SOLVERS[solver](prob, cfg)
+                trace = SOLVERS[solver](prob, cfg)
             except Exception as exc:  # noqa: BLE001 - job isolation
-                errors.append((tag, solver, str(exc)))
-
-    summary = {"csv": [], "svg": [], "errors": errors}
-    for tag, prob in tagged:
-        series = []
-        for solver in spec.solvers:
-            trace = traces.get((tag, solver))
-            if trace is None:
+                summary["errors"].append((tag, solver, str(exc)))
                 continue
             csv_path = os.path.join(spec.out_dir, f"{tag}_{solver}.csv")
             write_trace_csv(csv_path, trace, refs[tag].f_star)

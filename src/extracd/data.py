@@ -180,9 +180,9 @@ def parse_libsvm(source, n_cols=None):
     Raises
     ------
     ParseError
-        On malformed labels, malformed ``index:value`` tokens, indices
-        below 1 or non-increasing indices; messages carry the 1-based
-        line number.
+        On malformed or non-finite labels, malformed ``index:value``
+        tokens, non-finite values, indices below 1 or non-increasing
+        indices; messages carry the 1-based line number.
     """
     text = _open_text(source)
     labels, rows, cols, vals = [], [], [], []
@@ -193,9 +193,12 @@ def parse_libsvm(source, n_cols=None):
             continue
         tokens = line.split()
         try:
-            labels.append(float(tokens[0]))
+            label = float(tokens[0])
         except ValueError:
             raise ParseError(f"bad label {tokens[0]!r}", line=lineno) from None
+        if not np.isfinite(label):
+            raise ParseError(f"non-finite label {tokens[0]!r}", line=lineno)
+        labels.append(label)
         prev = 0
         for tok in tokens[1:]:
             idx_s, _, val_s = tok.partition(":")

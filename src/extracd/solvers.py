@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .anderson import ExtrapolationWindow
+from .anderson import online
 from .errors import ArgumentError
 from .problems import (Quadratic, duality_gap, objective_value,
                        stopping_measure)
@@ -169,40 +169,25 @@ def _instrument(prob, x, Ax):
             stopping_measure(prob, x, Ax))
 
 
-def _extrapolation_step(window, prob, datafit, x, Ax):
-    """Try replacing ``(x, Ax)`` by the window extrapolation.
-
-    Returns ``(x, Ax, status)`` with status in accepted/rejected/singular.
-    The guard compares full objectives and vetoes any increase.
-    """
-    res = window.extrapolate()
-    if not res.solved:
-        return x, Ax, "singular"
-    cand = res.point
-    Ax_cand = datafit.predict(cand)
-    if objective_value(prob, cand, Ax_cand) > objective_value(prob, x, Ax):
-        return x, Ax, "rejected"
-    return cand, Ax_cand, "accepted"
+def _guarded(prob, cfg, step):
+    """``step`` under `anderson.online` every ``cfg.K`` epochs, with a
+    guard that compares full objectives and vetoes any increase."""
+    def accept(z, x, Ax):
+        Az = prob.datafit.predict(z)
+        worse = objective_value(prob, z, Az) > objective_value(prob, x, Ax)
+        return None if worse else (z, Az)
+    return online(step, cfg.K, accept)
 
 
-def _drive(prob, cfg, solver_name, step, extrapolate=False):
-    """Run ``step(x, Ax) -> (x, Ax)`` from ``x = 0``, one call per epoch.
-
-    With ``extrapolate``, every ``cfg.K`` epochs the window of the last
-    ``K + 1`` epoch iterates is extrapolated under the objective guard.
-    The predictions ``Ax`` (``Hx`` for a quadratic) are recomputed from
-    ``x`` every ``ResidualState.REFRESH_EVERY`` epochs, since coordinate
-    epochs update them incrementally.
-    """
+def _drive(prob, cfg, solver_name, step):
+    """Run ``step(x, Ax) -> (x, Ax)`` from ``x = 0``, one call per epoch,
+    and refresh the predictions ``Ax`` (``Hx`` for a quadratic) as
+    `ResidualState` says.  The trace's events are ``step.events`` (see
+    `anderson.online`), if any."""
     datafit = prob.datafit
     x = np.zeros(datafit.n_coef)
     Ax = datafit.predict(x)
-    window = None
-    if extrapolate:
-        window = ExtrapolationWindow(cfg.K)
-        window.push(x)
-
-    trace = Trace(solver=solver_name)
+    trace = Trace(solver=solver_name, events=getattr(step, "events", []))
     objective, gap, measure = _instrument(prob, x, Ax)
     trace.record(0, 0.0, objective, gap)
     elapsed = 0.0
@@ -211,13 +196,6 @@ def _drive(prob, cfg, solver_name, step, extrapolate=False):
             break
         t0 = time.perf_counter()
         x, Ax = step(x, Ax)
-        if window is not None:
-            window.push(x)
-            if epoch % cfg.K == 0:
-                x, Ax, status = _extrapolation_step(window, prob, datafit,
-                                                    x, Ax)
-                trace.events.append((epoch, status))
-                window.reset(x)
         if epoch % ResidualState.REFRESH_EVERY == 0:
             Ax = datafit.predict(x)
         elapsed += time.perf_counter() - t0
@@ -235,13 +213,11 @@ def _drive(prob, cfg, solver_name, step, extrapolate=False):
 def anderson_pcd(prob, cfg):
     """Proximal coordinate descent with guarded online extrapolation.
 
-    Every ``cfg.K`` epochs the window of the last ``K+1`` epoch iterates
-    is extrapolated; the candidate replaces the iterate only if it does
-    not increase the objective.  After an accepted extrapolation the
-    maintained predictions are recomputed exactly.
-    """
-    return _drive(prob, cfg, "pcd_anderson", _cd_step(prob),
-                  extrapolate=True)
+    Every ``cfg.K`` epochs the extrapolation of the last ``K+1`` epoch
+    iterates replaces the iterate unless it increases the objective, and
+    the predictions are then recomputed exactly."""
+    return _drive(prob, cfg, "pcd_anderson",
+                  _guarded(prob, cfg, _cd_step(prob)))
 
 
 def baseline_pcd(prob, cfg):
@@ -281,7 +257,7 @@ def baseline_cdsym(prob, cfg):
 def anderson_cdsym(prob, cfg):
     """Double-sweep coordinate descent with guarded online extrapolation."""
     return _drive(prob, cfg, "cdsym_anderson",
-                  _cdsym_step(prob, "cdsym_anderson"), extrapolate=True)
+                  _guarded(prob, cfg, _cdsym_step(prob, "cdsym_anderson")))
 
 
 # ---------------------------------------------------------------------------
@@ -340,7 +316,8 @@ def baseline_gd(prob, cfg):
 
 def anderson_gd(prob, cfg):
     """Gradient descent with guarded online extrapolation every K steps."""
-    return _drive(prob, cfg, "gd_anderson", _gd_step(prob), extrapolate=True)
+    return _drive(prob, cfg, "gd_anderson",
+                  _guarded(prob, cfg, _gd_step(prob)))
 
 
 def _pgd_step(prob):

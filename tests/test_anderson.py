@@ -1,8 +1,13 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from extracd.anderson import (ExtrapolationWindow, extrapolation_coefficients,
-                              offline_anderson, online_anderson)
+                              offline_anderson, online, online_anderson)
 from extracd.errors import ArgumentError
 
 
@@ -248,3 +253,106 @@ class TestOnline:
         tr = online_anderson(lambda x: x, np.array([1.0]), K=2, k_max=0)
         np.testing.assert_array_equal(tr.final, [1.0])
         assert tr.events == [] and tr.iterates == []
+
+    def test_nonfinite_iterate_is_singular(self):
+        # a NaN iterate inside the first window: that attempt is singular
+        # and keeps the base iterate; later windows are finite again
+        base_step, _, p = linear_map(seed=14)
+        step = nan_once(base_step, at=2)
+        tr = online_anderson(step, np.zeros(p), K=3, k_max=12)
+        assert tr.events[0] == (3, "singular")
+        assert tr.iterates[2].tobytes() == base_step(tr.iterates[0]).tobytes()
+        assert all(status != "singular" for _, status in tr.events[1:])
+        assert np.all(np.isfinite(tr.final))
+
+    def test_step_is_freed_without_the_collector(self):
+        # a solver's step holds its Gram matrix; a reference cycle would
+        # keep it alive after the solve until the collector runs
+        gc.disable()
+        try:
+            run = online(lambda x, Ax: (x + 1.0, Ax), 2,
+                         lambda z, x, Ax: (z, Ax))
+            for _ in range(4):
+                run(np.zeros(2), None)
+            assert len(run.events) == 2
+            ref = weakref.ref(run)
+            del run
+            assert ref() is None
+        finally:
+            gc.enable()
+
+    @pytest.mark.parametrize("K,k_max,match", [(2, -1, "k_max"),
+                                               (0, 3, "K must")])
+    def test_input_checks(self, K, k_max, match):
+        with pytest.raises(ArgumentError, match=match):
+            online_anderson(lambda x: x, np.zeros(2), K=K, k_max=k_max)
+
+
+def nan_once(step, at):
+    """``step``, except that call ``at`` returns NaNs and the call after it
+    continues from the last finite iterate."""
+    calls, last = 0, None
+
+    def wrapped(x):
+        nonlocal calls, last
+        calls += 1
+        if calls == at:
+            last = x
+            return np.full_like(x, np.nan)
+        return step(last if calls == at + 1 else x)
+    return wrapped
+
+
+@st.composite
+def contractions(draw):
+    """A symmetric map ``x -> Tx + b`` with spectral radius below 0.95,
+    its fixed point, a window size and a number of steps."""
+    p = draw(st.integers(1, 6))
+    eigs = draw(st.lists(st.floats(-0.95, 0.95), min_size=p, max_size=p))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    Q = np.linalg.qr(rng.standard_normal((p, p)))[0]
+    T = (Q * eigs) @ Q.T
+    T = 0.5 * (T + T.T)
+    b = rng.standard_normal(p)
+    x_star = np.linalg.solve(np.eye(p) - T, b)
+    return T, b, x_star, draw(st.integers(1, 6)), draw(st.integers(0, 40))
+
+
+class TestOnlineProperties:
+    """The shared online step on random contractions, guarded by the
+    distance to the fixed point."""
+
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(contractions())
+    def test_guard_never_rises_and_events_fall_on_multiples(self, case):
+        T, b, x_star, K, n = case
+        base = []
+
+        def step(x, _):
+            base.append(T @ x + b)
+            return base[-1], None
+
+        def dist(x):
+            return float(np.linalg.norm(x - x_star))
+
+        run = online(step, K, lambda z, x, _: (z, None)
+                     if dist(z) <= dist(x) else None)
+        x = np.zeros(b.size)
+        for _ in range(n):
+            x, _ = run(x, None)
+            assert dist(x) <= dist(base[-1])
+        assert [call for call, _ in run.events] == list(range(K, n + 1, K))
+        assert {s for _, s in run.events} <= {"accepted", "rejected",
+                                              "singular"}
+
+    @settings(max_examples=30, deadline=None, database=None)
+    @given(contractions())
+    def test_window_one_is_the_plain_iteration(self, case):
+        T, b, x_star, _, n = case
+        tr = online_anderson(lambda x: T @ x + b, np.zeros(b.size), K=1,
+                             k_max=n,
+                             guard=lambda x: np.linalg.norm(x - x_star))
+        plain = np.zeros(b.size)
+        for got in tr.iterates:
+            plain = T @ plain + b
+            assert got.tobytes() == plain.tobytes()

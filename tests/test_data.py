@@ -62,6 +62,18 @@ class TestCscMatrix:
             CscMatrix(2, 1, np.array([0, 1]), np.array([0]),
                       np.array([np.nan]))
 
+    @pytest.mark.parametrize("make,match", [
+        (lambda: CscMatrix(-1, 0, [0], [], []), "nonnegative"),
+        (lambda: CscMatrix(2, 2, [0, 1], [0], [1.0]), "n_cols \\+ 1"),
+        (lambda: CscMatrix(2, 2, [0, 2, 1], [0], [1.0]), "nondecreasing"),
+        (lambda: CscMatrix(2, 1, [0, 1], [0, 1], [1.0]), "equal length"),
+        (lambda: CscMatrix.from_dense(np.ones(3)), "2-d"),
+    ], ids=["negative-size", "col_ptr-length", "col_ptr-decreasing",
+            "row_idx-length", "from_dense-1d"])
+    def test_input_checks(self, make, match):
+        with pytest.raises(ArgumentError, match=match):
+            make()
+
     def test_row_order_checked_within_columns_only(self):
         # rows fall across every column boundary; empty columns at both
         # ends and in between
@@ -144,6 +156,8 @@ class TestParseLibsvm:
 
     @pytest.mark.parametrize("text,lineno,frag", [
         ("1 1:1\nx 1:1\n", 2, "bad label"),
+        ("1 1:1\ninf 2:1\n", 2, "non-finite label"),
+        ("nan 1:1\n", 1, "non-finite label"),
         ("1 junk\n", 1, "index:value"),
         ("1 a:1\n", 1, "pair"),
         ("1 0:1\n", 1, ">= 1"),

@@ -191,6 +191,15 @@ class TestRateBound:
                             rel_tol=1e-9)
         assert rb.offline_factor(5) > 0
 
+    @pytest.mark.parametrize("factor,args", [
+        ("offline_factor", (0,)), ("online_factor", (0, 2)),
+        ("online_factor", (3, 0))])
+    def test_factor_input_checks(self, factor, args):
+        it, quad = self.make()
+        rb = RateBound.from_iteration(it, quad.H)
+        with pytest.raises(ArgumentError, match=">= 1"):
+            getattr(rb, factor)(*args)
+
     def test_kind_and_contraction_validation(self):
         quad = random_quadratic(4, seed=11)
         it = cd_iteration(quad)

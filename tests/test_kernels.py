@@ -7,9 +7,10 @@ import numpy as np
 import pytest
 
 from extracd import kernels
-from extracd.data import CscMatrix
+from extracd.data import CscMatrix, parse_libsvm
 from extracd.kernels import IMPLS, warmup
-from extracd.problems import ElasticNet, Lasso, Quadratic
+from extracd.problems import (ElasticNet, GroupLasso, Lasso, Quadratic,
+                              groups_from_size)
 
 # the loop sources uncompiled: the reference the numpy backend is checked
 # against, with or without numba
@@ -329,6 +330,64 @@ class TestDensePaths:
                 quad.cd_pass(got, order, Hx)
                 assert got.tobytes() == want.tobytes(), (p, order[:3])
                 assert np.array_equal(Hx, quad.H @ got), (p, order[:3])
+
+
+def gram_case():
+    """`lsq_gram_epoch` on a dense-stored design with an all-zero column:
+    the explicit ``2:0`` entries keep every entry stored."""
+    ds = parse_libsvm(b"1 1:1 2:0 3:2\n-1 1:3 2:0 3:-1\n2 1:-2 2:0 3:1\n")
+    A, y = ds.A, ds.y
+    AT = kernels.dense_transpose(A.values, A.col_ptr, A.n_rows)
+    assert AT is not None
+    lip, order = A.col_norms_sq(), np.arange(3, dtype=np.int64)
+
+    def epoch(x, Ax):
+        kernels.lsq_gram_epoch(AT, list(AT @ AT.T), y, x, Ax, lip, 0.3, 0.0,
+                               1.0, order)
+
+    def reference(x, Ax):
+        LOOPS["lasso_epoch"](A.values, A.row_idx, A.col_ptr, y, x, Ax, lip,
+                             0.3, order)
+    return A, lip, epoch, reference, np.array([0.5, 0.7, -0.2]), [1]
+
+
+def group_case(backend):
+    """The group epoch of ``backend`` on a GroupLasso whose second group
+    holds two empty columns."""
+    rng = np.random.default_rng(31)
+    M = rng.standard_normal((8, 6))
+    M[:, 2:4] = 0.0
+    prob = GroupLasso(CscMatrix.from_dense(M), rng.standard_normal(8), 0.5,
+                      groups_from_size(6, 2))
+    A, y, pen = prob.A, prob.y, prob.penalty
+    lip = prob.datafit.coordinate_lipschitz(pen)
+    order = np.arange(3, dtype=np.int64)
+
+    def sweep(table):
+        def epoch(x, Ax):
+            table["group_epoch"](A.values, A.row_idx, A.col_ptr, y, x, Ax,
+                                 pen.grp_cols, pen.grp_ptr, lip, pen.lam,
+                                 order)
+        return epoch
+    x0 = np.array([0.5, -0.4, 0.0, 0.0, 0.2, 0.1])
+    return A, lip, sweep(TABLES[backend]), sweep(LOOPS), x0, [2, 3]
+
+
+@pytest.mark.parametrize("make", [gram_case] + [
+    functools.partial(group_case, b) for b in BACKENDS],
+    ids=["lsq_gram"] + [f"group-{b}" for b in BACKENDS])
+def test_zero_curvature_is_skipped(make):
+    A, lip, epoch, reference, x0, frozen = make()
+    assert np.count_nonzero(lip == 0.0) == 1
+    x, Ax = x0.copy(), A.matvec(x0)
+    x_ref, Ax_ref = x0.copy(), A.matvec(x0)
+    for _ in range(3):
+        epoch(x, Ax)
+        reference(x_ref, Ax_ref)
+    assert x[frozen].tobytes() == x0[frozen].tobytes()
+    assert not np.array_equal(x, x0)  # the other coordinates moved
+    np.testing.assert_allclose(x, x_ref, rtol=1e-12, atol=1e-14)
+    np.testing.assert_allclose(Ax, Ax_ref, rtol=1e-12, atol=1e-13)
 
 
 def random_csc(seed):

@@ -370,6 +370,27 @@ class TestGroupsAndRidge:
         with pytest.raises(ArgumentError):
             tikhonov_for_condition(eigs, 1.0)
 
+    @pytest.mark.parametrize("make,match", [
+        (lambda: Quadratic(np.ones((2, 3)), np.zeros(2)), "square"),
+        (lambda: Quadratic(np.array([[1.0, 0.0], [0.0, np.inf]]),
+                           np.zeros(2)), "finite"),
+        (lambda: Quadratic(np.eye(2), np.array([0.0, np.nan])), "finite"),
+        (lambda: Lasso(np.eye(2), np.zeros(2), 0.5), "CscMatrix"),
+        (lambda: Lasso(CscMatrix.from_dense(np.eye(2)), np.zeros(3), 0.5),
+         "one entry per row"),
+        (lambda: ElasticNet(CscMatrix.from_dense(np.eye(2)), np.zeros(2),
+                            0.5, -0.1), "rho"),
+        (lambda: ElasticNet(CscMatrix.from_dense(np.eye(2)), np.zeros(2),
+                            0.5, np.nan), "rho"),
+        (lambda: tikhonov_for_condition(np.array([0.0, -1.0]), 10.0),
+         "positive eigenvalue"),
+    ], ids=["quadratic-not-square", "quadratic-inf-H", "quadratic-nan-b",
+            "design-not-csc", "design-y-length", "enet-rho-negative",
+            "enet-rho-nan", "tikhonov-no-positive-eigenvalue"])
+    def test_input_checks(self, make, match):
+        with pytest.raises(ArgumentError, match=match):
+            make()
+
     def test_ridge_quadratic_structure(self):
         ds, _ = gen_correlated_gaussian(10, 6, seed=22)
         M = ds.A.toarray()

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from extracd import kernels, solvers
+from extracd import anderson, kernels, solvers
 from extracd.data import CscMatrix, gen_correlated_gaussian
 from extracd.errors import ArgumentError
 from extracd.fixedpoint import cd_iteration, cdsym_iteration
@@ -220,6 +220,19 @@ class TestDriverBehavior:
         quad = make_quad(p=10, seed=23)
         tr = baseline_pcd(quad, SolverConfig(max_epochs=12, tol=0.0))
         assert tr.events == []
+
+    def test_singular_attempts_keep_the_base_iterate(self, monkeypatch):
+        # every attempt fails: pcd_anderson must be pcd bit for bit, with a
+        # predictions refresh (epochs 100, 200) right after an attempt
+        prob = make_sparse_problems(seed=25)[0]["lasso"]
+        cfg = SolverConfig(K=5, max_epochs=210, tol=0.0)
+        plain = baseline_pcd(prob, cfg)
+        monkeypatch.setattr(anderson, "extrapolation_coefficients",
+                            lambda U: (None, False))
+        tr = anderson_pcd(prob, cfg)
+        assert tr.events == [(e, "singular") for e in range(5, 211, 5)]
+        assert tr.objectives == plain.objectives
+        assert tr.x.tobytes() == plain.x.tobytes()
 
     def test_guarded_objectives_monotone(self):
         probs, _ = make_sparse_problems(seed=24)
