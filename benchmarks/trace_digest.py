@@ -35,6 +35,16 @@ BLAS is pinned to one thread so that products keep their bits.  Run from
 the repository root as::
 
     PYTHONPATH=src python3 benchmarks/trace_digest.py > digest.txt
+
+or compare this tree with another one, whose package is in ``OTHER/src``::
+
+    python3 benchmarks/trace_digest.py --against OTHER/src
+
+which runs the records of this script on both trees, each in a subprocess
+whose ``PYTHONPATH`` is that tree's ``src``.  It prints ``name this other``
+for every record that differs or exists on one side only (``-`` marks the
+missing side), and exits 1 if there is any, else 0 (2 if a tree's run
+fails).
 """
 
 import os
@@ -42,7 +52,48 @@ import os
 for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 
+import argparse  # noqa: E402
 import hashlib  # noqa: E402
+import subprocess  # noqa: E402
+import sys  # noqa: E402
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
+    __file__))), "src")
+
+
+def tree_records(src):
+    """``{name: sha256}`` of this script's records on the package in
+    ``src``, run in a subprocess."""
+    proc = subprocess.run([sys.executable, os.path.abspath(__file__)],
+                          env={**os.environ, "PYTHONPATH": src},
+                          capture_output=True, text=True)
+    if proc.returncode:
+        print(f"digest of {src} failed:\n{proc.stderr}", file=sys.stderr)
+        sys.exit(2)
+    return dict(line.split() for line in proc.stdout.splitlines())
+
+
+def compare(other_src):
+    """Print the records of this tree and ``other_src`` that differ;
+    return 1 if any does, else 0."""
+    this, other = tree_records(SRC), tree_records(other_src)
+    names = list(this) + [name for name in other if name not in this]
+    differ = [name for name in names if this.get(name) != other.get(name)]
+    for name in differ:
+        print(name, this.get(name, "-"), other.get(name, "-"))
+    print(f"{len(names)} records, {len(differ)} differ", file=sys.stderr)
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    # a comparison imports no extracd itself: each tree runs in its own
+    # subprocess
+    _parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    _parser.add_argument("--against", metavar="OTHER/src",
+                         help="compare with the package in this directory")
+    _against = _parser.parse_args().against
+    if _against is not None:
+        sys.exit(compare(_against))
 
 import numpy as np  # noqa: E402
 

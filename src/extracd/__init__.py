@@ -4,7 +4,7 @@ from .anderson import (ExtrapolationWindow, extrapolation_coefficients,
                        offline_anderson, online_anderson)
 from .data import (CscMatrix, Dataset, gen_correlated_gaussian, load_sample,
                    parse_libsvm, serialize_libsvm)
-from .errors import ArgumentError, NumericalError, ParseError
+from .errors import ArgumentError, ParseError
 from .fixedpoint import (LinearIteration, NumericalRange, Quadratic,
                          RateBound, cd_iteration, cdsym_iteration,
                          gd_iteration, numerical_range_boundary,
@@ -27,7 +27,6 @@ __all__ = [
     "LinearIteration",
     "LogRegL1",
     "LogRegL2",
-    "NumericalError",
     "NumericalRange",
     "ParseError",
     "Quadratic",

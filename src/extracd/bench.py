@@ -13,6 +13,7 @@ import configparser
 import hashlib
 import os
 import tempfile
+import zipfile
 from dataclasses import dataclass, fields, is_dataclass, replace
 
 import numpy as np
@@ -262,8 +263,8 @@ def compute_reference(prob, budget, cache_dir=None, tol=1e-12):
 
     A cache entry records the ``tol`` and ``budget`` it was solved with.
     It is reused only for the same ``tol``, and only when it is verified
-    or the new budget is not larger; otherwise the problem is solved again
-    and the entry replaced.
+    or the new budget is not larger; otherwise, and when the entry cannot
+    be read, the problem is solved again and the entry replaced.
     """
     if budget < 1:
         raise ArgumentError("reference budget must be >= 1")
@@ -272,18 +273,9 @@ def compute_reference(prob, budget, cache_dir=None, tol=1e-12):
     if cache_dir is not None:
         os.makedirs(cache_dir, exist_ok=True)
         cache_path = os.path.join(cache_dir, f"{fp}.npz")
-        if os.path.exists(cache_path):
-            with np.load(cache_path, allow_pickle=False) as blob:
-                if ("tol" in blob.files and float(blob["tol"]) == tol
-                        and (bool(blob["verified"])
-                             or budget <= int(blob["budget"]))):
-                    return ReferenceOptimum(
-                        fingerprint=fp,
-                        f_star=float(blob["f_star"]),
-                        x_star=blob["x_star"],
-                        producer=str(blob["producer"]),
-                        epochs=int(blob["epochs"]),
-                        verified=bool(blob["verified"]))
+        cached = _read_reference(cache_path, fp, tol, budget)
+        if cached is not None:
+            return cached
     cfg = SolverConfig(algorithm="pcd_anderson", max_epochs=budget, tol=tol)
     trace = anderson_pcd(prob, cfg)
     x = trace.x
@@ -301,6 +293,31 @@ def compute_reference(prob, budget, cache_dir=None, tol=1e-12):
                           producer=ref.producer, epochs=ref.epochs,
                           verified=ref.verified, tol=tol, budget=budget)
     return ref
+
+
+def _read_reference(path, fp, tol, budget):
+    """The cache entry at ``path`` if it serves ``tol`` and ``budget``.
+
+    A missing entry, and one that cannot be read (empty, not an npz, or
+    lacking a key), is a miss: ``None``, so the caller solves again and
+    replaces it.
+    """
+    try:
+        with np.load(path, allow_pickle=False) as blob:
+            if not (float(blob["tol"]) == tol
+                    and (bool(blob["verified"])
+                         or budget <= int(blob["budget"]))):
+                return None
+            return ReferenceOptimum(
+                fingerprint=fp,
+                f_star=float(blob["f_star"]),
+                x_star=blob["x_star"],
+                producer=str(blob["producer"]),
+                epochs=int(blob["epochs"]),
+                verified=bool(blob["verified"]))
+    except (FileNotFoundError, EOFError, KeyError, ValueError,
+            zipfile.BadZipFile):
+        return None
 
 
 def _write_atomic_npz(path, **arrays):

@@ -8,6 +8,7 @@ never from the file name.
 import gzip
 import io
 import os
+import zlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -157,8 +158,16 @@ def _open_text(source):
     else:
         raise ArgumentError("source must be a path, bytes or binary file")
     if raw[:2] == _GZIP_MAGIC:
-        raw = gzip.decompress(raw)
-    return raw.decode("utf-8")
+        try:
+            raw = gzip.decompress(raw)
+        except (EOFError, gzip.BadGzipFile, zlib.error) as exc:
+            raise ParseError(f"truncated or corrupt gzip stream: {exc}") \
+                from None
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"text is not UTF-8: {exc.reason}",
+                         line=raw.count(b"\n", 0, exc.start) + 1) from None
 
 
 def parse_libsvm(source, n_cols=None):
@@ -182,7 +191,8 @@ def parse_libsvm(source, n_cols=None):
     ParseError
         On malformed or non-finite labels, malformed ``index:value``
         tokens, non-finite values, indices below 1 or non-increasing
-        indices; messages carry the 1-based line number.
+        indices, and on text that is not UTF-8; messages carry the
+        1-based line number.  Also on a truncated or corrupt gzip stream.
     """
     text = _open_text(source)
     labels, rows, cols, vals = [], [], [], []

@@ -1,6 +1,6 @@
 """Exception types shared across the package."""
 
-__all__ = ["ArgumentError", "ParseError", "NumericalError"]
+__all__ = ["ArgumentError", "ParseError"]
 
 
 class ArgumentError(ValueError):
@@ -8,14 +8,11 @@ class ArgumentError(ValueError):
 
 
 class ParseError(ValueError):
-    """Raised on malformed input files; the message carries a 1-based line number."""
+    """Raised on malformed input files; the message carries the 1-based line
+    number of the fault when it has one."""
 
     def __init__(self, message, line=None):
         if line is not None:
             message = f"line {line}: {message}"
         super().__init__(message)
         self.line = line
-
-
-class NumericalError(RuntimeError):
-    """Raised when a numerical routine cannot produce a trustworthy result."""

@@ -10,10 +10,10 @@ Supported objectives (``A`` is n x p, labels ``y`` length n):
 - GroupLasso:  0.5 ||y - Ax||^2 + lam sum_g ||x_g||_2
 
 Every problem carries a ``datafit`` and a ``penalty``.  The datafits are
-`LeastSquares`, `Logistic` and `QuadraticFit` (the quadratic itself); the
-penalties are `L1L2` with weights ``(l1, l2)`` and `Group`.  A quadratic
-has the penalty ``L1L2(0, 0)``.  The module-level functions delegate to
-these parts.
+`LeastSquares` and `Logistic`; the penalties are `L1L2` with weights
+``(l1, l2)`` and `Group`.  The quadratic is its own datafit (its
+``datafit`` is itself) and has the penalty ``L1L2(0, 0)``.  The
+module-level functions delegate to these parts.
 
 The five design problems share one base, ``_DesignProblem(A, y, lam)``: it
 checks that ``A`` is a `CscMatrix`, that ``y`` has one finite entry per row
@@ -67,7 +67,7 @@ DENSE_LIMIT = 2000
 
 
 # ---------------------------------------------------------------------------
-# datafits
+# datafits (`Quadratic`, below with the problems, is its own datafit)
 #
 # ``scale`` bounds the curvature: the Hessian of a datafit in ``Ax`` is at
 # most ``I / scale`` (for the quadratic, ``H / scale`` in ``x``).
@@ -75,52 +75,6 @@ DENSE_LIMIT = 2000
 # applies one coordinate epoch in place with the penalty's kernel; a solve
 # asks for it once.
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True, eq=False)
-class QuadraticFit:
-    """``0.5 x'Hx + b'x``, whose "predictions" are the Hessian product.
-
-    ``Ax`` stands for ``Hx`` here: the driver keeps it as it keeps the
-    predictions of a design, so every oracle of an epoch reads the one
-    product instead of multiplying again.
-    """
-
-    quad: "Quadratic"
-    A = None
-    scale = 1.0
-
-    @property
-    def n_coef(self):
-        return self.quad.dim
-
-    def predict(self, x):
-        return self.quad.H @ x
-
-    def value(self, x, Ax):
-        return float(0.5 * x @ Ax + self.quad.b @ x)
-
-    def gradient(self, Ax):
-        raise ArgumentError(
-            "datafit_gradient needs a problem with a design matrix")
-
-    def gradient_x(self, x, Ax):
-        return Ax + self.quad.b
-
-    gram = predict  # both are the Hessian product
-
-    def coordinate_lipschitz(self, penalty):
-        return np.diag(self.quad.H).copy()
-
-    def lambda_max(self, penalty):
-        raise ArgumentError("lambda_max requires a sparsity-inducing penalty")
-
-    def epoch(self, penalty, lip):
-        quad = self.quad
-
-        def epoch(x, Ax, order):
-            quad.cd_pass(x, order, Ax)
-        return epoch
-
 
 @dataclass(frozen=True, eq=False)
 class _DesignFit:
@@ -359,17 +313,22 @@ class Group:
 # problems
 # ---------------------------------------------------------------------------
 
-def _attach(prob, datafit, penalty):
-    object.__setattr__(prob, "datafit", datafit)
-    object.__setattr__(prob, "penalty", penalty)
-
-
 @dataclass(frozen=True)
 class Quadratic:
-    """Objective ``0.5 x'Hx + b'x`` with symmetric positive definite H."""
+    """Objective ``0.5 x'Hx + b'x`` with symmetric positive definite H.
+
+    The quadratic is its own datafit, without a design (``A`` is None) and
+    without a penalty.  Its "predictions" ``Ax`` stand for the Hessian
+    product ``Hx``: the driver keeps them as it keeps the predictions of a
+    design, so every oracle of an epoch reads the one product instead of
+    multiplying again.
+    """
 
     H: np.ndarray
     b: np.ndarray
+    A = None
+    scale = 1.0
+    penalty = NO_PENALTY
 
     def __post_init__(self):
         H = np.ascontiguousarray(self.H, dtype=np.float64)
@@ -389,17 +348,44 @@ class Quadratic:
             raise ArgumentError("H must have positive diagonal entries")
         H.setflags(write=False)
         b.setflags(write=False)
-        _attach(self, QuadraticFit(self), NO_PENALTY)
+
+    @property
+    def datafit(self):
+        # returned, not stored: a quadratic that held itself would be a
+        # reference cycle, and its cached inverses would outlive it
+        return self
 
     @property
     def dim(self):
         return self.H.shape[0]
 
-    def value(self, x):
-        return self.datafit.value(x, self.H @ x)
+    n_coef = dim
+
+    def predict(self, x):
+        return self.H @ x
+
+    gram = predict  # both are the Hessian product
+
+    def value(self, x, Ax=None):
+        return float(0.5 * x @ _predictions(self, x, Ax) + self.b @ x)
 
     def gradient(self, x):
-        return self.datafit.gradient_x(x, self.H @ x)
+        """The gradient ``Hx + b`` in ``x``."""
+        return self.gradient_x(x, self.H @ x)
+
+    def gradient_x(self, x, Ax):
+        return Ax + self.b
+
+    def coordinate_lipschitz(self, penalty):
+        return np.diag(self.H).copy()
+
+    def lambda_max(self, penalty):
+        raise ArgumentError("lambda_max requires a sparsity-inducing penalty")
+
+    def epoch(self, penalty, lip):
+        def epoch(x, Ax, order):
+            self.cd_pass(x, order, Ax)
+        return epoch
 
     def solve(self):
         """The minimizer ``-H^{-1} b``."""
@@ -465,7 +451,9 @@ class _DesignProblem:
             raise ArgumentError("labels must be finite")
         y.setflags(write=False)
         object.__setattr__(self, "y", y)
-        _attach(self, *self._parts())
+        datafit, penalty = self._parts()
+        object.__setattr__(self, "datafit", datafit)
+        object.__setattr__(self, "penalty", penalty)
 
 
 class Lasso(_DesignProblem):
@@ -598,6 +586,9 @@ def objective_value(prob, x, Ax=None):
 
 def datafit_gradient(prob, Ax):
     """Gradient of the datafit with respect to the predictions ``Ax``."""
+    if prob.datafit.A is None:
+        raise ArgumentError(
+            "datafit_gradient needs a problem with a design matrix")
     return prob.datafit.gradient(np.asarray(Ax, dtype=np.float64))
 
 

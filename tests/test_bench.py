@@ -1,5 +1,6 @@
 import configparser
 import dataclasses
+import gzip
 import math
 import os
 import xml.etree.ElementTree as ET
@@ -207,6 +208,19 @@ class TestGridAndFingerprint:
 # reference optima
 # ---------------------------------------------------------------------------
 
+def damage_entry(path, damage):
+    """Overwrite the cache entry at ``path``: with no bytes, with bytes
+    that are no npz, or with the npz less its ``x_star``."""
+    if damage == "empty":
+        path.write_bytes(b"")
+    elif damage == "not_npz":
+        path.write_bytes(b"not an npz archive\n")
+    else:
+        with np.load(path, allow_pickle=False) as blob:
+            stored = {k: blob[k] for k in blob.files if k != "x_star"}
+        np.savez(path, **stored)
+
+
 class TestReference:
     def test_uncached_reference_verified(self):
         prob = small_lasso(seed=4)
@@ -302,6 +316,28 @@ class TestReference:
         # a different tol is a different reference
         compute_reference(prob, budget=4000, cache_dir=cache, tol=1e-8)
         assert solves == [budget, 4000, 4000]
+
+    @pytest.mark.parametrize("damage", ["empty", "not_npz", "lacks_key"])
+    def test_damaged_entry_is_solved_again(self, damage, tmp_path,
+                                           monkeypatch):
+        prob = small_lasso(seed=5)
+        cache = tmp_path / "refs"
+        ref = compute_reference(prob, budget=4000, cache_dir=str(cache))
+        damage_entry(cache / f"{ref.fingerprint}.npz", damage)
+
+        solves = []
+        solve = bench.anderson_pcd
+        monkeypatch.setattr(bench, "anderson_pcd", lambda prob, cfg: (
+            solves.append(cfg.max_epochs) or solve(prob, cfg)))
+        again = compute_reference(prob, budget=4000, cache_dir=str(cache))
+        assert solves == [4000]
+        assert (again.f_star, again.epochs, again.verified) == (
+            ref.f_star, ref.epochs, True)
+        # the entry was replaced whole, and the next call reads it
+        assert list(cache.iterdir()) == [cache / f"{ref.fingerprint}.npz"]
+        hit = compute_reference(prob, budget=4000, cache_dir=str(cache))
+        assert solves == [4000]
+        assert hit.x_star.tobytes() == ref.x_star.tobytes()
 
     def test_distinct_problems_distinct_cache_files(self, tmp_path):
         cache = str(tmp_path / "refs")
@@ -485,6 +521,25 @@ class TestCli:
         assert main(["bench", "--config", str(cfg), "--out", out]) == 0
         assert len(calls) == 2
 
+    @pytest.mark.parametrize("command", ["ref", "bench"])
+    @pytest.mark.parametrize("damage", ["empty", "not_npz", "lacks_key"])
+    def test_damaged_cache_entry_is_replaced(self, command, damage,
+                                             tmp_path, capsys):
+        cfg = write_config(tmp_path / "b.ini")
+        out = tmp_path / "res"
+        assert main(["ref", "--config", str(cfg), "--out", str(out)]) == 0
+        (entry,) = (out / "refs").glob("*.npz")
+        with np.load(entry, allow_pickle=False) as blob:
+            first = dict(blob)
+        damage_entry(entry, damage)
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 0
+        assert "error" not in capsys.readouterr().err
+        assert list((out / "refs").iterdir()) == [entry]
+        with np.load(entry, allow_pickle=False) as blob:
+            assert sorted(blob.files) == sorted(first)
+            for key, value in first.items():
+                assert blob[key].tobytes() == value.tobytes(), key
+
     def test_parse_check_ok(self, tmp_path, capsys):
         data = tmp_path / "d.libsvm"
         data.write_text(SAMPLE_LIBSVM, encoding="utf-8")
@@ -503,6 +558,34 @@ class TestCli:
         data.write_text("1 1:0.5\n-1 nonsense\n", encoding="utf-8")
         assert main(["parse-check", str(data)]) == 2
         assert "line 2" in capsys.readouterr().err
+
+    def test_parse_check_non_utf8_exit_two(self, tmp_path, capsys):
+        data = tmp_path / "bad.libsvm"
+        data.write_bytes(b"1 1:0.5\n-1 2:1.25 # \xe9t\xe9\n")
+        assert main(["parse-check", str(data)]) == 2
+        assert "error: line 2: text is not UTF-8" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("cut", [0.5, 0.9])
+    def test_parse_check_truncated_gzip_exit_two(self, cut, tmp_path,
+                                                 capsys):
+        data = tmp_path / "d.libsvm.gz"
+        blob = gzip.compress(SAMPLE_LIBSVM.encode())
+        data.write_bytes(blob[:int(cut * len(blob))])
+        assert main(["parse-check", str(data)]) == 2
+        assert "error: truncated or corrupt gzip" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("raw", [
+        b"1 1:0.5\n-1 2:\xff\n",
+        gzip.compress(b"1 1:0.5\n-1 2:1\n")[:-10],
+    ], ids=["non_utf8", "truncated_gzip"])
+    def test_bench_unreadable_path_exit_two(self, raw, tmp_path, capsys):
+        data = tmp_path / "d.libsvm"
+        data.write_bytes(raw)
+        cfg = write_config(tmp_path / "b.ini", {
+            "dataset": {"source": "path", "path": str(data)}})
+        assert main(["bench", "--config", str(cfg), "--out",
+                     str(tmp_path / "res")]) == 2
+        assert "error:" in capsys.readouterr().err
 
     def test_parse_check_missing_file(self, tmp_path, capsys):
         assert main(["parse-check", str(tmp_path / "gone")]) == 2

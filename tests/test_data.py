@@ -171,6 +171,30 @@ class TestParseLibsvm:
         assert f"line {lineno}:" in str(err.value)
         assert frag in str(err.value)
 
+    @pytest.mark.parametrize("zipped", [False, True])
+    @pytest.mark.parametrize("text,lineno", [
+        (b"\xff1 1:1\n", 1),
+        (b"1 1:1\n-1 2:1  # caf\xe9\n", 2),
+        (b"1 1:1\n\n-1 2:1\n1 3:\x80\n", 4),
+    ], ids=["first_byte", "comment", "after_blank_line"])
+    def test_non_utf8_text_reports_its_line(self, text, lineno, zipped):
+        with pytest.raises(ParseError) as err:
+            parse_libsvm(gzip.compress(text) if zipped else text)
+        assert err.value.line == lineno
+        assert str(err.value).startswith(f"line {lineno}: text is not UTF-8")
+
+    @pytest.mark.parametrize("damage", [
+        lambda z: z[:len(z) // 2],  # truncated
+        lambda z: z[:10] + bytes(b ^ 0xFF for b in z[10:-8]) + z[-8:],
+        lambda z: z[:-8] + bytes(8),  # CRC and length zeroed
+        lambda z: z[:2] + b"\x07" + z[3:],  # unknown method
+    ], ids=["truncated", "corrupt", "crc", "method"])
+    def test_damaged_gzip_raises_parse_error(self, damage, tmp_path):
+        path = tmp_path / "d.libsvm.gz"
+        path.write_bytes(damage(gzip.compress(GOLDEN.encode())))
+        with pytest.raises(ParseError, match="gzip stream"):
+            parse_libsvm(path)
+
     def test_round_trip_random(self):
         # the second design has an empty row, an empty inner column and two
         # empty trailing columns, which only the n_cols override restores

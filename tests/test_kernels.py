@@ -5,6 +5,8 @@ import functools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from extracd import kernels
 from extracd.data import CscMatrix, parse_libsvm
@@ -544,3 +546,102 @@ def test_warmup_calls_no_kernel_on_numpy(monkeypatch):
                             lambda *args, name=name: called.append(name))
     warmup()
     assert called == []
+
+
+# ---------------------------------------------------------------------------
+# properties: the numpy table against the loop sources
+# ---------------------------------------------------------------------------
+
+@st.composite
+def designs(draw):
+    """A CSC design whose columns are empty, stored all-zero or random, with
+    rows that hold no entry (every row when n = 0), and a seed for the
+    remaining values."""
+    n = draw(st.integers(0, 7))
+    p = draw(st.integers(1, 7))
+    live = sorted(draw(st.sets(st.integers(0, n - 1))) if n else [])
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    col_ptr, rows, vals = [0], [], []
+    for kind in draw(st.lists(st.sampled_from(["empty", "zeros", "random"]),
+                              min_size=p, max_size=p)):
+        k = 0 if kind == "empty" or not live else int(
+            rng.integers(1, len(live) + 1))
+        rows.extend(sorted(rng.choice(live, k, replace=False).tolist()))
+        vals.extend([0.0] * k if kind == "zeros"
+                    else rng.standard_normal(k).tolist())
+        col_ptr.append(len(rows))
+    A = CscMatrix(n, p, np.array(col_ptr), np.array(rows, dtype=np.int64),
+                  np.array(vals))
+    order = draw(st.lists(st.integers(0, p - 1), max_size=3 * p))
+    return A, np.array(order, dtype=np.int64), rng
+
+
+def epoch_tail(kernel, A, order, rng):
+    """Labels and the arguments after ``x, Ax`` of an epoch kernel."""
+    n, p = A.n_rows, A.n_cols
+    norms = LOOPS["csc_col_norms_sq"](A.values, A.col_ptr)
+    lam = float(rng.uniform(0.0, 0.5))
+    y = rng.standard_normal(n)
+    if kernel.startswith("logreg"):
+        return np.where(y < 0.0, -1.0, 1.0), (norms / 4.0, lam, order)
+    if kernel == "lasso_epoch":
+        return y, (norms, lam, order)
+    if kernel == "enet_epoch":
+        n_samples = max(n, 1)
+        return y, (norms / n_samples + 0.1, lam, 0.1, n_samples, order)
+    cuts = np.sort(rng.choice(np.arange(1, p), int(rng.integers(0, p)),
+                              replace=False))
+    groups = np.split(rng.permutation(p), cuts)
+    lip_g = np.array([np.linalg.norm(A.columns(g), 2) ** 2 if n else 0.0
+                      for g in groups])
+    grp_ptr = np.cumsum([0] + [g.size for g in groups])
+    return y, (np.concatenate(groups), grp_ptr, lip_g, lam,
+               order % len(groups))
+
+
+def assert_close(got, ref):
+    scale = max(1.0, float(np.abs(ref).max())) if ref.size else 1.0
+    np.testing.assert_allclose(got, ref, rtol=1e-12, atol=1e-12 * scale)
+
+
+def test_numpy_dense_cd_epoch_is_the_loop_source():
+    assert IMPLS["numpy"]["cd_dense_epoch"] is LOOPS["cd_dense_epoch"]
+
+
+class TestNumpyMatchesLoopsProperties:
+    """Every kernel of the numpy table against its loop source run as
+    plain Python, on designs with empty, stored all-zero and random
+    columns, rows without entries and orders with repeats."""
+
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(designs())
+    def test_products(self, case):
+        A, _, rng = case
+        args = (A.values, A.row_idx, A.col_ptr)
+        x = rng.standard_normal(A.n_cols) * (rng.random(A.n_cols) < 0.7)
+        v = rng.standard_normal(A.n_rows)
+        for name, call in (
+                ("csc_matvec", lambda t: t(*args, A.n_rows, x)),
+                ("csc_rmatvec", lambda t: t(*args, v)),
+                ("csc_col_norms_sq", lambda t: t(A.values, A.col_ptr))):
+            assert_close(call(IMPLS["numpy"][name]), call(LOOPS[name]))
+
+    @pytest.mark.parametrize("kernel", ["lasso_epoch", "enet_epoch",
+                                        "logreg_l1_epoch", "logreg_l2_epoch",
+                                        "group_epoch"])
+    @settings(max_examples=100, deadline=None, database=None)
+    @given(case=designs())
+    def test_epochs(self, kernel, case):
+        A, order, rng = case
+        args = (A.values, A.row_idx, A.col_ptr)
+        y, tail = epoch_tail(kernel, A, order, rng)
+        x0 = rng.standard_normal(A.n_cols) * (rng.random(A.n_cols) < 0.6)
+        Ax0 = LOOPS["csc_matvec"](*args, A.n_rows, x0)
+        out = {}
+        for backend, table in (("numpy", IMPLS["numpy"]), ("loops", LOOPS)):
+            x, Ax = x0.copy(), Ax0.copy()
+            for _ in range(2):
+                table[kernel](*args, y, x, Ax, *tail)
+            out[backend] = x, Ax
+        for got, ref in zip(out["numpy"], out["loops"]):
+            assert_close(got, ref)

@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -114,8 +116,60 @@ class TestGradients:
 
     def test_quadratic_has_no_prediction_gradient(self):
         quad = Quadratic(np.eye(2), np.zeros(2))
-        with pytest.raises(ArgumentError):
+        with pytest.raises(ArgumentError, match="^datafit_gradient needs a "
+                           "problem with a design matrix$"):
             datafit_gradient(quad, np.zeros(2))
+
+
+class TestQuadraticDatafit:
+    """The quadratic is its own datafit: its predictions are ``Hx``."""
+
+    def test_is_its_own_datafit(self):
+        quad = make_quadratic(seed=24)
+        assert quad.datafit is quad
+        assert "datafit" not in vars(quad)  # returned, never stored
+        assert quad.A is None and quad.scale == 1.0
+        assert (quad.penalty.l1, quad.penalty.l2) == (0.0, 0.0)
+        assert quad.n_coef == quad.dim == 12
+
+    def test_oracles_read_the_hessian_product(self):
+        quad = make_quadratic(seed=25)
+        x = np.random.default_rng(26).standard_normal(12)
+        Hx = quad.H @ x
+        assert quad.predict(x).tobytes() == Hx.tobytes()
+        assert quad.gram(x).tobytes() == Hx.tobytes()
+        assert quad.value(x) == quad.value(x, Hx) == datafit_value(quad, x)
+        assert quad.value(x) == 0.5 * x @ Hx + quad.b @ x
+        assert quad.gradient(x).tobytes() == (Hx + quad.b).tobytes()
+        assert quad.gradient_x(x, Hx).tobytes() == (Hx + quad.b).tobytes()
+        lip = coordinate_lipschitz(quad)
+        assert lip.tobytes() == np.diag(quad.H).tobytes()
+        assert lip.flags.writeable
+
+
+def make_quadratic(seed):
+    M = np.random.default_rng(seed).standard_normal((20, 12))
+    return Quadratic(M.T @ M + np.eye(12), M.T @ np.ones(20))
+
+
+@pytest.mark.parametrize("kind", ["quadratic", "lasso", "enet", "logreg_l1",
+                                  "logreg_l2", "group"])
+def test_solved_problem_freed_without_cycle_collector(kind):
+    # a problem that is part of a reference cycle, with the arrays it holds
+    # (a quadratic's cached triangle inverses), would outlive its last name
+    gc.disable()
+    try:
+        probs = {**make_instances(seed=27)[0],
+                 "quadratic": make_quadratic(seed=27)}
+        prob = probs.pop(kind)
+        del probs
+        solve(prob, SolverConfig(algorithm="pcd_anderson", max_epochs=30,
+                                 tol=0.0))
+        alive = weakref.ref(prob)
+        del prob
+        assert alive() is None
+    finally:
+        gc.enable()
 
 
 class TestLipschitz:
@@ -278,7 +332,8 @@ class TestLambdaMax:
         probs, _, _, _ = make_instances(seed=16)
         with pytest.raises(ArgumentError):
             lambda_max(probs["logreg_l2"])
-        with pytest.raises(ArgumentError):
+        with pytest.raises(ArgumentError, match="^lambda_max requires a "
+                           "sparsity-inducing penalty$"):
             lambda_max(Quadratic(np.eye(2), np.zeros(2)))
 
 
