@@ -22,9 +22,8 @@ from .data import binarize_labels, gen_correlated_gaussian, load_sample, \
     parse_libsvm
 from .errors import ArgumentError
 from .problems import (ElasticNet, GroupLasso, Lasso, LogRegL1, LogRegL2,
-                       groups_from_size, lambda_max, objective_value,
-                       ridge_quadratic, stopping_measure,
-                       tikhonov_for_condition)
+                       evaluate, groups_from_size, lambda_max,
+                       ridge_quadratic, tikhonov_for_condition)
 from .solvers import SOLVERS, SolverConfig, anderson_pcd
 from .svgplot import write_line_plot
 
@@ -143,6 +142,8 @@ def load_config(path, out_dir=None, seed=None):
         raise ArgumentError("solvers.names must list at least one solver")
     if spec.ref_budget_factor < 10:
         raise ArgumentError("run.ref_budget_factor must be at least 10")
+    # the solvers' own rules for the [run] values, before any solve
+    SolverConfig(max_epochs=spec.max_epochs, tol=spec.tol, seed=spec.seed)
     return spec
 
 
@@ -278,13 +279,11 @@ def compute_reference(prob, budget, cache_dir=None, tol=1e-12):
             return cached
     cfg = SolverConfig(algorithm="pcd_anderson", max_epochs=budget, tol=tol)
     trace = anderson_pcd(prob, cfg)
-    x = trace.x
-    measure = stopping_measure(prob, x)
-    f_star = float(objective_value(prob, x))
+    f_star, _, measure = evaluate(prob, trace.x)
     ref = ReferenceOptimum(
         fingerprint=fp,
         f_star=f_star,
-        x_star=x,
+        x_star=trace.x,
         producer="pcd_anderson",
         epochs=int(trace.epochs[-1]),
         verified=bool(measure <= tol + 1e-14 * abs(f_star)))

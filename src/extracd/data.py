@@ -173,6 +173,9 @@ def _open_text(source):
 def parse_libsvm(source, n_cols=None):
     """Parse LibSVM text into a :class:`Dataset`.
 
+    A record ends at a newline and nowhere else: other line and page
+    breaks, and the ``\\r`` of a CRLF file, are whitespace.
+
     Parameters
     ----------
     source : path, bytes or binary file object
@@ -197,7 +200,7 @@ def parse_libsvm(source, n_cols=None):
     text = _open_text(source)
     labels, rows, cols, vals = [], [], [], []
     max_idx = 0
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    for lineno, line in enumerate(text.split("\n"), start=1):
         line = line.split("#", 1)[0].strip()
         if not line:
             continue

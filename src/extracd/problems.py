@@ -54,6 +54,7 @@ __all__ = [
     "prox_group",
     "lambda_max",
     "duality_gap",
+    "evaluate",
     "stopping_measure",
     "tikhonov_for_condition",
     "ridge_quadratic",
@@ -495,13 +496,14 @@ class ElasticNet(_DesignProblem):
 
         at = self.A.rmatvec(theta)
         inf_norm = self.penalty.dual_norm(at)
-        value = dual_at(theta, at)
         if inf_norm > lam:
             # rescaled into the ball; with a ridge part theta is feasible too
             scaled = theta * (lam / inf_norm)
-            rescaled = dual_at(scaled, self.A.rmatvec(scaled))
-            value = max(value, rescaled) if self.rho > 0 else rescaled
-        return value
+            if self.rho == 0:
+                return dual_at(scaled, None)
+            return max(dual_at(theta, at),
+                       dual_at(scaled, self.A.rmatvec(scaled)))
+        return dual_at(theta, at)
 
 
 def _xlogx(t):
@@ -651,21 +653,29 @@ def duality_gap(prob, x, Ax=None) -> Optional[GapReport]:
     return GapReport(primal=float(primal), dual=float(value), gap=gap)
 
 
-def stopping_measure(prob, x, Ax=None):
-    """Convergence measure: the duality gap when defined, else a
-    stationarity violation in the same units as the objective scale."""
+def evaluate(prob, x, Ax=None):
+    """``(objective, gap, measure)`` at ``x``, the stopping rule of every
+    solve: the measure is the duality gap when the problem has a dual,
+    else a stationarity violation in the same units as the objective
+    scale, and the gap is then ``None``."""
     x = np.asarray(x, dtype=np.float64)
     Ax = _predictions(prob, x, Ax)
     report = duality_gap(prob, x, Ax)
     if report is not None:
-        return report.gap
-    return prob.penalty.stationarity(x, prob.datafit.gradient_x(x, Ax))
+        return report.primal, report.gap, report.gap
+    return (objective_value(prob, x, Ax), None,
+            prob.penalty.stationarity(x, prob.datafit.gradient_x(x, Ax)))
+
+
+def stopping_measure(prob, x, Ax=None):
+    """The convergence measure of `evaluate`."""
+    return evaluate(prob, x, Ax)[2]
 
 
 def tikhonov_for_condition(gram_eigs, kappa):
     """Diagonal shift bringing a PSD spectrum to condition number ``kappa``."""
-    if kappa <= 1:
-        raise ArgumentError("kappa must exceed 1")
+    if not (np.isfinite(kappa) and kappa > 1):
+        raise ArgumentError("kappa must be finite and exceed 1")
     gmax = float(np.max(gram_eigs))
     gmin = float(max(np.min(gram_eigs), 0.0))
     if gmax <= 0:

@@ -17,8 +17,7 @@ import numpy as np
 
 from .anderson import online
 from .errors import ArgumentError
-from .problems import (Quadratic, duality_gap, objective_value,
-                       stopping_measure)
+from .problems import Quadratic, evaluate, objective_value
 
 __all__ = [
     "SolverConfig",
@@ -57,8 +56,8 @@ class SolverConfig:
             raise ArgumentError("K must be >= 1")
         if self.max_epochs < 0:
             raise ArgumentError("max_epochs must be nonnegative")
-        if self.tol < 0:
-            raise ArgumentError("tol must be nonnegative")
+        if not (np.isfinite(self.tol) and self.tol >= 0):
+            raise ArgumentError("tol must be finite and nonnegative")
 
 
 @dataclass
@@ -159,16 +158,6 @@ def pcd_epoch(prob, x, state=None, order=None):
 # shared driver
 # ---------------------------------------------------------------------------
 
-def _instrument(prob, x, Ax):
-    """``(objective, gap, stopping measure)`` at ``x``; gap is ``None``
-    for problems without a dual."""
-    report = duality_gap(prob, x, Ax)
-    if report is not None:
-        return report.primal, report.gap, report.gap
-    return (objective_value(prob, x, Ax), None,
-            stopping_measure(prob, x, Ax))
-
-
 def _guarded(prob, cfg, step):
     """``step`` under `anderson.online` every ``cfg.K`` epochs, with a
     guard that compares full objectives and vetoes any increase."""
@@ -188,7 +177,7 @@ def _drive(prob, cfg, solver_name, step):
     x = np.zeros(datafit.n_coef)
     Ax = datafit.predict(x)
     trace = Trace(solver=solver_name, events=getattr(step, "events", []))
-    objective, gap, measure = _instrument(prob, x, Ax)
+    objective, gap, measure = evaluate(prob, x, Ax)
     trace.record(0, 0.0, objective, gap)
     elapsed = 0.0
     for epoch in range(1, cfg.max_epochs + 1):
@@ -200,7 +189,7 @@ def _drive(prob, cfg, solver_name, step):
             Ax = datafit.predict(x)
         elapsed += time.perf_counter() - t0
 
-        objective, gap, measure = _instrument(prob, x, Ax)
+        objective, gap, measure = evaluate(prob, x, Ax)
         trace.record(epoch, elapsed, objective, gap)
     trace.x = x
     return trace

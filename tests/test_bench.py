@@ -18,8 +18,7 @@ from extracd.data import CscMatrix, Dataset
 from extracd.errors import ArgumentError
 from extracd.problems import (ElasticNet, GroupLasso, Lasso, LogRegL1,
                               LogRegL2, Quadratic, lambda_max,
-                              objective_value, stopping_measure,
-                              tikhonov_for_condition)
+                              stopping_measure, tikhonov_for_condition)
 from extracd.solvers import Trace
 
 
@@ -124,6 +123,7 @@ class TestLoadConfig:
         ({"solvers": {"names": "pcd, warp_drive"}}, "warp_drive"),
         ({"solvers": {"names": ""}}, "at least one"),
         ({"run": {"ref_budget_factor": "2"}}, "at least 10"),
+        ({"run": {"tol": "nan"}}, "tol"),
     ])
     def test_rejections(self, tmp_path, overrides, fragment):
         path = write_config(tmp_path / "bad.ini", overrides)
@@ -278,10 +278,13 @@ class TestReference:
     def test_verified_allows_ulps_of_f_star(self, monkeypatch):
         # the recomputed measure sits a few ulps of f* above tol, where
         # double precision leaves a converged solve with a large f*
-        def measure(prob, x):
-            return 1e-12 + 8 * np.spacing(objective_value(prob, x))
+        evaluate = bench.evaluate
 
-        monkeypatch.setattr(bench, "stopping_measure", measure)
+        def ulps_above_tol(prob, x):
+            f_star, gap, _ = evaluate(prob, x)
+            return f_star, gap, 1e-12 + 8 * np.spacing(f_star)
+
+        monkeypatch.setattr(bench, "evaluate", ulps_above_tol)
         ref = compute_reference(small_lasso(seed=5), budget=4000)
         assert ref.verified
 
@@ -469,6 +472,15 @@ class TestCli:
                            {"problem": {"kind": "ridge"}})
         assert main(["bench", "--config", str(cfg)]) == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_bench_nan_tol_exit_two_before_any_solve(self, tmp_path, capsys,
+                                                     monkeypatch):
+        monkeypatch.setattr(bench, "compute_reference", None)
+        cfg = write_config(tmp_path / "b.ini", {"run": {"tol": "nan"}})
+        out = tmp_path / "res"
+        assert main(["bench", "--config", str(cfg), "--out", str(out)]) == 2
+        assert "tol" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_bench_enet_without_rows_exit_two(self, tmp_path, capsys):
         empty = tmp_path / "empty.libsvm"

@@ -171,6 +171,27 @@ class TestParseLibsvm:
         assert f"line {lineno}:" in str(err.value)
         assert frag in str(err.value)
 
+    def test_records_end_only_at_newlines(self):
+        # NEL inside a record is whitespace, so "-1" reads as a feature
+        # token of line 1 instead of the label of a second record
+        with pytest.raises(ParseError) as err:
+            parse_libsvm(b"1 1:2 3:4\xc2\x85-1 2:1\n")
+        assert err.value.line == 1
+        assert "'-1'" in str(err.value)
+        # a form feed separates two tokens of one record
+        ds = parse_libsvm(b"1 1:2\x0c3:4\n")
+        np.testing.assert_array_equal(ds.A.toarray(), [[2.0, 0.0, 4.0]])
+        np.testing.assert_array_equal(ds.y, [1.0])
+        # CRLF records parse as LF records, and lines count newlines
+        crlf = GOLDEN.replace("\n", "\r\n").encode()
+        plain = parse_libsvm(GOLDEN.encode())
+        ds = parse_libsvm(crlf)
+        np.testing.assert_array_equal(ds.A.toarray(), plain.A.toarray())
+        np.testing.assert_array_equal(ds.y, plain.y)
+        for text in (b"1 1:1\r\nx 1:1\r\n", b"1 1:2\x0c3:4\nx 1:1\n"):
+            with pytest.raises(ParseError, match="line 2: bad label"):
+                parse_libsvm(text)
+
     @pytest.mark.parametrize("zipped", [False, True])
     @pytest.mark.parametrize("text,lineno", [
         (b"\xff1 1:1\n", 1),

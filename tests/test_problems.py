@@ -4,17 +4,19 @@ import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from extracd import kernels
-from extracd.data import CscMatrix, gen_correlated_gaussian
+from extracd.data import CscMatrix, Dataset, gen_correlated_gaussian
 from extracd.errors import ArgumentError
 from extracd.problems import (ElasticNet, GroupLasso, Lasso, LogRegL1,
                               LogRegL2, Quadratic, coordinate_lipschitz,
                               datafit_gradient, datafit_value, duality_gap,
-                              groups_from_size, lambda_max, objective_value,
-                              penalty_value, prox_coordinate, prox_group,
-                              ridge_quadratic, stopping_measure,
-                              tikhonov_for_condition)
+                              evaluate, groups_from_size, lambda_max,
+                              objective_value, penalty_value,
+                              prox_coordinate, prox_group, ridge_quadratic,
+                              stopping_measure, tikhonov_for_condition)
 from extracd.solvers import SolverConfig, solve
 
 
@@ -32,6 +34,11 @@ def make_instances(n=25, p=12, seed=0):
         "logreg_l2": LogRegL2(A, yb, 0.5),
         "group": GroupLasso(A, y, 0.6, groups),
     }, M, y, yb
+
+
+def bits(values):
+    """The float64 bytes of each value (``None`` kept as it is)."""
+    return [None if v is None else np.float64(v).tobytes() for v in values]
 
 
 class TestObjectives:
@@ -385,11 +392,33 @@ class TestDualityGap:
                             lambda *args: calls.append(1) or rmatvec(*args))
         top = lambda_max(ElasticNet(A, y, 1.0, 0.0))
         for rho in (0.0, 0.3):
-            for frac, limit in ((2.0, 1), (0.1, 2)):
+            for frac in (2.0, 0.1):
                 prob = ElasticNet(A, y, frac * top, rho)
                 calls.clear()
                 duality_gap(prob, np.zeros(12), np.zeros(25))
-                assert len(calls) <= limit, (rho, frac, len(calls))
+                # the rescaled point's dual value reads A' only with a ridge
+                want = 2 if frac < 1 and rho > 0 else 1
+                assert len(calls) == want, (rho, frac, len(calls))
+
+    def test_evaluate_is_objective_gap_and_measure(self):
+        probs = {**make_instances(seed=23)[0],
+                 "quadratic": make_quadratic(seed=23)}
+        rng = np.random.default_rng(24)
+        for name, prob in probs.items():
+            x = rng.standard_normal(12)
+            Ax = prob.datafit.predict(x)
+            report = duality_gap(prob, x)
+            measure = (prob.penalty.stationarity(
+                x, prob.datafit.gradient_x(x, Ax)) if report is None
+                else report.gap)
+            want = (objective_value(prob, x),
+                    None if report is None else report.gap, measure)
+            assert (report is None) == (name in ("quadratic", "logreg_l2",
+                                                 "group"))
+            for got in (evaluate(prob, x), evaluate(prob, x, Ax)):
+                assert bits(got) == bits(want), name
+            assert bits([stopping_measure(prob, x)]) == bits([measure])
+            assert bits([stopping_measure(prob, x, Ax)]) == bits([measure])
 
     def test_quadratic_stationarity_is_gradient_norm(self):
         quad = Quadratic(np.diag([2.0, 4.0]), np.array([1.0, 1.0]))
@@ -478,3 +507,59 @@ class TestGroupsAndRidge:
                          lambda: GroupLasso(A, y, 0.5, groups)):
                 with pytest.raises(ArgumentError, match="finite"):
                     make()
+
+
+# ---------------------------------------------------------------------------
+# non-finite input
+# ---------------------------------------------------------------------------
+
+def spoil(values, k, bad):
+    """A float copy of ``values`` with its entry ``k`` (mod size) ``bad``."""
+    out = np.array(values, dtype=np.float64)
+    out.flat[k % out.size] = bad
+    return out
+
+
+_M = np.array([[1.0, 0.0], [2.0, 3.0], [0.0, 4.0]])
+_A = CscMatrix.from_dense(_M)
+_Y = np.array([1.0, -1.0, 1.0])
+_DESIGN_PROBLEMS = {
+    "lasso": lambda y, lam: Lasso(_A, y, lam),
+    "enet": lambda y, lam: ElasticNet(_A, y, lam, 0.1),
+    "logreg_l1": lambda y, lam: LogRegL1(_A, y, lam),
+    "logreg_l2": lambda y, lam: LogRegL2(_A, y, lam),
+    "group": lambda y, lam: GroupLasso(_A, y, lam, groups_from_size(2, 1)),
+}
+# each float input of the solvers -> a call that receives ``bad`` there
+NON_FINITE_INPUTS = {
+    "tol": lambda bad, k: SolverConfig(tol=bad),
+    "rho": lambda bad, k: ElasticNet(_A, _Y, 0.5, bad),
+    "H": lambda bad, k: Quadratic(spoil(np.eye(3), k, bad), np.ones(3)),
+    "b": lambda bad, k: Quadratic(np.eye(3), spoil(np.ones(3), k, bad)),
+    "kappa": lambda bad, k: tikhonov_for_condition(np.array([1.0, 4.0]),
+                                                   bad),
+    "design/dense": lambda bad, k: CscMatrix.from_dense(spoil(_M, k, bad)),
+    "design/csc": lambda bad, k: CscMatrix(
+        3, 2, _A.col_ptr, _A.row_idx, spoil(_A.values, k, bad)),
+    "labels/dataset": lambda bad, k: Dataset(_A, spoil(_Y, k, bad)),
+}
+for _kind, _make in _DESIGN_PROBLEMS.items():
+    NON_FINITE_INPUTS[f"lam/{_kind}"] = (
+        lambda bad, k, make=_make: make(_Y, bad))
+    NON_FINITE_INPUTS[f"labels/{_kind}"] = (
+        lambda bad, k, make=_make: make(spoil(_Y, k, bad), 0.5))
+
+
+def test_every_non_finite_case_builds_when_finite():
+    # the same calls with finite values raise nothing
+    for name, make in NON_FINITE_INPUTS.items():
+        make(10.0 if name == "kappa" else 0.5 if name == "tol" else 1.0, 0)
+
+
+@pytest.mark.parametrize("name", sorted(NON_FINITE_INPUTS))
+@settings(max_examples=15, deadline=None)
+@given(bad=st.sampled_from([math.nan, math.inf, -math.inf]),
+       k=st.integers(0, 8))
+def test_non_finite_input_is_refused(name, bad, k):
+    with pytest.raises(ArgumentError):
+        NON_FINITE_INPUTS[name](bad, k)

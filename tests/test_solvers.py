@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from extracd import anderson, kernels, solvers
+from extracd import anderson, kernels, problems, solvers
 from extracd.data import CscMatrix, gen_correlated_gaussian
 from extracd.errors import ArgumentError
 from extracd.fixedpoint import cd_iteration, cdsym_iteration
@@ -233,6 +233,26 @@ class TestDriverBehavior:
         assert tr.events == [(e, "singular") for e in range(5, 211, 5)]
         assert tr.objectives == plain.objectives
         assert tr.x.tobytes() == plain.x.tobytes()
+
+    @pytest.mark.parametrize("name", ["quadratic", "lasso", "enet",
+                                      "logreg_l1", "logreg_l2", "group"])
+    def test_one_duality_gap_per_recorded_epoch(self, name, monkeypatch):
+        # the stopping rule asks for the gap once, whether or not the
+        # problem has a dual; every module holding the oracle is counted
+        probs = {**make_sparse_problems(seed=26)[0],
+                 "quadratic": make_quad(p=16, seed=26)}
+        gap, calls = problems.duality_gap, []
+
+        def counting_gap(*args):
+            calls.append(1)
+            return gap(*args)
+
+        for module in (problems, solvers):
+            if getattr(module, "duality_gap", None) is gap:
+                monkeypatch.setattr(module, "duality_gap", counting_gap)
+        tr = anderson_pcd(probs[name], SolverConfig(max_epochs=30, tol=0.0))
+        assert len(tr.epochs) > 10
+        assert len(calls) == len(tr.epochs)
 
     def test_guarded_objectives_monotone(self):
         probs, _ = make_sparse_problems(seed=24)
@@ -513,22 +533,22 @@ class TestQuadraticProducts:
     def test_carried_hx_is_exact(self, solver, monkeypatch):
         quad = make_quad(p=20, seed=47)
         fit = type(quad.datafit)
-        instrumented, gradients = [], []
-        instrument, gradient_x = solvers._instrument, fit.gradient_x
+        evaluated, gradients = [], []
+        evaluate, gradient_x = solvers.evaluate, fit.gradient_x
 
-        def recording_instrument(prob, x, Ax):
-            instrumented.append((x.copy(), Ax.copy()))
-            return instrument(prob, x, Ax)
+        def recording_evaluate(prob, x, Ax):
+            evaluated.append((x.copy(), Ax.copy()))
+            return evaluate(prob, x, Ax)
 
         def recording_gradient_x(self, x, Ax):
             gradients.append((x.copy(), Ax.copy()))
             return gradient_x(self, x, Ax)
 
-        monkeypatch.setattr(solvers, "_instrument", recording_instrument)
+        monkeypatch.setattr(solvers, "evaluate", recording_evaluate)
         monkeypatch.setattr(fit, "gradient_x", recording_gradient_x)
         solve(quad, SolverConfig(algorithm=solver, max_epochs=250, tol=0.0))
-        assert len(instrumented) == 251
-        for x, Ax in instrumented:
+        assert len(evaluated) == 251
+        for x, Ax in evaluated:
             assert np.array_equal(Ax, quad.H @ x)
         # fista steps from its momentum point z, whose Hz it forms as the
         # same combination of two exact products as z itself, so only
@@ -551,15 +571,15 @@ class TestQuadraticProducts:
         quad = make_quad(p=20, seed=48)
         count = hessian_counter(quad)
         marks = []
-        instrument = solvers._instrument
+        evaluate = solvers.evaluate
 
-        def counting_instrument(prob, x, Ax):
+        def counting_evaluate(prob, x, Ax):
             before = count[0]
-            out = instrument(prob, x, Ax)
+            out = evaluate(prob, x, Ax)
             marks.append((before, count[0]))
             return out
 
-        monkeypatch.setattr(solvers, "_instrument", counting_instrument)
+        monkeypatch.setattr(solvers, "evaluate", counting_evaluate)
         # past about 240 epochs cg's residual underflows to zero, and a
         # step with a zero direction needs no product
         tr = solve(quad, SolverConfig(algorithm=solver, max_epochs=150,
