@@ -1,16 +1,15 @@
-"""Micro-benchmark of the compiled kernels against the numpy fallbacks.
+"""Micro-benchmark of the kernels.
 
 Times one epoch of each coordinate-update kernel plus the sparse
 matrix-vector products on a synthetic dense-stored problem, and the
 same kernels (epochs from x = 0 at lambda_max / 10) on a 1000 x 1000,
-1 %-dense 0/1 design (cases ``sparse_*``), for every backend
-in ``extracd.kernels.IMPLS`` (numba only when it is installed), and one
+1 %-dense 0/1 design (cases ``sparse_*``), and one
 ``numerical_range_boundary`` sweep (180 angles) of a 200 x 200
 coordinate-pass matrix at the powers 1 and 128.  On the same p = 200
 quadratic (cases ``quad_solve_*``), ``pcd_anderson``, ``cdsym_anderson``,
-``gd_anderson`` and ``cg`` solve to gradient 1e-10 with the active backend;
-their epochs and seconds per epoch (whole solve, instrumentation included)
-are reported.  Run as::
+``gd_anderson`` and ``cg`` solve to gradient 1e-10; their epochs and
+seconds per epoch (whole solve, instrumentation included) are reported.
+Run as::
 
     python3 benchmarks/kernel_bench.py [--n 2000] [--p 4000] [--repeat 20]
         [--json PATH]
@@ -27,9 +26,9 @@ import time
 
 import numpy as np
 
-from extracd import fixedpoint, solvers
+from extracd import fixedpoint, kernels, solvers
 from extracd.data import CscMatrix, gen_correlated_gaussian
-from extracd.kernels import BACKEND, IMPLS, warmup
+from extracd.kernels import BACKEND
 
 RANGE_DIM = 200
 RANGE_ANGLES = 180
@@ -75,20 +74,20 @@ def sparse_design():
 
 
 def kernel_cases(A, y, prefix=""):
-    """(name, call) pairs; each call runs one kernel of a backend table."""
+    """(name, call) pairs; each call runs one kernel."""
     n, p = A.n_rows, A.n_cols
     lip = A.col_norms_sq()
     order = np.arange(p, dtype=np.int64)
     lam = 0.1 * np.max(np.abs(A.rmatvec(y)))
     cases = [
-        ("csc_matvec", lambda k: k["csc_matvec"](
+        ("csc_matvec", lambda: kernels.csc_matvec(
             A.values, A.row_idx, A.col_ptr, n, np.ones(p))),
-        ("csc_rmatvec", lambda k: k["csc_rmatvec"](
+        ("csc_rmatvec", lambda: kernels.csc_rmatvec(
             A.values, A.row_idx, A.col_ptr, y)),
-        ("lasso_epoch", lambda k: k["lasso_epoch"](
+        ("lasso_epoch", lambda: kernels.lasso_epoch(
             A.values, A.row_idx, A.col_ptr, y, np.zeros(p), np.zeros(n),
             lip, lam, order)),
-        ("logreg_l1_epoch", lambda k: k["logreg_l1_epoch"](
+        ("logreg_l1_epoch", lambda: kernels.logreg_l1_epoch(
             A.values, A.row_idx, A.col_ptr, np.sign(y) + (y == 0),
             np.zeros(p), np.zeros(n), lip / 4.0, lam / 2.0, order)),
     ]
@@ -103,21 +102,18 @@ def main():
     ap.add_argument("--json", metavar="PATH")
     args = ap.parse_args()
 
-    warmup()
     ds, _ = gen_correlated_gaussian(args.n, args.p, 0.5, 3.0, seed=0)
     S, y_s = sparse_design()
 
     results = []
     print(f"dense-stored n={args.n} p={args.p} nnz={ds.A.nnz}; sparse "
           f"n=p={SPARSE_DIM} nnz={S.nnz} (best of {args.repeat})")
-    print(f"{'kernel':22s}" + "".join(f" {b:>10s}" for b in IMPLS))
+    print(f"{'kernel':22s} {BACKEND:>10s}")
     for name, call in (kernel_cases(ds.A, ds.y)
                        + kernel_cases(S, y_s, "sparse_")):
-        times = [time_call(lambda: call(impl), repeat=args.repeat)
-                 for impl in IMPLS.values()]
-        results += [{"case": name, "backend": b, "best_s": t}
-                    for b, t in zip(IMPLS, times)]
-        print(f"{name:22s}" + "".join(f" {t * 1e3:8.3f}ms" for t in times))
+        t = time_call(call, repeat=args.repeat)
+        results.append({"case": name, "backend": BACKEND, "best_s": t})
+        print(f"{name:22s} {t * 1e3:8.3f}ms")
 
     T = range_matrix()
     print(f"numerical_range_boundary p={RANGE_DIM} n_angles={RANGE_ANGLES}"

@@ -59,9 +59,6 @@ def extrapolation_coefficients(U):
     k = U.shape[1]
     if not np.all(np.isfinite(U)):
         return None, False
-    if k == 1:
-        # sum constraint pins the single weight
-        return np.ones(1), True
     # c = e_k + sum_i w_i (e_i - e_k) keeps sum(c) = 1 exactly
     rhs = -U[:, -1]
     cols = U[:, :-1] - U[:, -1:]

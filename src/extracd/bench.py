@@ -225,15 +225,20 @@ def fingerprint(prob):
     parameters of its datafit and penalty."""
     h = hashlib.sha256()
     h.update(type(prob).__name__.encode())
-    _hash_into(h, (prob.datafit, prob.penalty))
+    _hash_into(h, prob.datafit)
+    _hash_into(h, prob.penalty)
     return h.hexdigest()[:16]
 
 
 def _hash_into(h, value):
     if is_dataclass(value):
-        value = [getattr(value, f.name) for f in fields(value)]
-    if isinstance(value, (tuple, list)):
+        for f in fields(value):
+            _hash_into(h, getattr(value, f.name))
+    elif isinstance(value, (tuple, list)):
+        # each item's size first: the blocks of a partition, not only their
+        # concatenation, decide the key
         for item in value:
+            h.update(np.int64(np.size(item)).tobytes())
             _hash_into(h, item)
     else:
         h.update(np.ascontiguousarray(value).tobytes())
@@ -363,17 +368,22 @@ def references(spec, tagged):
 def run_bench(spec):
     """Execute the whole grid and write CSV/SVG outputs.
 
-    Returns a summary dict with the produced file paths and a list of
-    ``(tag, solver, message)`` for failed jobs; a failing job does not
-    abort the rest.
+    Returns a summary dict with the produced file paths, a list of
+    ``(tag, solver, message)`` for failed jobs (a failing job does not
+    abort the rest) and the tags whose reference optimum is not verified;
+    their plots say so in the title.
     """
     os.makedirs(spec.out_dir, exist_ok=True)
     dataset = build_dataset(spec)
     tagged = build_problems(spec, dataset)
     refs = references(spec, tagged)
 
-    summary = {"csv": [], "svg": [], "errors": []}
+    summary = {"csv": [], "svg": [], "errors": [], "unverified": []}
     for tag, prob in tagged:
+        title = f"{tag} ({dataset.name})"
+        if not refs[tag].verified:
+            summary["unverified"].append(tag)
+            title += ", UNVERIFIED reference"
         series = []
         for solver in spec.solvers:
             cfg = SolverConfig(algorithm=solver, max_epochs=spec.max_epochs,
@@ -390,7 +400,6 @@ def run_bench(spec):
             series.append((solver, trace.epochs, subopt))
         if series:
             svg_path = os.path.join(spec.out_dir, f"{tag}.svg")
-            write_line_plot(svg_path, title=f"{tag} ({dataset.name})",
-                            series=series)
+            write_line_plot(svg_path, title=title, series=series)
             summary["svg"].append(svg_path)
     return summary

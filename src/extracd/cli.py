@@ -74,6 +74,9 @@ def _cmd_bench(args):
         print(f"wrote {path}")
     for tag, solver, message in summary["errors"]:
         print(f"FAILED {tag}/{solver}: {message}", file=sys.stderr)
+    for tag in summary["unverified"]:
+        print(f"warning: {tag}: suboptimality is measured against an "
+              "UNVERIFIED reference optimum", file=sys.stderr)
     return 0 if not summary["errors"] else 1
 
 

@@ -1,11 +1,8 @@
-"""Hot numerical kernels with two interchangeable backends.
+"""Hot numerical kernels, in numpy.
 
-Every kernel has an explicit-loop source.  The loop sources are compiled
-with numba (``@njit(cache=True)``) into the numba backend; run as plain
-Python they are the reference that tests compare the numpy backend
-against.  The backend is numba exactly when numba imports, and numpy
-otherwise.  ``IMPLS`` keeps both tables alive so tests and the kernel
-benchmark can compare them.
+Every kernel also has an explicit-loop source.  ``LOOPS`` holds them as a
+kernel table run as plain Python: the reference that tests compare the
+numpy kernels against.
 
 All sparse kernels operate on raw CSC arrays (values, row indices,
 column pointers) and update ``x`` / ``Ax`` in place.  Coordinates whose
@@ -16,30 +13,30 @@ The lasso, elastic-net and both logistic epochs apply one proximal
 coordinate update, ``x_j <- st(x_j - A_j'r / scale / L_j, l1 / L_j) /
 (1 + l2 / L_j)``, where ``r`` is the datafit's per-row gradient factor:
 ``Ax - y`` for least squares, ``-y * sigma(-y * Ax)`` for logistic
-regression.  Each backend has one body per datafit (the numpy backend
-one for both), all called as ``(..., l1, l2, scale, order)``, and the
-four public kernels are wrappers that fix ``(l1, l2, scale)``.
+regression.  The loop sources have one body per datafit and the numpy
+kernels one for both, all called as ``(..., l1, l2, scale, order)``, and
+the four public kernels are wrappers that fix ``(l1, l2, scale)``.
 ``l1 = 0`` leaves out the soft threshold, which would turn a NaN or
 -0.0 step into 0.0.
 
-Python loops over columns and coordinates are slow, so the numpy backend
-avoids per-column work where the input allows:
+Python loops over columns and coordinates are slow, so the numpy kernels
+avoid per-column work where the input allows:
 
-- the numpy ``csc_matvec`` and ``csc_rmatvec`` are one ``np.bincount``
-  each on a sparse matrix (over the row, resp. column, of every entry),
-  which adds the entries in storage order, as the loop sources do; they
-  make one BLAS call when the matrix is fully dense
-  (``nnz == n_rows * n_cols``): its values are then A' in C order;
-- the numpy coordinate epoch computes ``r`` once and recomputes its rows
-  under a column from the new ``Ax`` only when that coordinate moves, so
-  ``r`` always equals the fresh expression bit for bit;
+- ``csc_matvec`` and ``csc_rmatvec`` are one ``np.bincount`` each on a
+  sparse matrix (over the row, resp. column, of every entry), which adds
+  the entries in storage order, as the loop sources do; they make one
+  BLAS call when the matrix is fully dense (``nnz == n_rows * n_cols``):
+  its values are then A' in C order;
+- the coordinate epoch computes ``r`` once and recomputes its rows under
+  a column from the new ``Ax`` only when that coordinate moves, so ``r``
+  always equals the fresh expression bit for bit;
 - `lsq_gram_epoch` runs a least-squares coordinate epoch on a dense design
   through its Gram matrix (``problems.LeastSquares.epoch`` chooses it);
 - ``problems.Quadratic.cd_pass`` runs a cyclic pass on a quadratic as one
   Gauss-Seidel step instead of ``cd_dense_epoch``.
 
-The numpy ``cd_dense_epoch`` is its loop source, whose steps are already
-one BLAS dot each.  The numba kernels need no fast paths: they compile.
+``cd_dense_epoch`` is its loop source, whose steps are already one BLAS
+dot each.
 """
 
 import math
@@ -47,18 +44,11 @@ from functools import partial
 
 import numpy as np
 
-try:
-    from numba import njit
-
-    HAVE_NUMBA = True
-except ImportError:  # numba is optional; use the numpy kernels
-    HAVE_NUMBA = False
-
-BACKEND = "numba" if HAVE_NUMBA else "numpy"
+BACKEND = "numpy"  # recorded by callers that report the backend
 
 
 # ---------------------------------------------------------------------------
-# scalar helpers (compiled when the numba backend is active)
+# scalar helpers
 # ---------------------------------------------------------------------------
 
 def _st(v, t):
@@ -85,7 +75,7 @@ def _sig_neg_vec(t):
 
 
 # ---------------------------------------------------------------------------
-# explicit-loop sources (numba)
+# explicit-loop sources (the tests' reference)
 # ---------------------------------------------------------------------------
 
 def _csc_matvec_loops(data, indices, indptr, n_rows, x):
@@ -207,7 +197,7 @@ def _group_epoch_loops(data, indices, indptr, y, x, Ax, grp_cols, grp_ptr,
 
 
 # ---------------------------------------------------------------------------
-# numpy fallback
+# numpy kernels
 # ---------------------------------------------------------------------------
 
 def dense_transpose(data, indptr, n_rows):
@@ -222,7 +212,7 @@ def dense_transpose(data, indptr, n_rows):
     return data.reshape(p, n_rows)
 
 
-def _csc_matvec_numpy(data, indices, indptr, n_rows, x):
+def csc_matvec(data, indices, indptr, n_rows, x):
     AT = dense_transpose(data, indptr, n_rows)
     if AT is not None:
         return x @ AT
@@ -230,7 +220,7 @@ def _csc_matvec_numpy(data, indices, indptr, n_rows, x):
                        minlength=n_rows)
 
 
-def _csc_rmatvec_numpy(data, indices, indptr, v):
+def csc_rmatvec(data, indices, indptr, v):
     AT = dense_transpose(data, indptr, v.size)
     if AT is not None:
         return AT @ v
@@ -239,7 +229,7 @@ def _csc_rmatvec_numpy(data, indices, indptr, v):
     return np.bincount(cols, weights=data * v[indices], minlength=p)
 
 
-def _csc_col_norms_sq_numpy(data, indptr):
+def csc_col_norms_sq(data, indptr):
     p = indptr.size - 1
     out = np.empty(p)
     for j in range(p):
@@ -293,12 +283,12 @@ def _cd_epoch_numpy(row_factor, data, indices, indptr, y, x, Ax, lip, l1, l2,
 
 
 def _epoch_kernels(lsq, logreg):
-    """The four public L1/L2 epoch kernels of one backend.
+    """The four public L1/L2 epoch kernels of one pair of bodies.
 
     ``lsq`` and ``logreg``, both called as ``(..., l1, l2, scale,
-    order)``, are the backend's least-squares and logistic epochs.  Each
-    kernel is its own function object, so a tracer that rebinds kernels by
-    identity sees four.
+    order)``, are a least-squares and a logistic epoch.  Each kernel is
+    its own function object, so a tracer that rebinds kernels by identity
+    sees four.
     """
     def lasso_epoch(data, indices, indptr, y, x, Ax, lip, lam, order):
         lsq(data, indices, indptr, y, x, Ax, lip, lam, 0.0, 1.0, order)
@@ -318,8 +308,8 @@ def _epoch_kernels(lsq, logreg):
             "logreg_l2_epoch": logreg_l2_epoch}
 
 
-def _group_epoch_numpy(data, indices, indptr, y, x, Ax, grp_cols, grp_ptr,
-                       lip_g, lam, order_g):
+def group_epoch(data, indices, indptr, y, x, Ax, grp_cols, grp_ptr, lip_g,
+                lam, order_g):
     for g in order_g:
         lg = lip_g[g]
         if lg <= 0.0:
@@ -351,7 +341,7 @@ def lsq_gram_epoch(AT, G_rows, y, x, Ax, lip, l1, l2, scale, order):
     ``scale = 1`` and ``l2 = 0``): ``x_j <- st(x_j - g_j / (scale L_j),
     l1 / L_j) / (1 + l2 / L_j)`` with ``g = A'(Ax - y)``.  One product gives
     ``g`` at the start, a coordinate that moves updates it with one row of
-    ``G``, and ``Ax`` is recomputed as ``A x`` at the end.  Numpy only.
+    ``G``, and ``Ax`` is recomputed as ``A x`` at the end.
     """
     g = AT @ (Ax - y)
     lip = lip.tolist()
@@ -369,73 +359,24 @@ def lsq_gram_epoch(AT, G_rows, y, x, Ax, lip, l1, l2, scale, order):
     Ax[:] = x @ AT
 
 
-def _loop_kernels(jit):
-    """The kernel table of the explicit-loop sources, each passed through
-    ``jit``: numba's compiler for the numba backend, or the identity for a
-    plain-Python reference."""
-    return {
-        "csc_matvec": jit(_csc_matvec_loops),
-        "csc_rmatvec": jit(_csc_rmatvec_loops),
-        "csc_col_norms_sq": jit(_csc_col_norms_sq_loops),
-        "cd_dense_epoch": jit(_cd_dense_epoch_loops),
-        **_epoch_kernels(jit(_lsq_epoch_loops), jit(_logreg_epoch_loops)),
-        "group_epoch": jit(_group_epoch_loops),
-    }
+cd_dense_epoch = _cd_dense_epoch_loops
+_EPOCHS = _epoch_kernels(partial(_cd_epoch_numpy, _lsq_rows),
+                         partial(_cd_epoch_numpy, _logreg_rows))
+lasso_epoch = _EPOCHS["lasso_epoch"]
+enet_epoch = _EPOCHS["enet_epoch"]
+logreg_l1_epoch = _EPOCHS["logreg_l1_epoch"]
+logreg_l2_epoch = _EPOCHS["logreg_l2_epoch"]
 
-
-_NUMPY_IMPLS = {
-    "csc_matvec": _csc_matvec_numpy,
-    "csc_rmatvec": _csc_rmatvec_numpy,
-    "csc_col_norms_sq": _csc_col_norms_sq_numpy,
+LOOPS = {
+    "csc_matvec": _csc_matvec_loops,
+    "csc_rmatvec": _csc_rmatvec_loops,
+    "csc_col_norms_sq": _csc_col_norms_sq_loops,
     "cd_dense_epoch": _cd_dense_epoch_loops,
-    **_epoch_kernels(partial(_cd_epoch_numpy, _lsq_rows),
-                     partial(_cd_epoch_numpy, _logreg_rows)),
-    "group_epoch": _group_epoch_numpy,
+    **_epoch_kernels(_lsq_epoch_loops, _logreg_epoch_loops),
+    "group_epoch": _group_epoch_loops,
 }
-
-IMPLS = {"numpy": _NUMPY_IMPLS}
-
-if HAVE_NUMBA:
-    _st = njit(cache=True, inline="always")(_st)
-    _sig_neg = njit(cache=True, inline="always")(_sig_neg)
-    IMPLS["numba"] = _loop_kernels(njit(cache=True))
-
-_ACTIVE = IMPLS[BACKEND]
-
-csc_matvec = _ACTIVE["csc_matvec"]
-csc_rmatvec = _ACTIVE["csc_rmatvec"]
-csc_col_norms_sq = _ACTIVE["csc_col_norms_sq"]
-cd_dense_epoch = _ACTIVE["cd_dense_epoch"]
-lasso_epoch = _ACTIVE["lasso_epoch"]
-enet_epoch = _ACTIVE["enet_epoch"]
-logreg_l1_epoch = _ACTIVE["logreg_l1_epoch"]
-logreg_l2_epoch = _ACTIVE["logreg_l2_epoch"]
-group_epoch = _ACTIVE["group_epoch"]
 
 
 def warmup():
-    """Compile every kernel on a tiny instance (numba backend); the numpy
-    backend has nothing to compile, so there it returns at once."""
-    if BACKEND == "numpy":
-        return
-    data = np.array([1.0, 2.0])
-    indices = np.array([0, 1], dtype=np.int64)
-    indptr = np.array([0, 1, 2], dtype=np.int64)
-    y = np.array([1.0, -1.0])
-    order = np.arange(2, dtype=np.int64)
-    ones = np.ones(2)
-    csc_matvec(data, indices, indptr, 2, ones.copy())
-    csc_rmatvec(data, indices, indptr, ones.copy())
-    csc_col_norms_sq(data, indptr)
-    cd_dense_epoch(np.eye(2), np.zeros(2), np.zeros(2), order)
-    lasso_epoch(data, indices, indptr, y, np.zeros(2), np.zeros(2),
-                ones.copy(), 0.1, order)
-    enet_epoch(data, indices, indptr, y, np.zeros(2), np.zeros(2),
-               ones.copy(), 0.1, 0.1, 2, order)
-    logreg_l1_epoch(data, indices, indptr, y, np.zeros(2), np.zeros(2),
-                    ones.copy(), 0.1, order)
-    logreg_l2_epoch(data, indices, indptr, y, np.zeros(2), np.zeros(2),
-                    ones.copy(), 0.1, order)
-    group_epoch(data, indices, indptr, y, np.zeros(2), np.zeros(2),
-                order.copy(), np.array([0, 2], dtype=np.int64),
-                ones.copy(), 0.1, np.zeros(1, dtype=np.int64))
+    """Prepare the kernels for a timed run: the numpy kernels compile
+    nothing, so this returns at once."""

@@ -124,17 +124,16 @@ class LeastSquares(_DesignFit):
     def epoch(self, penalty, lip):
         """The coordinate epoch ``(x, Ax, order)`` of one solve.
 
-        On the numpy backend, a fully dense ``A`` (``nnz == n * p``) with at
-        most ``DENSE_LIMIT`` columns is swept by `kernels.lsq_gram_epoch`
-        through its Gram matrix A'A.  The Gram is built here and held by
-        the returned function alone, so it is dropped with the solve.
+        A fully dense ``A`` (``nnz == n * p``) with at most ``DENSE_LIMIT``
+        columns is swept by `kernels.lsq_gram_epoch` through its Gram
+        matrix A'A.  The Gram is built here and held by the returned
+        function alone, so it is dropped with the solve.
         Otherwise the epoch is ``kernels.lasso_epoch`` (scale 1, no ridge)
         or ``kernels.enet_epoch``.
         """
         A, y, scale, l1, l2 = self.A, self.y, self.scale, penalty.l1, penalty.l2
         AT = kernels.dense_transpose(A.values, A.col_ptr, A.n_rows)
-        if (kernels.BACKEND == "numpy" and AT is not None
-                and A.n_cols <= DENSE_LIMIT):
+        if AT is not None and A.n_cols <= DENSE_LIMIT:
             G_rows = list(AT @ AT.T)
 
             def epoch(x, Ax, order):
@@ -332,8 +331,10 @@ class Quadratic:
     penalty = NO_PENALTY
 
     def __post_init__(self):
-        H = np.ascontiguousarray(self.H, dtype=np.float64)
-        b = np.ascontiguousarray(self.b, dtype=np.float64)
+        # copies: the caller's arrays stay writable, and no view of theirs
+        # can change H under the cached Gauss-Seidel inverses
+        H = np.array(self.H, dtype=np.float64, order="C")
+        b = np.array(self.b, dtype=np.float64, ndmin=1)
         object.__setattr__(self, "H", H)
         object.__setattr__(self, "b", b)
         if H.ndim != 2 or H.shape[0] != H.shape[1]:
@@ -343,7 +344,8 @@ class Quadratic:
         if not (np.all(np.isfinite(H)) and np.all(np.isfinite(b))):
             raise ArgumentError("H and b must be finite")
         scale = np.abs(H).max() if H.size else 0.0
-        if scale and np.abs(H - H.T).max() > 1e-10 * scale:
+        # H - H' is antisymmetric, so its max is its largest |entry|
+        if scale and (H - H.T).max() > 1e-10 * scale:
             raise ArgumentError("H must be symmetric")
         if H.size and np.diag(H).min() <= 0.0:
             raise ArgumentError("H must have positive diagonal entries")
@@ -396,19 +398,18 @@ class Quadratic:
         """One coordinate-descent pass over ``order``, in place.
 
         Coordinate ``j`` moves to its exact minimizer, ``x_j -= (H_j x +
-        b_j) / H_jj``.  On the numpy backend the cyclic orders ``0..p-1``
-        and ``p-1..0`` run as one Gauss-Seidel step ``x -= T^{-1} (Hx + b)``,
-        with ``T`` the lower (forward) or upper (backward) triangle of H,
-        diagonal included; the inverse of each triangle is computed once
-        per quadratic (H is read-only).  Other orders, and the numba
-        backend, run ``kernels.cd_dense_epoch``.
+        b_j) / H_jj``.  The cyclic orders ``0..p-1`` and ``p-1..0`` run as
+        one Gauss-Seidel step ``x -= T^{-1} (Hx + b)``, with ``T`` the lower
+        (forward) or upper (backward) triangle of H, diagonal included; the
+        inverse of each triangle is computed once per quadratic (H is a
+        read-only copy).  Other orders run ``kernels.cd_dense_epoch``.
 
         ``Hx``, when given, must equal ``H @ x``: the Gauss-Seidel step
         takes its gradient from it, and the pass ends by overwriting it
         with ``H @ x`` of the new ``x``.
         """
         inv = None
-        if kernels.BACKEND == "numpy" and order.size == self.dim:
+        if order.size == self.dim:
             cyclic = np.arange(self.dim)
             if np.array_equal(order, cyclic):
                 inv = self._lower_inv

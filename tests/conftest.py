@@ -1,15 +1,5 @@
-import pytest
-
-from extracd import kernels
-
 # populated by test_acceptance, printed after the run
 ACCEPTANCE_LINES = []
-
-
-@pytest.fixture(scope="session", autouse=True)
-def warm_kernels():
-    """Compile the jit kernels once so tests measure steady-state time."""
-    kernels.warmup()
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

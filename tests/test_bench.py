@@ -14,11 +14,12 @@ from extracd.bench import (BenchSpec, ReferenceOptimum, build_dataset,
                            build_problems, compute_reference, fingerprint,
                            load_config, run_bench, write_trace_csv)
 from extracd.cli import main
-from extracd.data import CscMatrix, Dataset
+from extracd.data import CscMatrix, Dataset, gen_correlated_gaussian
 from extracd.errors import ArgumentError
 from extracd.problems import (ElasticNet, GroupLasso, Lasso, LogRegL1,
-                              LogRegL2, Quadratic, lambda_max,
-                              stopping_measure, tikhonov_for_condition)
+                              LogRegL2, Quadratic, groups_from_size,
+                              lambda_max, stopping_measure,
+                              tikhonov_for_condition)
 from extracd.solvers import Trace
 
 
@@ -348,6 +349,19 @@ class TestReference:
         compute_reference(small_lasso(seed=7), budget=3000, cache_dir=cache)
         assert len(list(Path(cache).glob("*.npz"))) == 2
 
+    def test_group_partitions_do_not_share_an_entry(self, tmp_path):
+        # same data, lam and concatenated column order; only the block
+        # sizes differ
+        ds, _ = gen_correlated_gaussian(30, 12, 0.5, 3.0, seed=1)
+        by3, by4 = (GroupLasso(ds.A, ds.y, 2.0, groups_from_size(12, size))
+                    for size in (3, 4))
+        assert fingerprint(by3) != fingerprint(by4)
+        cache = str(tmp_path / "refs")
+        first = compute_reference(by3, budget=2000, cache_dir=cache)
+        second = compute_reference(by4, budget=2000, cache_dir=cache)
+        assert second.f_star == compute_reference(by4, budget=2000).f_star
+        assert abs(second.f_star - first.f_star) > 0.01
+
 
 # ---------------------------------------------------------------------------
 # CSV output
@@ -458,6 +472,25 @@ class TestCli:
         printed = capsys.readouterr().out
         assert "lasso_lf0.1_pcd.csv" in printed
         assert (out / "lasso_lf0.1.svg").exists()
+
+    @pytest.mark.parametrize("max_epochs, verified", [("2", False),
+                                                      ("300", True)])
+    def test_bench_flags_unverified_reference(self, max_epochs, verified,
+                                              tmp_path, capsys):
+        cfg = write_config(tmp_path / "b.ini",
+                           {"problem": {"lambda_fracs": "0.05"},
+                            "run": {"max_epochs": max_epochs}})
+        out = tmp_path / "res"
+        assert main(["bench", "--config", str(cfg), "--out", str(out)]) == 0
+        captured = capsys.readouterr()
+        assert all(line.startswith("wrote ")
+                   for line in captured.out.splitlines())
+        warning = ("warning: lasso_lf0.05: suboptimality is measured against "
+                   "an UNVERIFIED reference optimum\n")
+        assert captured.err == ("" if verified else warning)
+        title = ET.parse(out / "lasso_lf0.05.svg").getroot().find(
+            "{http://www.w3.org/2000/svg}title").text
+        assert title.endswith(", UNVERIFIED reference") != verified
 
     def test_bench_partial_failure_exit_one(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "b.ini",

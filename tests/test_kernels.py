@@ -1,4 +1,4 @@
-"""Kernel tests: every backend table, and the explicit-loop sources run as
+"""Kernel tests: the numpy kernels, and the explicit-loop sources run as
 plain Python, against slow dense reference code and each other."""
 
 import functools
@@ -10,14 +10,14 @@ from hypothesis import strategies as st
 
 from extracd import kernels
 from extracd.data import CscMatrix, parse_libsvm
-from extracd.kernels import IMPLS, warmup
+from extracd.kernels import LOOPS, warmup
 from extracd.problems import (ElasticNet, GroupLasso, Lasso, Quadratic,
                               groups_from_size)
 
-# the loop sources uncompiled: the reference the numpy backend is checked
-# against, with or without numba
-LOOPS = kernels._loop_kernels(lambda f: f)
-TABLES = {**IMPLS, "loops": LOOPS}
+# the numpy kernels as a table beside LOOPS, the loop sources run as plain
+# Python: the reference they are checked against
+NUMPY = {name: getattr(kernels, name) for name in LOOPS}
+TABLES = {"numpy": NUMPY, "loops": LOOPS}
 BACKENDS = sorted(TABLES)
 
 
@@ -207,8 +207,8 @@ class TestBackendAgreement:
             ("logreg_l2_epoch", yb, {"lam": 0.3}),
         ]
         for name, target, extra in cases:
-            want, want_Ax, _ = run_epoch(IMPLS["numpy"], name, M, A, target,
-                                         x, extra)
+            want, want_Ax, _ = run_epoch(NUMPY, name, M, A, target, x,
+                                         extra)
             assert not np.array_equal(want, x), name  # some coordinate moved
             for backend in BACKENDS:
                 got, Ax, _ = run_epoch(TABLES[backend], name, M, A, target,
@@ -246,16 +246,15 @@ def acceptance_quadratics():
 
 
 class TestDensePaths:
-    """The numpy backend's dense paths against the explicit-loop sources,
+    """The numpy kernels' dense paths against the explicit-loop sources,
     run as plain Python."""
 
     def test_products(self):
         M, A, y, x = dense_problem(30, 17, seed=20)
-        numpy_impl = IMPLS["numpy"]
-        got = numpy_impl["csc_matvec"](A.values, A.row_idx, A.col_ptr, 30, x)
+        got = NUMPY["csc_matvec"](A.values, A.row_idx, A.col_ptr, 30, x)
         ref = kernels._csc_matvec_loops(A.values, A.row_idx, A.col_ptr, 30, x)
         np.testing.assert_allclose(got, ref, rtol=1e-12, atol=1e-14)
-        got = numpy_impl["csc_rmatvec"](A.values, A.row_idx, A.col_ptr, y)
+        got = NUMPY["csc_rmatvec"](A.values, A.row_idx, A.col_ptr, y)
         ref = kernels._csc_rmatvec_loops(A.values, A.row_idx, A.col_ptr, y)
         np.testing.assert_allclose(got, ref, rtol=1e-12, atol=1e-14)
 
@@ -311,14 +310,9 @@ class TestDensePaths:
             kernels._cd_dense_epoch_loops(quad.H, quad.b, ref, order)
             assert float(np.abs(got - ref).max()) <= 1e-12, quad.dim
 
-    @pytest.mark.parametrize("path", ["numpy", "loops"])
-    def test_cd_pass_carries_hx(self, path, monkeypatch):
-        # "loops" takes the path of the numba backend with the loop source
-        # run as plain Python, so it runs with or without numba
-        monkeypatch.setattr(kernels, "BACKEND",
-                            "numpy" if path == "numpy" else "numba")
-        monkeypatch.setattr(kernels, "cd_dense_epoch",
-                            kernels._cd_dense_epoch_loops)
+    def test_cd_pass_carries_hx(self):
+        # the cyclic orders take the Gauss-Seidel step, the repeats the loop
+        # kernel
         for quad in acceptance_quadratics():
             p = quad.dim
             rng = np.random.default_rng(p)
@@ -475,8 +469,8 @@ def per_column_enet_epoch(data, indices, indptr, y, x, Ax, lip, lam, rho,
 
 
 class TestNumpySparsePath:
-    """The numpy backend's sparse products and coordinate epochs, bit for
-    bit, against the explicit-loop sources run as plain Python and the
+    """The numpy sparse products and coordinate epochs, bit for bit,
+    against the explicit-loop sources run as plain Python and the
     per-column epochs."""
 
     @pytest.mark.parametrize("seed", range(40))
@@ -485,10 +479,10 @@ class TestNumpySparsePath:
         args = (A.values, A.row_idx, A.col_ptr)
         x = rng.standard_normal(A.n_cols) * (rng.random(A.n_cols) < 0.7)
         v = rng.standard_normal(A.n_rows)
-        got = IMPLS["numpy"]["csc_matvec"](*args, A.n_rows, x)
+        got = NUMPY["csc_matvec"](*args, A.n_rows, x)
         ref = kernels._csc_matvec_loops(*args, A.n_rows, x)
         assert np.array_equal(got, ref)
-        got = IMPLS["numpy"]["csc_rmatvec"](*args, v)
+        got = NUMPY["csc_rmatvec"](*args, v)
         ref = kernels._csc_rmatvec_loops(*args, v)
         assert np.array_equal(got, ref)
 
@@ -524,7 +518,7 @@ class TestNumpySparsePath:
         x, Ax = x0.copy(), kernels._csc_matvec_loops(*args, n, x0)
         x_ref, Ax_ref = x.copy(), Ax.copy()
         for order in (cyclic, cyclic[::-1].copy(), repeats) * 2:
-            IMPLS["numpy"][kernel](*args, y, x, Ax, lip, *extra, order)
+            NUMPY[kernel](*args, y, x, Ax, lip, *extra, order)
             ref(*args, y, x_ref, Ax_ref, lip, *extra, order)
             assert x.tobytes() == x_ref.tobytes()
             assert Ax.tobytes() == Ax_ref.tobytes()
@@ -538,10 +532,9 @@ def test_warmup_idempotent():
 
 
 def test_warmup_calls_no_kernel_on_numpy(monkeypatch):
-    # the numpy backend compiles nothing, so warming it up is wasted work
+    # the numpy kernels compile nothing, so warming them up is wasted work
     called = []
-    monkeypatch.setattr(kernels, "BACKEND", "numpy")
-    for name in IMPLS["numpy"]:
+    for name in LOOPS:
         monkeypatch.setattr(kernels, name,
                             lambda *args, name=name: called.append(name))
     warmup()
@@ -605,7 +598,7 @@ def assert_close(got, ref):
 
 
 def test_numpy_dense_cd_epoch_is_the_loop_source():
-    assert IMPLS["numpy"]["cd_dense_epoch"] is LOOPS["cd_dense_epoch"]
+    assert NUMPY["cd_dense_epoch"] is LOOPS["cd_dense_epoch"]
 
 
 class TestNumpyMatchesLoopsProperties:
@@ -624,7 +617,7 @@ class TestNumpyMatchesLoopsProperties:
                 ("csc_matvec", lambda t: t(*args, A.n_rows, x)),
                 ("csc_rmatvec", lambda t: t(*args, v)),
                 ("csc_col_norms_sq", lambda t: t(A.values, A.col_ptr))):
-            assert_close(call(IMPLS["numpy"][name]), call(LOOPS[name]))
+            assert_close(call(NUMPY[name]), call(LOOPS[name]))
 
     @pytest.mark.parametrize("kernel", ["lasso_epoch", "enet_epoch",
                                         "logreg_l1_epoch", "logreg_l2_epoch",
@@ -638,7 +631,7 @@ class TestNumpyMatchesLoopsProperties:
         x0 = rng.standard_normal(A.n_cols) * (rng.random(A.n_cols) < 0.6)
         Ax0 = LOOPS["csc_matvec"](*args, A.n_rows, x0)
         out = {}
-        for backend, table in (("numpy", IMPLS["numpy"]), ("loops", LOOPS)):
+        for backend, table in (("numpy", NUMPY), ("loops", LOOPS)):
             x, Ax = x0.copy(), Ax0.copy()
             for _ in range(2):
                 table[kernel](*args, y, x, Ax, *tail)

@@ -153,6 +153,27 @@ class TestQuadraticDatafit:
         assert lip.tobytes() == np.diag(quad.H).tobytes()
         assert lip.flags.writeable
 
+    def test_holds_read_only_copies(self):
+        M = np.random.default_rng(27).standard_normal((20, 10))
+        H, b = M.T @ M + np.eye(10), M.T @ np.ones(20)
+        quad = Quadratic(H, b)
+        assert H.flags.writeable and b.flags.writeable  # the caller's own
+        assert not (quad.H.flags.writeable or quad.b.flags.writeable)
+        # a view of a writable base: changing the base after a cyclic pass
+        # (which caches the Gauss-Seidel inverse) leaves the quadratic as it
+        # was
+        base = H.copy()
+        quad = Quadratic(base[:], b)
+        order = np.arange(10, dtype=np.int64)
+        x = np.zeros(10)
+        quad.cd_pass(x, order)
+        base *= 2.0
+        assert quad.H.tobytes() == H.tobytes()
+        want = x.copy()
+        kernels.LOOPS["cd_dense_epoch"](quad.H, quad.b, want, order)
+        quad.cd_pass(x, order)
+        assert float(np.abs(x - want).max()) <= 1e-12
+
 
 def make_quadratic(seed):
     M = np.random.default_rng(seed).standard_normal((20, 12))

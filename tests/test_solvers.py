@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from extracd import anderson, kernels, problems, solvers
+from extracd import anderson, problems, solvers
 from extracd.data import CscMatrix, gen_correlated_gaussian
 from extracd.errors import ArgumentError
 from extracd.fixedpoint import cd_iteration, cdsym_iteration
@@ -566,8 +566,6 @@ class TestQuadraticProducts:
         ("cg", 2)])
     def test_hessian_products_per_epoch(self, solver, per_epoch,
                                         monkeypatch):
-        # the cyclic passes run as Gauss-Seidel steps on the numpy backend
-        monkeypatch.setattr(kernels, "BACKEND", "numpy")
         quad = make_quad(p=20, seed=48)
         count = hessian_counter(quad)
         marks = []
