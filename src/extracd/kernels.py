@@ -32,7 +32,7 @@ avoid per-column work where the input allows:
   always equals the fresh expression bit for bit;
 - `lsq_gram_epoch` runs a least-squares coordinate epoch on a dense design
   through its Gram matrix (``problems.LeastSquares.epoch`` chooses it);
-- ``problems.Quadratic.cd_pass`` runs a cyclic pass on a quadratic as one
+- ``problems.Quadratic.cd_sweep`` runs a cyclic pass on a quadratic as one
   Gauss-Seidel step instead of ``cd_dense_epoch``.
 
 ``cd_dense_epoch`` is its loop source, whose steps are already one BLAS

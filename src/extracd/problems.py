@@ -343,7 +343,7 @@ class Quadratic:
             raise ArgumentError("b must match the dimension of H")
         if not (np.all(np.isfinite(H)) and np.all(np.isfinite(b))):
             raise ArgumentError("H and b must be finite")
-        scale = np.abs(H).max() if H.size else 0.0
+        scale = max(H.max(), -H.min()) if H.size else 0.0
         # H - H' is antisymmetric, so its max is its largest |entry|
         if scale and (H - H.T).max() > 1e-10 * scale:
             raise ArgumentError("H must be symmetric")
@@ -386,8 +386,16 @@ class Quadratic:
         raise ArgumentError("lambda_max requires a sparsity-inducing penalty")
 
     def epoch(self, penalty, lip):
+        # a solve hands every epoch the same order array (a randomized one
+        # draws a new array each time), so the pass is chosen only when the
+        # array changes
+        chosen = None, None
+
         def epoch(x, Ax, order):
-            self.cd_pass(x, order, Ax)
+            nonlocal chosen
+            if order is not chosen[0]:
+                chosen = order, self.cd_sweep(order)
+            chosen[1](x, Ax)
         return epoch
 
     def solve(self):
@@ -395,7 +403,13 @@ class Quadratic:
         return np.linalg.solve(self.H, -self.b)
 
     def cd_pass(self, x, order, Hx=None):
-        """One coordinate-descent pass over ``order``, in place.
+        """One coordinate-descent pass over ``order``, in place (see
+        `cd_sweep`)."""
+        self.cd_sweep(order)(x, Hx)
+
+    def cd_sweep(self, order):
+        """The in-place coordinate-descent pass ``sweep(x, Hx=None)`` over
+        ``order``, its path chosen here once.
 
         Coordinate ``j`` moves to its exact minimizer, ``x_j -= (H_j x +
         b_j) / H_jj``.  The cyclic orders ``0..p-1`` and ``p-1..0`` run as
@@ -408,6 +422,7 @@ class Quadratic:
         takes its gradient from it, and the pass ends by overwriting it
         with ``H @ x`` of the new ``x``.
         """
+        H, b = self.H, self.b
         inv = None
         if order.size == self.dim:
             cyclic = np.arange(self.dim)
@@ -415,12 +430,15 @@ class Quadratic:
                 inv = self._lower_inv
             elif np.array_equal(order, cyclic[::-1]):
                 inv = self._upper_inv
-        if inv is None:
-            kernels.cd_dense_epoch(self.H, self.b, x, order)
-        else:
-            x -= inv @ ((self.H @ x if Hx is None else Hx) + self.b)
-        if Hx is not None:
-            Hx[:] = self.H @ x
+
+        def sweep(x, Hx=None):
+            if inv is None:
+                kernels.cd_dense_epoch(H, b, x, order)
+            else:
+                x -= inv @ ((H @ x if Hx is None else Hx) + b)
+            if Hx is not None:
+                Hx[:] = H @ x
+        return sweep
 
     @cached_property
     def _lower_inv(self):

@@ -114,13 +114,23 @@ def cd_epoch_quadratic(quad, x, order=None):
     return x
 
 
+def _cdsym_epoch(quad):
+    """``epoch(x, Hx=None)``: one in-place double sweep, with both passes
+    chosen here once (see `Quadratic.cd_sweep`)."""
+    fwd = np.arange(quad.dim, dtype=np.int64)
+    forward, backward = quad.cd_sweep(fwd), quad.cd_sweep(fwd[::-1].copy())
+
+    def epoch(x, Hx=None):
+        forward(x, Hx)
+        backward(x, Hx)
+        return x
+    return epoch
+
+
 def cdsym_epoch_quadratic(quad, x, Hx=None):
     """One double-sweep epoch (coordinates 1..p then p..1); ``Hx`` as in
     `Quadratic.cd_pass`."""
-    fwd = np.arange(quad.dim, dtype=np.int64)
-    quad.cd_pass(x, fwd, Hx)
-    quad.cd_pass(x, fwd[::-1].copy(), Hx)
-    return x
+    return _cdsym_epoch(quad)(x, Hx)
 
 
 def _cd_step(prob, order=None, rng=None):
@@ -231,9 +241,10 @@ def _require_quadratic(prob, who):
 
 def _cdsym_step(prob, who):
     _require_quadratic(prob, who)
+    epoch = _cdsym_epoch(prob)
 
     def step(x, Ax):
-        cdsym_epoch_quadratic(prob, x, Ax)
+        epoch(x, Ax)
         return x, Ax
     return step
 

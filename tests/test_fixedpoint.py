@@ -2,7 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from extracd import fixedpoint
 from extracd.errors import ArgumentError
 from extracd.fixedpoint import (DENSE_LIMIT, LinearIteration, Quadratic,
                                 RateBound, cd_iteration, cdsym_iteration,
@@ -300,6 +303,104 @@ class TestNumericalRange:
             numerical_range_boundary(np.eye(3), n_angles=2)
         with pytest.raises(ArgumentError):
             numerical_range_boundary(np.ones((2, 3)))
+
+
+def assert_matches_brute_force(T, q, n_angles):
+    """Support and on-line points within 1e-12 of ||T^q||, and no support
+    above the brute-force one by more than that."""
+    nr = numerical_range_boundary(T, q=q, n_angles=n_angles)
+    angles, support = brute_force_range(T, q, n_angles)
+    M = np.linalg.matrix_power(np.asarray(T, dtype=np.float64), q)
+    tol = 1e-12 * max(1.0, np.linalg.norm(M, 2))
+    np.testing.assert_allclose(nr.support, support, rtol=0, atol=tol)
+    on_line = np.real(np.exp(1j * angles) * nr.points)
+    np.testing.assert_allclose(on_line, support, rtol=0, atol=tol)
+    assert (nr.support - support).max() <= tol
+    return nr
+
+
+@st.composite
+def non_normal_matrices(draw):
+    # dimensions above the Lanczos step cap, so the Krylov runs are taken
+    n = draw(st.integers(fixedpoint._LANCZOS_STEPS + 1, 120))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    skew = draw(st.floats(0.0, 2.0))
+    return (rng.standard_normal((n, n))
+            + skew * np.triu(rng.standard_normal((n, n)), 1)) / math.sqrt(n)
+
+
+class TestLanczosRange:
+    """The Lanczos path: dimensions above `fixedpoint._LANCZOS_STEPS`."""
+
+    @settings(max_examples=12, deadline=None, database=None)
+    @given(non_normal_matrices(), st.sampled_from([1, 3]),
+           st.integers(8, 40))
+    def test_matches_brute_force(self, T, q, n_angles):
+        assert_matches_brute_force(T, q, n_angles)
+
+    @pytest.mark.parametrize("case", [
+        "half_identity", "repeated_top", "jordan", "symmetric"])
+    def test_breakdown_and_degenerate_cases(self, case, monkeypatch):
+        # every case has its Krylov runs fall back at two angles in a row
+        # (by breakdown, or at the step cap for the Jordan block's small
+        # top gap), after which the sweep decomposes outright
+        runs = []
+        lanczos_ends = fixedpoint._lanczos_ends
+
+        def counting_lanczos_ends(*args):
+            runs.append(lanczos_ends(*args))
+            return runs[-1]
+
+        monkeypatch.setattr(fixedpoint, "_lanczos_ends",
+                            counting_lanczos_ends)
+        n = 64
+        rng = np.random.default_rng(31)
+        if case == "half_identity":
+            T = 0.5 * np.eye(n)
+        elif case == "repeated_top":
+            T = np.diag(np.r_[0.9, 0.9, 0.9, rng.uniform(-0.8, 0.8, n - 3)])
+        elif case == "jordan":
+            T = 0.3 * np.eye(n) + np.eye(n, k=1)
+        else:
+            G = rng.standard_normal((n, n)) / math.sqrt(n)
+            T = 0.5 * (G + G.T)
+        nr = assert_matches_brute_force(T, 1, 180)
+        assert len(runs) <= 3 and runs[-2:] == [None, None]
+        if case == "half_identity":
+            np.testing.assert_allclose(nr.points, 0.5, rtol=0, atol=1e-12)
+        if case == "jordan":
+            # the range is the disk about 0.3 of radius cos(pi / (n + 1))
+            want = 0.3 * np.cos(nr.angles) + np.cos(np.pi / (n + 1))
+            np.testing.assert_allclose(nr.support, want, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("q", [1, 128])
+    def test_pass_matrix_takes_no_fallback(self, q, monkeypatch):
+        # the cd pass matrix of a p = 200 quadratic with condition 1e4: no
+        # angle after the first (theta = 0, where Hh is real) may fall
+        # back to a full decomposition
+        p = 200
+        Q, _ = np.linalg.qr(
+            np.random.default_rng(11).standard_normal((p, p)))
+        H = (Q * np.logspace(-4, 0, p)) @ Q.T
+        T = cd_iteration(Quadratic(0.5 * (H + H.T), np.zeros(p))).T
+        decomposed = []
+        eigh = np.linalg.eigh
+
+        def counting_eigh(a, *args, **kwargs):
+            if a.shape == (p, p):
+                decomposed.append(bool(np.any(a.imag)))
+            return eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+        nr = numerical_range_boundary(T, q=q, n_angles=180)
+        assert not any(decomposed), decomposed
+        assert len(decomposed) <= 1
+        monkeypatch.undo()
+        # every ninth angle of the grid is an angle of a 20-angle grid
+        angles, support = brute_force_range(T, q, 20)
+        np.testing.assert_allclose(nr.angles[::9], angles, rtol=1e-15)
+        tol = 1e-12 * max(1.0, np.linalg.norm(np.linalg.matrix_power(T, q), 2))
+        np.testing.assert_allclose(nr.support[::9], support, rtol=0, atol=tol)
 
 
 def test_dense_limit_guard():

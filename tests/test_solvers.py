@@ -592,6 +592,24 @@ class TestQuadraticProducts:
                     + (epoch % ResidualState.REFRESH_EVERY == 0))
             assert marks[epoch][0] - marks[epoch - 1][1] == want, epoch
 
+    @pytest.mark.parametrize("solver, chosen", [
+        ("pcd", 1), ("pcd_anderson", 1), ("cdsym", 2), ("cdsym_anderson", 2),
+        ("prcd", 60)])
+    def test_pass_chosen_once_per_order(self, solver, chosen, monkeypatch):
+        # a cyclic solve chooses each of its passes once; a randomized one
+        # draws a new order, and chooses again, every epoch
+        quad = make_quad(p=20, seed=49)
+        calls = []
+        cd_sweep = Quadratic.cd_sweep
+
+        def counting_cd_sweep(self, order):
+            calls.append(order)
+            return cd_sweep(self, order)
+
+        monkeypatch.setattr(Quadratic, "cd_sweep", counting_cd_sweep)
+        solve(quad, SolverConfig(algorithm=solver, max_epochs=60, tol=0.0))
+        assert len(calls) == chosen
+
 
 # ---------------------------------------------------------------------------
 # dispatch
