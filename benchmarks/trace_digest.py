@@ -20,6 +20,14 @@ Records:
   ``anderson/online_singular``: the online driver on the same map when
   its second iterate is NaN, so that the first attempt is singular;
 - ``fixedpoint/cd`` and ``fixedpoint/cdsym``: the probed pass matrices;
+- ``epoch/cd_quadratic/<order>``: one ``cd_epoch_quadratic`` from a fixed
+  ``x`` on the quadratic of those matrices, over the ``cyclic`` order, the
+  ``backward`` one and a ``custom`` one with repeats;
+  ``epoch/cdsym_quadratic/hx`` and ``/none``: one ``cdsym_epoch_quadratic``
+  from that ``x`` with and without ``Hx`` (the returned ``Hx`` included);
+- ``epoch/pcd/<design>/<problem>``: one ``pcd_epoch`` with a
+  ``ResidualState`` from a fixed ``x`` on each design problem above (the
+  epoch's ``x`` and predictions);
 - ``wide_lasso``: 300 epochs of ``pcd_anderson`` on the 100 x 5000
   dense-stored lasso at lambda_max / 100;
 - ``parse/sample`` and ``parse/padded``: the CSC arrays and labels that
@@ -245,11 +253,42 @@ def anderson_records():
     emit("anderson/online_singular", on.final, on.iterates, on.events)
 
 
-def fixedpoint_records():
+def pcd_epoch_records(probs, design):
+    x0 = np.random.default_rng(5).standard_normal(P)
+    for pname, prob in probs.items():
+        if pname != "quadratic":
+            x = x0.copy()
+            state = solvers.ResidualState(prob.A, x)
+            emit(f"epoch/pcd/{design}/{pname}",
+                 solvers.pcd_epoch(prob, x, state=state), state.Ax)
+
+
+def fixedpoint_quadratic():
     rng = np.random.default_rng(4)
     M = rng.standard_normal((30, 12))
-    quad = problems.Quadratic(M.T @ M + 0.5 * np.eye(12),
+    return problems.Quadratic(M.T @ M + 0.5 * np.eye(12),
                               rng.standard_normal(12))
+
+
+def quadratic_epoch_records():
+    quad = fixedpoint_quadratic()
+    rng = np.random.default_rng(6)
+    x0 = rng.standard_normal(quad.dim)
+    cyclic = np.arange(quad.dim, dtype=np.int64)
+    orders = {"cyclic": None, "backward": cyclic[::-1].copy(),
+              "custom": rng.integers(0, quad.dim, size=quad.dim + 3)}
+    for name, order in orders.items():
+        emit(f"epoch/cd_quadratic/{name}",
+             solvers.cd_epoch_quadratic(quad, x0.copy(), order=order))
+    x, Hx = x0.copy(), quad.H @ x0
+    emit("epoch/cdsym_quadratic/hx",
+         solvers.cdsym_epoch_quadratic(quad, x, Hx), Hx)
+    emit("epoch/cdsym_quadratic/none",
+         solvers.cdsym_epoch_quadratic(quad, x0.copy()))
+
+
+def fixedpoint_records():
+    quad = fixedpoint_quadratic()
     it = fixedpoint.cd_iteration(quad)
     emit("fixedpoint/cd", it.T, it.b_vec, it.kind)
     it, S = fixedpoint.cdsym_iteration(quad)
@@ -324,8 +363,10 @@ def main():
         probs = make_problems(M, y, yb)
         solve_records(probs, design)
         oracle_records(probs, design)
+        pcd_epoch_records(probs, design)
     anderson_records()
     fixedpoint_records()
+    quadratic_epoch_records()
     wide_lasso_record()
     parse_records()
     bench_records()

@@ -42,8 +42,9 @@ class CscMatrix:
 
     Invariants are checked on construction: ``col_ptr`` is monotone and
     frames ``values``; row indices are strictly increasing inside each
-    column and in range; all values are finite.  Arrays are marked
-    read-only so instances can be shared across threads.
+    column and in range; all values are finite.  The arrays are read-only
+    copies, so instances can be shared across threads and no view of the
+    caller's can undo the checks.
     """
 
     n_rows: int
@@ -53,9 +54,9 @@ class CscMatrix:
     values: np.ndarray
 
     def __post_init__(self):
-        col_ptr = np.ascontiguousarray(self.col_ptr, dtype=np.int64)
-        row_idx = np.ascontiguousarray(self.row_idx, dtype=np.int64)
-        values = np.ascontiguousarray(self.values, dtype=np.float64)
+        col_ptr = np.array(self.col_ptr, dtype=np.int64, ndmin=1)
+        row_idx = np.array(self.row_idx, dtype=np.int64, ndmin=1)
+        values = np.array(self.values, dtype=np.float64, ndmin=1)
         object.__setattr__(self, "col_ptr", col_ptr)
         object.__setattr__(self, "row_idx", row_idx)
         object.__setattr__(self, "values", values)
@@ -136,7 +137,7 @@ class Dataset:
     name: str = ""
 
     def __post_init__(self):
-        y = np.ascontiguousarray(self.y, dtype=np.float64)
+        y = np.array(self.y, dtype=np.float64, ndmin=1)  # a read-only copy
         object.__setattr__(self, "y", y)
         if y.ndim != 1 or y.size != self.A.n_rows:
             raise ArgumentError("y must have one entry per matrix row")

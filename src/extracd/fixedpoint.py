@@ -338,6 +338,8 @@ def numerical_range_boundary(T, q=1, n_angles=360):
     M = np.linalg.matrix_power(T, q)
     S = 0.5 * (M + M.T)
     K = 0.5 * (M - M.T)
+    # cast once: the real M times the complex ends would be cast per angle
+    M = M.astype(np.complex128)
     n = n_angles
     angles = np.linspace(0.0, 2.0 * np.pi, n, endpoint=False)
     points = np.empty(n, dtype=np.complex128)

@@ -402,11 +402,6 @@ class Quadratic:
         """The minimizer ``-H^{-1} b``."""
         return np.linalg.solve(self.H, -self.b)
 
-    def cd_pass(self, x, order, Hx=None):
-        """One coordinate-descent pass over ``order``, in place (see
-        `cd_sweep`)."""
-        self.cd_sweep(order)(x, Hx)
-
     def cd_sweep(self, order):
         """The in-place coordinate-descent pass ``sweep(x, Hx=None)`` over
         ``order``, its path chosen here once.
@@ -462,7 +457,7 @@ class _DesignProblem:
     def __post_init__(self):
         if not isinstance(self.A, CscMatrix):
             raise ArgumentError("A must be a CscMatrix")
-        y = np.ascontiguousarray(self.y, dtype=np.float64)
+        y = np.array(self.y, dtype=np.float64, ndmin=1)  # a read-only copy
         if y.shape != (self.A.n_rows,):
             raise ArgumentError("y must have one entry per row of A")
         if not (np.isfinite(self.lam) and self.lam > 0):
@@ -558,13 +553,15 @@ class GroupLasso(_DesignProblem):
     groups: tuple
 
     def _parts(self):
-        groups = tuple(np.ascontiguousarray(g, dtype=np.int64)
+        groups = tuple(np.array(g, dtype=np.int64, ndmin=1)
                        for g in self.groups)
         if not groups:
             raise ArgumentError("groups must be nonempty")
         if (np.sort(np.concatenate(groups)).tolist()
                 != list(range(self.A.n_cols))):
             raise ArgumentError("groups must partition the columns exactly")
+        for g in groups:
+            g.setflags(write=False)
         object.__setattr__(self, "groups", groups)
         return LeastSquares(self.A, self.y, 1.0), Group(self.lam, groups)
 

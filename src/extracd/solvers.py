@@ -107,30 +107,14 @@ class ResidualState:
 
 def cd_epoch_quadratic(quad, x, order=None):
     """One in-place coordinate-descent epoch on a quadratic, cyclic unless
-    an ``order`` is given (see `Quadratic.cd_pass`)."""
-    if order is None:
-        order = np.arange(quad.dim, dtype=np.int64)
-    quad.cd_pass(x, order)
-    return x
-
-
-def _cdsym_epoch(quad):
-    """``epoch(x, Hx=None)``: one in-place double sweep, with both passes
-    chosen here once (see `Quadratic.cd_sweep`)."""
-    fwd = np.arange(quad.dim, dtype=np.int64)
-    forward, backward = quad.cd_sweep(fwd), quad.cd_sweep(fwd[::-1].copy())
-
-    def epoch(x, Hx=None):
-        forward(x, Hx)
-        backward(x, Hx)
-        return x
-    return epoch
+    an ``order`` is given: the step `pcd` runs (see `Quadratic.cd_sweep`)."""
+    return pcd_epoch(quad, x, order=order)
 
 
 def cdsym_epoch_quadratic(quad, x, Hx=None):
-    """One double-sweep epoch (coordinates 1..p then p..1); ``Hx`` as in
-    `Quadratic.cd_pass`."""
-    return _cdsym_epoch(quad)(x, Hx)
+    """One double-sweep epoch (coordinates 1..p then p..1), the step
+    `cdsym` runs; ``Hx`` as in `Quadratic.cd_sweep`."""
+    return _cdsym_step(quad)(x, Hx)[0]
 
 
 def _cd_step(prob, order=None, rng=None):
@@ -239,19 +223,23 @@ def _require_quadratic(prob, who):
         raise ArgumentError(f"{who} supports quadratic problems only")
 
 
-def _cdsym_step(prob, who):
+def _cdsym_step(prob, who="cdsym"):
+    """``step(x, Hx)``: one in-place double sweep, with both passes chosen
+    here once."""
     _require_quadratic(prob, who)
-    epoch = _cdsym_epoch(prob)
+    fwd = np.arange(prob.dim, dtype=np.int64)
+    forward, backward = prob.cd_sweep(fwd), prob.cd_sweep(fwd[::-1].copy())
 
     def step(x, Ax):
-        epoch(x, Ax)
+        forward(x, Ax)
+        backward(x, Ax)
         return x, Ax
     return step
 
 
 def baseline_cdsym(prob, cfg):
     """Double-sweep coordinate descent (one epoch = both sweeps)."""
-    return _drive(prob, cfg, "cdsym", _cdsym_step(prob, "cdsym"))
+    return _drive(prob, cfg, "cdsym", _cdsym_step(prob))
 
 
 def anderson_cdsym(prob, cfg):

@@ -108,6 +108,20 @@ class TestCscMatrix:
         with pytest.raises(ValueError):
             A.values[0] = 7.0
 
+    def test_holds_read_only_copies(self):
+        # views of writable bases that already have the stored dtypes:
+        # changing the bases after the checks leaves the matrix as it was
+        col_base = np.array([0, 1, 2], dtype=np.int64)
+        row_base = np.array([0, 1], dtype=np.int64)
+        base = np.array([1.0, 2.0])
+        A = CscMatrix(2, 2, col_base[:], row_base[:], base[:])
+        col_base[1], row_base[0], base[0] = 2, 5, np.nan
+        assert A.col_ptr.tolist() == [0, 1, 2]
+        assert A.row_idx.tolist() == [0, 1]
+        assert A.values.tolist() == [1.0, 2.0]
+        for arr in (col_base, row_base, base):
+            assert arr.flags.writeable
+
 
 class TestDataset:
     def test_label_length_checked(self):
@@ -119,6 +133,13 @@ class TestDataset:
         A = CscMatrix.from_dense(np.eye(2))
         with pytest.raises(ArgumentError):
             Dataset(A, np.array([1.0, np.inf]))
+
+    def test_holds_a_read_only_copy(self):
+        base = np.array([1.0, -1.0])
+        ds = Dataset(CscMatrix.from_dense(np.eye(2)), base[:])
+        base[0] = np.inf
+        assert ds.y.tolist() == [1.0, -1.0]
+        assert base.flags.writeable and not ds.y.flags.writeable
 
 
 GOLDEN = """\

@@ -306,7 +306,7 @@ class TestDensePaths:
                 order = order[::-1].copy()
             x0 = np.random.default_rng(quad.dim).standard_normal(quad.dim)
             got, ref = x0.copy(), x0.copy()
-            quad.cd_pass(got, order)
+            quad.cd_sweep(order)(got)
             kernels._cd_dense_epoch_loops(quad.H, quad.b, ref, order)
             assert float(np.abs(got - ref).max()) <= 1e-12, quad.dim
 
@@ -321,9 +321,9 @@ class TestDensePaths:
             x0 = rng.standard_normal(p)
             for order in (cyclic, cyclic[::-1].copy(), repeats):
                 want = x0.copy()
-                quad.cd_pass(want, order)
+                quad.cd_sweep(order)(want)
                 got, Hx = x0.copy(), quad.H @ x0
-                quad.cd_pass(got, order, Hx)
+                quad.cd_sweep(order)(got, Hx)
                 assert got.tobytes() == want.tobytes(), (p, order[:3])
                 assert np.array_equal(Hx, quad.H @ got), (p, order[:3])
 

@@ -166,12 +166,12 @@ class TestQuadraticDatafit:
         quad = Quadratic(base[:], b)
         order = np.arange(10, dtype=np.int64)
         x = np.zeros(10)
-        quad.cd_pass(x, order)
+        quad.cd_sweep(order)(x)
         base *= 2.0
         assert quad.H.tobytes() == H.tobytes()
         want = x.copy()
         kernels.LOOPS["cd_dense_epoch"](quad.H, quad.b, want, order)
-        quad.cd_pass(x, order)
+        quad.cd_sweep(order)(x)
         assert float(np.abs(x - want).max()) <= 1e-12
 
 
@@ -464,6 +464,23 @@ class TestGroupsAndRidge:
             GroupLasso(A, y, 1.0, (np.array([0, 1]),))
         with pytest.raises(ArgumentError):
             GroupLasso(A, y, 1.0, (np.array([0, 1]), np.array([1, 2, 3])))
+
+    def test_design_problems_hold_read_only_copies(self):
+        # labels and group indices that are views of writable bases:
+        # changing the bases after the checks leaves the problem as it was
+        A = CscMatrix.from_dense(np.eye(4))
+        y_base = np.array([1.0, 2.0, 3.0, 4.0])
+        g_base = np.array([0, 1, 2, 3], dtype=np.int64)
+        prob = GroupLasso(A, y_base[:], 1.0, (g_base[:2], g_base[2:]))
+        lasso = Lasso(A, y_base[:], 1.0)
+        y_base[0], g_base[0] = np.nan, 3
+        for y in (prob.y, prob.datafit.y, lasso.y, lasso.datafit.y):
+            assert y.tolist() == [1.0, 2.0, 3.0, 4.0]
+            assert not y.flags.writeable
+        assert [g.tolist() for g in prob.groups] == [[0, 1], [2, 3]]
+        assert not any(g.flags.writeable for g in prob.groups)
+        assert prob.penalty.grp_cols.tolist() == [0, 1, 2, 3]
+        assert y_base.flags.writeable and g_base.flags.writeable
 
     def test_tikhonov_for_condition(self):
         eigs = np.array([0.0, 0.5, 4.0])

@@ -92,6 +92,24 @@ class TestEpochFunctions:
             ref[j] -= (quad.H[j] @ ref + quad.b[j]) / quad.H[j, j]
         assert np.allclose(got, ref, atol=1e-12)
 
+    def test_cd_iteration_probes_the_pcd_step(self, monkeypatch):
+        # every probe builds the step `pcd` builds, through Quadratic.epoch
+        calls = []
+        epoch = Quadratic.epoch
+
+        def counting_epoch(self, penalty, lip):
+            calls.append(lip.size)
+            return epoch(self, penalty, lip)
+
+        monkeypatch.setattr(Quadratic, "epoch", counting_epoch)
+        cd_iteration(make_quad(p=7, seed=10))
+        assert calls == [7] * 8
+
+    def test_cdsym_epoch_refuses_a_design_problem(self):
+        probs, _ = make_sparse_problems()
+        with pytest.raises(ArgumentError, match="cdsym"):
+            cdsym_epoch_quadratic(probs["lasso"], np.zeros(16))
+
     def test_pcd_epoch_quadratic_needs_no_state(self):
         quad = make_quad(p=6, seed=9)
         x = np.ones(6)
