@@ -1,67 +1,55 @@
-"""Micro-benchmark of the kernels.
+"""Micro-benchmark of one coordinate pass and of the sparse products.
 
-Times one epoch of each coordinate-update kernel plus the sparse
-matrix-vector products on a synthetic dense-stored problem, and the
-same kernels (epochs from x = 0 at lambda_max / 10) on a 1000 x 1000,
-1 %-dense 0/1 design (cases ``sparse_*``), and one
-``numerical_range_boundary`` sweep (180 angles) of a 200 x 200
-coordinate-pass matrix at the powers 1 and 128.  On the same p = 200
-quadratic (cases ``quad_solve_*``), ``pcd_anderson``, ``cdsym_anderson``,
-``gd_anderson`` and ``cg`` solve to gradient 1e-10; their epochs and
-seconds per epoch (whole solve, instrumentation included) are reported.
-Run as::
+On a synthetic dense-stored ``--n`` x ``--p`` design, and on a
+1000 x 1000, 1 %-dense 0/1 design (cases ``sparse_*``), times the CSC
+products and one pass from x = 0 of the epoch that ``problems`` selects
+for a lasso (``lasso_pass``) and an l1 logistic regression
+(``logreg_l1_pass``) at lambda_max / 10: the pass a solve runs, so a
+dense design with at most 2000 columns is swept through its Gram matrix.
+Each pass is built, Gram matrix included, before its timer starts,
+because that is per-solve set-up.  ``quad_gs_pass`` times one cyclic
+pass (a Gauss-Seidel step) of a seeded p = 200 quadratic.  Whole
+operations (solves, numerical ranges) are timed by ``perfbench/run.py``.
 
-    python3 benchmarks/kernel_bench.py [--n 2000] [--p 4000] [--repeat 20]
-        [--json PATH]
+BLAS is pinned to one thread.  Run from the repository root as::
+
+    PYTHONPATH=src python3 benchmarks/kernel_bench.py [--n 2000] [--p 4000]
+        [--repeat 20] [--json PATH]
 
 ``--json`` also writes the timings (best of the repeats, in seconds) with
-the arguments, the backend and the numpy version to ``PATH``.
+the arguments, the backend, the versions and the BLAS variables to
+``PATH``.
 """
 
-import argparse
-import json
 import os
-import platform
-import time
 
-import numpy as np
+# before numpy loads, so that BLAS starts single-threaded
+for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
 
-from extracd import fixedpoint, kernels, solvers
-from extracd.data import CscMatrix, gen_correlated_gaussian
-from extracd.kernels import BACKEND
+import argparse  # noqa: E402
+import json  # noqa: E402
+import platform  # noqa: E402
+import time  # noqa: E402
 
-RANGE_DIM = 200
-RANGE_ANGLES = 180
-RANGE_POWERS = (1, 128)
-RANGE_REPEAT = 3
-QUAD_SOLVERS = ("pcd_anderson", "cdsym_anderson", "gd_anderson", "cg")
-QUAD_TOL = 1e-10
+import numpy as np  # noqa: E402
+
+from extracd import kernels, problems  # noqa: E402
+from extracd.data import CscMatrix, gen_correlated_gaussian  # noqa: E402
+from extracd.kernels import BACKEND  # noqa: E402
+
+QUAD_DIM = 200
 SPARSE_DIM = 1000
 SPARSE_DENSITY = 0.01
 
 
-def time_call(fn, *args, repeat):
+def time_call(fn, repeat):
     best = float("inf")
     for _ in range(repeat):
         t0 = time.perf_counter()
-        fn(*args)
+        fn()
         best = min(best, time.perf_counter() - t0)
     return best
-
-
-def criterion_quadratic(b):
-    """p=200 quadratic with spectrum log-spaced over 1e-4..1 and
-    eigenvectors from seed 11."""
-    rng = np.random.default_rng(11)
-    Q, _ = np.linalg.qr(rng.standard_normal((RANGE_DIM, RANGE_DIM)))
-    H = (Q * np.logspace(-4, 0, RANGE_DIM)) @ Q.T
-    return fixedpoint.Quadratic(0.5 * (H + H.T), b)
-
-
-def range_matrix():
-    """Coordinate-pass matrix of the criterion quadratic."""
-    quad = criterion_quadratic(np.zeros(RANGE_DIM))
-    return fixedpoint.cd_iteration(quad).T
 
 
 def sparse_design():
@@ -73,72 +61,65 @@ def sparse_design():
     return CscMatrix.from_dense(M), y
 
 
-def kernel_cases(A, y, prefix=""):
-    """(name, call) pairs; each call runs one kernel."""
-    n, p = A.n_rows, A.n_cols
-    lip = A.col_norms_sq()
+def selected_pass(prob):
+    """One cyclic pass from x = 0 of the epoch a solve of ``prob`` runs."""
+    datafit, penalty = prob.datafit, prob.penalty
+    epoch = penalty.epoch(datafit, datafit.coordinate_lipschitz(penalty))
+    n, p = prob.A.n_rows, prob.A.n_cols
     order = np.arange(p, dtype=np.int64)
-    lam = 0.1 * np.max(np.abs(A.rmatvec(y)))
+    return lambda: epoch(np.zeros(p), np.zeros(n), order)
+
+
+def kernel_cases(A, y, prefix=""):
+    """(name, call) pairs; each call runs one product or one pass."""
+    n, p = A.n_rows, A.n_cols
     cases = [
         ("csc_matvec", lambda: kernels.csc_matvec(
             A.values, A.row_idx, A.col_ptr, n, np.ones(p))),
         ("csc_rmatvec", lambda: kernels.csc_rmatvec(
             A.values, A.row_idx, A.col_ptr, y)),
-        ("lasso_epoch", lambda: kernels.lasso_epoch(
-            A.values, A.row_idx, A.col_ptr, y, np.zeros(p), np.zeros(n),
-            lip, lam, order)),
-        ("logreg_l1_epoch", lambda: kernels.logreg_l1_epoch(
-            A.values, A.row_idx, A.col_ptr, np.sign(y) + (y == 0),
-            np.zeros(p), np.zeros(n), lip / 4.0, lam / 2.0, order)),
     ]
+    for name, cls, labels in (("lasso_pass", problems.Lasso, y),
+                              ("logreg_l1_pass", problems.LogRegL1,
+                               np.sign(y) + (y == 0))):
+        lam = problems.lambda_max(cls(A, labels, 1.0)) / 10
+        cases.append((name, selected_pass(cls(A, labels, lam))))
     return [(prefix + name, call) for name, call in cases]
 
 
-def main():
+def quad_gs_pass():
+    """One cyclic pass from x = 0 of a seeded SPD quadratic; its cost does
+    not depend on the spectrum."""
+    rng = np.random.default_rng(0)
+    M = rng.standard_normal((QUAD_DIM, QUAD_DIM))
+    quad = problems.Quadratic(M @ M.T / QUAD_DIM + np.eye(QUAD_DIM),
+                              rng.standard_normal(QUAD_DIM))
+    sweep = quad.cd_sweep(np.arange(QUAD_DIM, dtype=np.int64))
+    return lambda: sweep(np.zeros(QUAD_DIM), np.zeros(QUAD_DIM))
+
+
+def main(argv=None):
     ap = argparse.ArgumentParser()
     ap.add_argument("--n", type=int, default=2000)
     ap.add_argument("--p", type=int, default=4000)
     ap.add_argument("--repeat", type=int, default=20)
     ap.add_argument("--json", metavar="PATH")
-    args = ap.parse_args()
+    args = ap.parse_args(argv)
 
     ds, _ = gen_correlated_gaussian(args.n, args.p, 0.5, 3.0, seed=0)
     S, y_s = sparse_design()
 
     results = []
     print(f"dense-stored n={args.n} p={args.p} nnz={ds.A.nnz}; sparse "
-          f"n=p={SPARSE_DIM} nnz={S.nnz} (best of {args.repeat})")
-    print(f"{'kernel':22s} {BACKEND:>10s}")
+          f"n=p={SPARSE_DIM} nnz={S.nnz}; quadratic p={QUAD_DIM} "
+          f"(best of {args.repeat})")
+    print(f"{'case':22s} {BACKEND:>10s}")
     for name, call in (kernel_cases(ds.A, ds.y)
-                       + kernel_cases(S, y_s, "sparse_")):
+                       + kernel_cases(S, y_s, "sparse_")
+                       + [("quad_gs_pass", quad_gs_pass())]):
         t = time_call(call, repeat=args.repeat)
         results.append({"case": name, "backend": BACKEND, "best_s": t})
         print(f"{name:22s} {t * 1e3:8.3f}ms")
-
-    T = range_matrix()
-    print(f"numerical_range_boundary p={RANGE_DIM} n_angles={RANGE_ANGLES}"
-          f" (best of {RANGE_REPEAT})")
-    for q in RANGE_POWERS:
-        t = time_call(lambda: fixedpoint.numerical_range_boundary(
-            T, q=q, n_angles=RANGE_ANGLES), repeat=RANGE_REPEAT)
-        results.append({"case": f"numerical_range_boundary_q{q}",
-                        "backend": "numpy", "best_s": t})
-        print(f"  q={q:<4d} {t:8.3f}s")
-
-    quad = criterion_quadratic(
-        np.random.default_rng(0).standard_normal(RANGE_DIM))
-    print(f"quad_solve p={RANGE_DIM} tol={QUAD_TOL:g} backend={BACKEND} "
-          f"(best of {RANGE_REPEAT})")
-    for alg in QUAD_SOLVERS:
-        cfg = solvers.SolverConfig(algorithm=alg, tol=QUAD_TOL,
-                                   max_epochs=100000)
-        epochs = solvers.solve(quad, cfg).epochs[-1]
-        t = time_call(solvers.solve, quad, cfg, repeat=RANGE_REPEAT)
-        results.append({"case": f"quad_solve_{alg}", "backend": BACKEND,
-                        "best_s": t, "epochs": epochs,
-                        "s_per_epoch": t / epochs})
-        print(f"  {alg:16s} {epochs:6d} epochs {t:8.3f}s "
-              f"{t / epochs * 1e6:8.1f}us/epoch")
 
     if args.json:
         blas_env = {k: os.environ.get(k) for k in (

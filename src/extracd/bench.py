@@ -101,12 +101,15 @@ _SCHEMA = {
 def load_config(path, out_dir=None, seed=None):
     """Parse and validate an INI benchmark config.
 
-    Unknown sections or keys, unknown problem kinds and unknown solver
-    names are rejected with an error naming the offending field.
+    Unknown sections, keys, kinds or solver names, empty lists and files
+    that are not UTF-8 INI text are rejected with an error naming them.
     ``out_dir`` and ``seed`` override the file values (CLI flags).
     """
     parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
-    read = parser.read(path)
+    try:
+        read = parser.read(path, encoding="utf-8")
+    except (configparser.Error, UnicodeDecodeError) as exc:
+        raise ArgumentError(f"bad config file {path}: {exc}") from None
     if not read:
         raise OSError(f"config file not found: {path}")
     values = {}
@@ -140,6 +143,9 @@ def load_config(path, out_dir=None, seed=None):
                                 "solvers.names")
     if not spec.solvers:
         raise ArgumentError("solvers.names must list at least one solver")
+    for key in ("lambda_fracs", "rho_fracs"):
+        if not getattr(spec, key):
+            raise ArgumentError(f"problem.{key} must list at least one value")
     if spec.ref_budget_factor < 10:
         raise ArgumentError("run.ref_budget_factor must be at least 10")
     # the solvers' own rules for the [run] values, before any solve

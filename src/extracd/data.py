@@ -157,7 +157,7 @@ def _open_text(source):
         if isinstance(raw, str):
             raw = raw.encode()
     else:
-        raise ArgumentError("source must be a path, bytes or binary file")
+        raise ArgumentError("source must be a path, bytes or a file object")
     if raw[:2] == _GZIP_MAGIC:
         try:
             raw = gzip.decompress(raw)
@@ -179,7 +179,7 @@ def parse_libsvm(source, n_cols=None):
 
     Parameters
     ----------
-    source : path, bytes or binary file object
+    source : path, bytes, or binary or text file object
         Raw or gzipped LibSVM text; gzip is detected from magic bytes.
     n_cols : int, optional
         Pad the column dimension up to this value.  It is an error to

@@ -260,13 +260,14 @@ def power_iteration(matvec, dim, tol=1e-10, max_iter=1000, seed=0):
     v = rng.standard_normal(dim)
     v /= np.linalg.norm(v)
     eig = 0.0
+    w = matvec(v)
     for _ in range(max_iter):
-        w = matvec(v)
         norm = np.linalg.norm(w)
         if norm == 0.0:
             return 0.0
         v = w / norm
-        new = float(v @ matvec(v))
+        w = matvec(v)  # the Rayleigh quotient's product is the next step's
+        new = float(v @ w)
         if abs(new - eig) <= tol * max(1.0, abs(new)):
             return new
         eig = new

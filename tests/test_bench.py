@@ -21,6 +21,7 @@ from extracd.problems import (ElasticNet, GroupLasso, Lasso, LogRegL1,
                               lambda_max, stopping_measure,
                               tikhonov_for_condition)
 from extracd.solvers import Trace
+from extracd.svgplot import write_line_plot
 
 
 BASE_CONFIG = {
@@ -174,6 +175,11 @@ class TestGridAndFingerprint:
             assert prob.lam == want
         else:
             assert abs(prob.lam - want) <= 1e-10 * want
+
+    def test_logreg_l2_kappa_above_sample_condition_number(self):
+        spec = BenchSpec(source="sample", kind="logreg_l2")
+        with pytest.raises(ArgumentError, match="kappa is above"):
+            build_problems(spec, build_dataset(spec))
 
     @pytest.mark.parametrize("kind,cls", [
         ("lasso", Lasso), ("enet", ElasticNet), ("logreg_l1", LogRegL1),
@@ -391,6 +397,20 @@ class TestTraceCsv:
         assert float(rows[0][4]) == math.pi * 1e-11
 
 
+class TestLinePlot:
+    @pytest.mark.parametrize("series", [
+        [("a", [3], [0.5]), ("b", [3], [0.25])],
+        [("a", [0, 1], [0.0, -1.0]), ("b", [], [])],
+        [("a", [0, 1, 2], [0.5, 0.5, 0.5]), ("b", [0], [0.5])],
+    ], ids=["one_x", "no_positive_y", "one_y"])
+    def test_degenerate_series_still_plotted(self, series, tmp_path):
+        path = tmp_path / "plot.svg"
+        write_line_plot(path, "degenerate", series)
+        texts = [el.text for el in ET.parse(path).iter()
+                 if el.tag.endswith("text") and el.text]
+        assert {"a", "b"} <= set(texts)
+
+
 # ---------------------------------------------------------------------------
 # full runs
 # ---------------------------------------------------------------------------
@@ -505,6 +525,32 @@ class TestCli:
                            {"problem": {"kind": "ridge"}})
         assert main(["bench", "--config", str(cfg)]) == 2
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["bench", "ref"])
+    @pytest.mark.parametrize("content,fragment", [
+        (b"[dataset]\nn = 30\nn = 40\n", "bad.ini"),
+        (b"[run]\n[run]\n", "bad.ini"),
+        (b"n = 30\n", "bad.ini"),
+        (b"[dataset]\nn 30\n", "bad.ini"),
+        (b"[dataset]\nn = 30 ; \xe9t\xe9\n", "bad.ini"),
+        ({"problem": {"lambda_fracs": ""}}, "problem.lambda_fracs"),
+        ({"problem": {"kind": "enet", "rho_fracs": ""}}, "problem.rho_fracs"),
+    ], ids=["repeated_option", "repeated_section", "no_section", "no_equals",
+            "non_utf8", "empty_lambda_fracs", "empty_rho_fracs"])
+    def test_bad_config_exit_two_naming_it(self, command, content, fragment,
+                                           tmp_path, capsys):
+        cfg = tmp_path / "bad.ini"
+        if isinstance(content, bytes):
+            cfg.write_bytes(content)
+        else:
+            write_config(cfg, content)
+        out = tmp_path / "res"
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert fragment in captured.err
+        assert not out.exists()
 
     def test_bench_nan_tol_exit_two_before_any_solve(self, tmp_path, capsys,
                                                      monkeypatch):

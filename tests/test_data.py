@@ -165,9 +165,14 @@ class TestParseLibsvm:
         zipped = tmp_path / "d.libsvm.gz"
         zipped.write_bytes(gzip.compress(GOLDEN.encode()))
         for src in (str(plain), str(zipped), plain, zipped,
-                    io.BytesIO(GOLDEN.encode()), GOLDEN.encode()):
+                    io.BytesIO(GOLDEN.encode()), io.StringIO(GOLDEN),
+                    GOLDEN.encode()):
             ds = parse_libsvm(src)
             assert ds.A.n_rows == 3 and ds.A.n_cols == 3
+
+    def test_unknown_source_kind_rejected(self):
+        with pytest.raises(ArgumentError, match="source must be"):
+            parse_libsvm(42)
 
     def test_n_cols_pads_only(self):
         ds = parse_libsvm(b"1 2:1.0\n", n_cols=5)

@@ -137,6 +137,7 @@ class TestSpectralRadius:
         T = np.array([[0.0, -2.0], [1.0, 0.0]])
         assert math.isclose(spectral_radius(T), math.sqrt(2.0),
                             rel_tol=1e-12)
+        assert spectral_radius(np.zeros((0, 0))) == 0.0
 
     def test_validation(self):
         with pytest.raises(ArgumentError):
@@ -211,6 +212,9 @@ class TestRateBound:
         expanding = LinearIteration(np.eye(3) * 1.5, np.zeros(3), kind="gd")
         with pytest.raises(ArgumentError):
             RateBound.from_iteration(expanding, np.eye(3))
+        halving = LinearIteration(np.eye(2) * 0.5, np.zeros(2), kind="gd")
+        with pytest.raises(ArgumentError, match="positive definite"):
+            RateBound.from_iteration(halving, np.diag([1.0, -1.0]))
 
 
 def brute_force_range(T, q, n_angles):
@@ -303,6 +307,8 @@ class TestNumericalRange:
             numerical_range_boundary(np.eye(3), n_angles=2)
         with pytest.raises(ArgumentError):
             numerical_range_boundary(np.ones((2, 3)))
+        with pytest.raises(ArgumentError, match="finite"):
+            numerical_range_boundary(np.array([[0.5, np.nan], [0.0, 0.5]]))
 
 
 def assert_matches_brute_force(T, q, n_angles):

@@ -360,6 +360,31 @@ class TestFullGradient:
         assert power_iteration(lambda v: v, 0) == 0.0
         assert power_iteration(lambda v: 0.0 * v, 7) == 0.0
 
+    @pytest.mark.parametrize("matvec,products", [
+        (lambda v: v, 3),
+        (lambda v: 0.0 * v, 1),
+        (lambda v: np.full(v.size, v.sum()), 3),
+    ], ids=["identity", "zero", "rank_one"])
+    def test_power_iteration_one_product_per_step(self, matvec, products):
+        seen = []
+
+        def counted(v):
+            seen.append(v)
+            return matvec(v)
+        power_iteration(counted, 7)
+        assert len(seen) == products
+
+    def test_power_iteration_returns_last_estimate_at_max_iter(self):
+        H = np.diag([2.0, 1.0])
+        seen = []
+
+        def counted(v):
+            seen.append(v)
+            return H @ v
+        top = power_iteration(counted, 2, tol=0.0, max_iter=3)
+        v = seen[-1]
+        assert top == float(v @ (H @ v)) < 2.0
+
     def test_global_lipschitz_values(self):
         probs, M = make_sparse_problems(seed=34)
         top = float(np.linalg.eigvalsh(M.T @ M)[-1])
