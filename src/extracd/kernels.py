@@ -1,4 +1,4 @@
-"""Hot numerical kernels, in numpy.
+"""Hot numerical kernels, in numpy, with one coordinate loop in C.
 
 Every kernel also has an explicit-loop source.  ``LOOPS`` holds them as a
 kernel table run as plain Python: the reference that tests compare the
@@ -32,20 +32,33 @@ avoid per-column work where the input allows:
   always equals the fresh expression bit for bit;
 - `lsq_gram_epoch` runs a least-squares coordinate epoch on a dense design
   through its Gram matrix (``problems.LeastSquares.epoch`` chooses it);
+  its coordinate loop is compiled (below);
 - ``problems.Quadratic.cd_sweep`` runs a cyclic pass on a quadratic as one
   Gauss-Seidel step instead of ``cd_dense_epoch``.
 
 ``cd_dense_epoch`` is its loop source, whose steps are already one BLAS
 dot each.
+
+A Gram epoch visits each coordinate for a few flops, so in Python the
+interpreter's round trip per visit is most of its time.  Its loop is
+``_gram.c``, built with ``cc`` when this module is imported and called
+through ``ctypes``.  It does the loop source's operations in the same
+order, compiled without FMA contraction, so its iterates are bitwise those
+of ``LOOPS["lsq_gram_epoch"]``.  That loop stays as the tests' reference
+and is the kernel wherever the build fails (no compiler, say).
+``BACKEND`` is ``"numpy+c"`` when the compiled loop runs, else
+``"numpy"``.  The logistic epochs stay numpy: C's ``exp`` may differ from
+``np.exp`` in the last bits.
 """
 
+import ctypes
 import math
+import os
+import subprocess
+import tempfile
 from functools import partial
 
 import numpy as np
-
-BACKEND = "numpy"  # recorded by callers that report the backend
-
 
 # ---------------------------------------------------------------------------
 # scalar helpers
@@ -196,6 +209,32 @@ def _group_epoch_loops(data, indices, indptr, y, x, Ax, grp_cols, grp_ptr,
                 x[j] = new
 
 
+def _lsq_gram_epoch_loops(AT, G, y, x, Ax, lip, l1, l2, scale, order):
+    """One least-squares coordinate epoch on a dense design, in place.
+
+    ``AT`` is the design's transpose (p x n) and ``G = AT @ AT.T`` its Gram
+    matrix.  The update is that of ``enet_epoch`` (``lasso_epoch`` for
+    ``scale = 1`` and ``l2 = 0``): ``x_j <- st(x_j - g_j / (scale L_j),
+    l1 / L_j) / (1 + l2 / L_j)`` with ``g = A'(Ax - y)``.  One product gives
+    ``g`` at the start, a coordinate that moves updates it with one row of
+    ``G``, and ``Ax`` is recomputed as ``A x`` at the end.
+    """
+    g = AT @ (Ax - y)
+    lip = lip.tolist()
+    xs = x.tolist()
+    for j in order.tolist():
+        lj = lip[j]
+        if lj <= 0.0:
+            continue
+        old = xs[j]
+        new = _st(old - g.item(j) / scale / lj, l1 / lj) / (1.0 + l2 / lj)
+        if new != old:
+            g += (new - old) * G[j]
+            xs[j] = new
+    x[:] = xs
+    Ax[:] = x @ AT
+
+
 # ---------------------------------------------------------------------------
 # numpy kernels
 # ---------------------------------------------------------------------------
@@ -332,31 +371,59 @@ def group_epoch(data, indices, indptr, y, x, Ax, grp_cols, grp_ptr, lip_g,
                 x[j] = new
 
 
-def lsq_gram_epoch(AT, G_rows, y, x, Ax, lip, l1, l2, scale, order):
-    """One least-squares coordinate epoch on a dense design, in place.
+# ---------------------------------------------------------------------------
+# the compiled Gram epoch
+# ---------------------------------------------------------------------------
 
-    ``AT`` is the design's transpose (p x n) and ``G_rows`` the rows of its
-    Gram matrix ``G = AT @ AT.T`` (a list of rows indexes faster than the
-    2-d array).  The update is that of ``enet_epoch`` (``lasso_epoch`` for
-    ``scale = 1`` and ``l2 = 0``): ``x_j <- st(x_j - g_j / (scale L_j),
-    l1 / L_j) / (1 + l2 / L_j)`` with ``g = A'(Ax - y)``.  One product gives
-    ``g`` at the start, a coordinate that moves updates it with one row of
-    ``G``, and ``Ax`` is recomputed as ``A x`` at the end.
-    """
-    g = AT @ (Ax - y)
-    lip = lip.tolist()
-    xs = x.tolist()
-    for j in order.tolist():
-        lj = lip[j]
-        if lj <= 0.0:
-            continue
-        old = xs[j]
-        new = _st(old - g.item(j) / scale / lj, l1 / lj) / (1.0 + l2 / lj)
-        if new != old:
-            g += (new - old) * G_rows[j]
-            xs[j] = new
-    x[:] = xs
-    Ax[:] = x @ AT
+def _compiled_gram_epoch():
+    """`lsq_gram_epoch` with its coordinate loop run by ``gram_epoch`` of
+    ``_gram.c``, or None if that cannot be built or loaded (no compiler, a
+    failed or slow build, a ``/tmp`` that forbids executing, a library
+    without the symbol).  ``cc`` builds it into a private temporary
+    directory, so no built file is reused or outlives the import; the
+    loaded library stays mapped."""
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_gram.c")
+    try:
+        with tempfile.TemporaryDirectory() as tmp:
+            lib = os.path.join(tmp, "_gram.so")
+            subprocess.run(["cc", "-O2", "-ffp-contract=off", "-fPIC",
+                            "-shared", "-o", lib, src],
+                           timeout=60, check=True, capture_output=True)
+            gram_epoch = ctypes.CDLL(lib).gram_epoch
+    except (OSError, AttributeError, subprocess.SubprocessError):
+        return None
+    gram_epoch.restype = ctypes.c_int
+    gram_epoch.argtypes = [ctypes.c_void_p] * 5 + [ctypes.c_int64] * 2 + [
+        ctypes.c_double] * 3
+
+    def lsq_gram_epoch(AT, G, y, x, Ax, lip, l1, l2, scale, order):
+        """The epoch of `_lsq_gram_epoch_loops`, bit for bit, with the
+        coordinate loop in C.  ``G`` must be a C-contiguous float64 (p, p)
+        array and ``x`` a float64 array of p entries; a strided ``x`` runs
+        on a copy that is written back.  An index outside ``[-p, p)``
+        raises IndexError before ``x`` or ``Ax`` changes."""
+        p = AT.shape[0]
+        if not (isinstance(G, np.ndarray) and G.dtype == np.float64
+                and G.shape == (p, p) and G.flags.c_contiguous
+                and G.flags.aligned):
+            raise ValueError(f"G must be a C-contiguous float64 ({p}, {p}) "
+                             "array")
+        if x.dtype != np.float64 or x.shape != (p,):
+            raise TypeError(f"x must be a float64 array of shape ({p},)")
+        lip = np.require(lip, np.float64, ("C", "A"))
+        if lip.shape != (p,):
+            raise ValueError(f"lip must hold {p} entries")
+        order = np.require(order, np.int64, ("C", "A"))
+        g = AT @ (Ax - y)
+        xc = x if x.flags.carray else x.copy()
+        if gram_epoch(G.ctypes.data, g.ctypes.data, xc.ctypes.data,
+                      lip.ctypes.data, order.ctypes.data, order.size, p, l1,
+                      l2, scale):
+            raise IndexError(f"order holds an index outside [-{p}, {p})")
+        if xc is not x:
+            x[:] = xc
+        Ax[:] = x @ AT
+    return lsq_gram_epoch
 
 
 cd_dense_epoch = _cd_dense_epoch_loops
@@ -374,9 +441,14 @@ LOOPS = {
     "cd_dense_epoch": _cd_dense_epoch_loops,
     **_epoch_kernels(_lsq_epoch_loops, _logreg_epoch_loops),
     "group_epoch": _group_epoch_loops,
+    "lsq_gram_epoch": _lsq_gram_epoch_loops,
 }
+
+lsq_gram_epoch = _compiled_gram_epoch() or _lsq_gram_epoch_loops
+# recorded by callers that report the backend
+BACKEND = "numpy" if lsq_gram_epoch is _lsq_gram_epoch_loops else "numpy+c"
 
 
 def warmup():
-    """Prepare the kernels for a timed run: the numpy kernels compile
-    nothing, so this returns at once."""
+    """Prepare the kernels for a timed run: the one compiled kernel is
+    built at import, so this returns at once."""

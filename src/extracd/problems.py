@@ -134,11 +134,11 @@ class LeastSquares(_DesignFit):
         A, y, scale, l1, l2 = self.A, self.y, self.scale, penalty.l1, penalty.l2
         AT = kernels.dense_transpose(A.values, A.col_ptr, A.n_rows)
         if AT is not None and A.n_cols <= DENSE_LIMIT:
-            G_rows = list(AT @ AT.T)
+            G = AT @ AT.T
 
             def epoch(x, Ax, order):
-                kernels.lsq_gram_epoch(AT, G_rows, y, x, Ax, lip, l1, l2,
-                                       scale, order)
+                kernels.lsq_gram_epoch(AT, G, y, x, Ax, lip, l1, l2, scale,
+                                       order)
         elif scale == 1.0 and l2 == 0.0:
             def epoch(x, Ax, order):
                 kernels.lasso_epoch(A.values, A.row_idx, A.col_ptr, y, x, Ax,

@@ -2,6 +2,10 @@
 plain Python, against slow dense reference code and each other."""
 
 import functools
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -290,7 +294,7 @@ class TestDensePaths:
         order = np.arange(30, dtype=np.int64)
         AT = np.ascontiguousarray(M.T)
         x, Ax = x0.copy(), M @ x0
-        kernels.lsq_gram_epoch(AT, list(AT @ AT.T), y, x, Ax, lip, 0.3, 0.0,
+        kernels.lsq_gram_epoch(AT, AT @ AT.T, y, x, Ax, lip, 0.3, 0.0,
                                1.0, order)
         x_ref, Ax_ref = x0.copy(), M @ x0
         LOOPS["lasso_epoch"](A.values, A.row_idx, A.col_ptr, y, x_ref, Ax_ref,
@@ -338,7 +342,7 @@ def gram_case():
     lip, order = A.col_norms_sq(), np.arange(3, dtype=np.int64)
 
     def epoch(x, Ax):
-        kernels.lsq_gram_epoch(AT, list(AT @ AT.T), y, x, Ax, lip, 0.3, 0.0,
+        kernels.lsq_gram_epoch(AT, AT @ AT.T, y, x, Ax, lip, 0.3, 0.0,
                                1.0, order)
 
     def reference(x, Ax):
@@ -384,6 +388,175 @@ def test_zero_curvature_is_skipped(make):
     assert not np.array_equal(x, x0)  # the other coordinates moved
     np.testing.assert_allclose(x, x_ref, rtol=1e-12, atol=1e-14)
     np.testing.assert_allclose(Ax, Ax_ref, rtol=1e-12, atol=1e-13)
+
+
+# ---------------------------------------------------------------------------
+# the compiled Gram epoch against its loop source, bit for bit
+# ---------------------------------------------------------------------------
+
+GRAM_LOOPS = LOOPS["lsq_gram_epoch"]
+compiled = pytest.mark.skipif(kernels.BACKEND != "numpy+c",
+                              reason="the Gram epoch was not compiled")
+
+
+def gram_problem(n, p, seed):
+    """A dense design with one all-zero column (zero curvature) and an
+    ``x0`` holding -0.0, zeros and nonzeros."""
+    rng = np.random.default_rng(seed)
+    M = rng.standard_normal((n, p))
+    M[:, p // 3] = 0.0
+    AT = np.ascontiguousarray(M.T)
+    x0 = rng.standard_normal(p) * (rng.random(p) < 0.5)
+    x0[::4] = -0.0
+    return AT, AT @ AT.T, rng.standard_normal(n), x0, rng
+
+
+def gram_orders(p, rng):
+    cyclic = np.arange(p, dtype=np.int64)
+    return (cyclic, cyclic[::-1].copy(), rng.integers(0, p, size=2 * p),
+            rng.integers(-p, p, size=p), cyclic - p)
+
+
+@compiled
+@pytest.mark.parametrize("l2, scale", [(0.0, 1.0), (0.3, 15.0)],
+                         ids=["lasso", "enet"])
+@pytest.mark.parametrize("l1_frac", [0.02, 0.5, 2.0])
+def test_compiled_gram_epoch_is_the_loop(l2, scale, l1_frac):
+    AT, G, y, x0, rng = gram_problem(15, 24, seed=41)
+    lip = np.diag(G) / scale + l2
+    assert np.count_nonzero(lip == l2) == 1
+    l1 = l1_frac * float(np.abs(AT @ y).max()) / scale
+    x, Ax = x0.copy(), x0 @ AT
+    x_ref, Ax_ref = x0.copy(), x0 @ AT
+    for order in gram_orders(24, rng) * 2:
+        kernels.lsq_gram_epoch(AT, G, y, x, Ax, lip, l1, l2, scale, order)
+        GRAM_LOOPS(AT, G, y, x_ref, Ax_ref, lip, l1, l2, scale, order)
+        assert x.tobytes() == x_ref.tobytes()
+        assert Ax.tobytes() == Ax_ref.tobytes()
+    assert not np.array_equal(x, x0)
+    assert x[24 // 3].tobytes() == x0[24 // 3].tobytes()  # zero curvature
+    if l1_frac > 1.0:  # every coordinate goes to zero; -0.0 stays put
+        assert np.signbit(x[::4]).all() and not x.any()
+
+
+@compiled
+@settings(max_examples=60, deadline=None, database=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 12),
+       p=st.integers(1, 30))
+def test_compiled_gram_epoch_is_the_loop_property(seed, n, p):
+    AT, G, y, x0, rng = gram_problem(n, p, seed)
+    lip = np.diag(G).copy()
+    l1, l2, scale = float(rng.uniform(0.0, 2.0)), float(rng.uniform()), n
+    x, Ax = x0.copy(), x0 @ AT
+    x_ref, Ax_ref = x0.copy(), x0 @ AT
+    for order in gram_orders(p, rng):
+        kernels.lsq_gram_epoch(AT, G, y, x, Ax, lip, l1, l2, scale, order)
+        GRAM_LOOPS(AT, G, y, x_ref, Ax_ref, lip, l1, l2, scale, order)
+        assert x.tobytes() == x_ref.tobytes()
+        assert Ax.tobytes() == Ax_ref.tobytes()
+
+
+@compiled
+def test_compiled_gram_epoch_writes_a_strided_x_back():
+    AT, G, y, x0, rng = gram_problem(15, 24, seed=42)
+    lip, order = np.diag(G).copy(), rng.integers(-24, 24, size=50)
+    buf = np.full(48, 7.0)
+    buf[::2] = x0
+    x, Ax = buf[::2], x0 @ AT
+    x_ref, Ax_ref = x0.copy(), x0 @ AT
+    kernels.lsq_gram_epoch(AT, G, y, x, Ax, lip, 0.5, 0.0, 1.0, order)
+    GRAM_LOOPS(AT, G, y, x_ref, Ax_ref, lip, 0.5, 0.0, 1.0, order)
+    assert not np.array_equal(x_ref, x0)
+    assert np.ascontiguousarray(x).tobytes() == x_ref.tobytes()
+    assert Ax.tobytes() == Ax_ref.tobytes()
+    assert (buf[1::2] == 7.0).all()
+
+
+@pytest.mark.parametrize("bad", [24, -25, 2**40])
+@pytest.mark.parametrize("epoch", [kernels.lsq_gram_epoch, GRAM_LOOPS],
+                         ids=["public", "loops"])
+def test_gram_epoch_bad_index_changes_nothing(epoch, bad):
+    AT, G, y, x0, _ = gram_problem(15, 24, seed=43)
+    x, Ax = x0.copy(), x0 @ AT
+    Ax0 = Ax.copy()
+    order = np.append(np.arange(24), bad)  # the valid visits come first
+    with pytest.raises(IndexError):
+        epoch(AT, G, y, x, Ax, np.diag(G).copy(), 0.1, 0.0, 1.0, order)
+    assert x.tobytes() == x0.tobytes()
+    assert Ax.tobytes() == Ax0.tobytes()
+
+
+@compiled
+def test_compiled_gram_epoch_refuses_bad_arguments():
+    AT, G, y, x0, _ = gram_problem(15, 24, seed=44)
+    lip, order = np.diag(G).copy(), np.arange(24)
+
+    def run(G=G, x=x0, lip=lip):
+        kernels.lsq_gram_epoch(AT, G, y, x.copy(), x0 @ AT, lip, 0.1, 0.0,
+                               1.0, order)
+    for bad_G in (G[:, :23].copy(), G[:23].copy(), G.astype(np.float32),
+                  np.asfortranarray(G + np.triu(G)), list(G), G.ravel()):
+        with pytest.raises(ValueError, match="G must be"):
+            run(G=bad_G)
+    with pytest.raises(TypeError, match="x must be"):
+        run(x=x0.astype(np.float32))
+    with pytest.raises(TypeError, match="x must be"):
+        run(x=x0[:23])
+    with pytest.raises(ValueError, match="lip must"):
+        run(lip=lip[:23])
+    run()
+
+
+NO_COMPILER = """
+import numpy as np
+from extracd import CscMatrix, Lasso, SolverConfig, kernels, lambda_max, solve
+rng = np.random.default_rng(5)
+M = rng.standard_normal((40, 80))
+y = M[:, :5] @ rng.standard_normal(5) + 0.1 * rng.standard_normal(40)
+prob = Lasso(CscMatrix.from_dense(M), y, 1.0)
+prob = Lasso(prob.A, prob.y, lambda_max(prob) / 20)
+tr = solve(prob, SolverConfig("pcd_anderson", max_epochs=400, tol=1e-12))
+loops = kernels.LOOPS["lsq_gram_epoch"]
+print(kernels.BACKEND, kernels.lsq_gram_epoch is loops)
+print(repr((tr.epochs, tr.events, tr.objectives, tr.gaps)),
+      tr.x.tobytes().hex())
+"""
+
+
+def run_no_compiler_script(path, cwd):
+    """The two output lines of ``NO_COMPILER`` run with ``PATH=path``."""
+    env = {**os.environ, "PATH": path,
+           "PYTHONPATH": str(Path(kernels.__file__).resolve().parents[1])}
+    proc = subprocess.run([sys.executable, "-c", NO_COMPILER], env=env,
+                          cwd=cwd, capture_output=True, text=True, check=True)
+    return proc.stdout.splitlines()
+
+
+@pytest.fixture(scope="module")
+def lasso_trace_with_cc(tmp_path_factory):
+    backend, trace = run_no_compiler_script(
+        os.environ.get("PATH", os.defpath), tmp_path_factory.mktemp("cc"))
+    assert backend == f"{kernels.BACKEND} {kernels.BACKEND == 'numpy'}"
+    assert "'accepted'" in trace  # the solve extrapolated
+    return trace
+
+
+# a ``cc`` that fails, and one whose "library" dlopen refuses
+FAKE_CC = {"failing": "exit 1\n",
+           "junk": 'for a; do [ "$o" = -o ] && echo junk > "$a"; o=$a; done\n'}
+
+
+@pytest.mark.parametrize("cc", [None, "failing", "junk"])
+def test_without_a_compiler_the_loop_runs_with_the_same_bits(
+        cc, tmp_path, lasso_trace_with_cc):
+    if cc is not None:
+        script = tmp_path / "cc"
+        script.write_text("#!/bin/sh\n" + FAKE_CC[cc])
+        script.chmod(0o755)
+    path = "" if cc is None else str(tmp_path)
+    backend, trace = run_no_compiler_script(path, tmp_path)
+    assert backend == "numpy True"
+    assert trace == lasso_trace_with_cc
 
 
 def random_csc(seed):
