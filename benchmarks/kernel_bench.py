@@ -17,8 +17,9 @@ BLAS is pinned to one thread.  Run from the repository root as::
         [--repeat 20] [--json PATH]
 
 ``--json`` also writes the timings (best of the repeats, in seconds) with
-the arguments, the backend, the versions and the BLAS variables to
-``PATH``.
+the arguments, the backend and the flags its C loop was built with
+(``kernel_cflags``, null where the loop runs in Python), the versions and
+the BLAS variables to ``PATH``.
 """
 
 import os
@@ -126,6 +127,7 @@ def main(argv=None):
             "OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")}
         settings = {k: v for k, v in vars(args).items() if k != "json"}
         report = {"args": settings, "kernel_backend": BACKEND,
+                  "kernel_cflags": kernels.CFLAGS,
                   "python": platform.python_version(),
                   "numpy": np.__version__, "blas_env": blas_env,
                   "cases": results}

@@ -83,42 +83,53 @@ class ExtrapolationResult:
     solved: bool
 
 
-def _extrapolate(points):
-    """`ExtrapolationWindow.extrapolate` of the iterates ``points``."""
-    k = len(points) - 1
-    U = np.column_stack([points[i + 1] - points[i] for i in range(k)])
-    c, solved = extrapolation_coefficients(U)
+def _extrapolate(W):
+    """`ExtrapolationWindow.extrapolate` of the iterates, the rows of
+    ``W``."""
+    U = W[1:] - W[:-1]
+    c, solved = extrapolation_coefficients(U.reshape(len(U), -1).T)
     if not solved:
-        return ExtrapolationResult(None, points[-1].copy(), False)
-    x_e = np.zeros_like(points[-1])
-    for i in range(k):
-        x_e += c[i] * points[i + 1]
+        return ExtrapolationResult(None, W[-1].copy(), False)
+    x_e = np.zeros_like(W[-1])
+    for ci, xi in zip(c, W[1:]):
+        x_e += ci * xi
     return ExtrapolationResult(c, x_e, True)
 
 
 class ExtrapolationWindow:
-    """Ring buffer of the last ``K + 1`` iterates feeding extrapolation."""
+    """Ring buffer of the last ``K + 1`` iterates feeding extrapolation:
+    the rows of one ``(K + 1, p)`` array, oldest first, allocated by the
+    first push and reused until an iterate of another shape comes."""
 
     def __init__(self, K):
         if K < 1:
             raise ArgumentError("window size K must be >= 1")
         self.K = K
-        self._points = []
+        self._W = None
+        self._n = 0
 
     def __len__(self):
-        return len(self._points)
+        return self._n
 
     @property
     def ready(self):
-        return len(self._points) == self.K + 1
+        return self._n == self.K + 1
 
     def push(self, x):
-        self._points.append(np.array(x, dtype=np.float64, copy=True))
-        if len(self._points) > self.K + 1:
-            self._points.pop(0)
+        x = np.asarray(x, dtype=np.float64)
+        if self._W is None or self._W.shape[1:] != x.shape:
+            if self._n:
+                raise ArgumentError(f"window holds iterates of shape "
+                                    f"{self._W.shape[1:]}, not {x.shape}")
+            self._W = np.empty((self.K + 1,) + x.shape)
+        if self._n == self.K + 1:
+            self._W[:-1] = self._W[1:]
+            self._n -= 1
+        self._W[self._n] = x
+        self._n += 1
 
     def reset(self, anchor):
-        self._points = []
+        self._n = 0
         self.push(anchor)
 
     def extrapolate(self):
@@ -129,8 +140,8 @@ class ExtrapolationWindow:
         """
         if not self.ready:
             raise ArgumentError(
-                f"window holds {len(self._points)} points, needs {self.K + 1}")
-        return _extrapolate(self._points)
+                f"window holds {self._n} points, needs {self.K + 1}")
+        return _extrapolate(self._W)
 
 
 @dataclass(frozen=True)
@@ -159,7 +170,8 @@ def offline_anderson(step, x0, k_max):
     base = [x0]
     for _ in range(k_max):
         base.append(np.asarray(step(base[-1]), dtype=np.float64))
-    results = [_extrapolate(base[:k + 1]) for k in range(1, k_max + 1)]
+    W = np.stack(base)
+    results = [_extrapolate(W[:k + 1]) for k in range(1, k_max + 1)]
     return OfflineTrace(base=base,
                         extrapolated=[res.point for res in results],
                         solved=[res.solved for res in results])

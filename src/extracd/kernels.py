@@ -31,8 +31,11 @@ avoid per-column work where the input allows:
   a column from the new ``Ax`` only when that coordinate moves, so ``r``
   always equals the fresh expression bit for bit;
 - `lsq_gram_epoch` runs a least-squares coordinate epoch on a dense design
-  through its Gram matrix (``problems.LeastSquares.epoch`` chooses it);
-  its coordinate loop is compiled (below);
+  through its Gram matrix (``problems.LeastSquares.epoch`` chooses it,
+  through `lsq_gram_pass`); its coordinate loop is compiled (below);
+- ``csc_col_norms_sq`` is one batched ``np.matmul`` when every column
+  holds as many entries (a fully dense CSC), with the bits of the
+  per-column dots;
 - ``problems.Quadratic.cd_sweep`` runs a cyclic pass on a quadratic as one
   Gauss-Seidel step instead of ``cd_dense_epoch``.
 
@@ -44,10 +47,17 @@ interpreter's round trip per visit is most of its time.  Its loop is
 ``_gram.c``, built with ``cc`` when this module is imported and called
 through ``ctypes``.  It does the loop source's operations in the same
 order, compiled without FMA contraction, so its iterates are bitwise those
-of ``LOOPS["lsq_gram_epoch"]``.  That loop stays as the tests' reference
-and is the kernel wherever the build fails (no compiler, say).
-``BACKEND`` is ``"numpy+c"`` when the compiled loop runs, else
-``"numpy"``.  The logistic epochs stay numpy: C's ``exp`` may differ from
+of ``LOOPS["lsq_gram_epoch"]``.  The build tries ``-O3 -march=native``,
+then ``-O3``; both vectorize the row update ``g += d * G_j``, which keeps
+the bits: each entry is one multiply and one add, each rounded once, in a
+SIMD lane as in a scalar register, and ``-ffp-contract=off`` without
+``-ffast-math`` neither fuses nor reassociates them.  The loop source
+stays as the tests' reference and is the kernel wherever both builds fail
+(no compiler, say).  ``BACKEND`` is ``"numpy+c"`` when the compiled loop
+runs, else ``"numpy"``, and ``CFLAGS`` holds the flags of the build that
+loaded, or None.  A solve binds `lsq_gram_pass` once per order array, so
+each epoch is its products and one C call; ``lsq_gram_epoch`` binds and
+runs once.  The logistic epochs stay numpy: C's ``exp`` may differ from
 ``np.exp`` in the last bits.
 """
 
@@ -219,6 +229,7 @@ def _lsq_gram_epoch_loops(AT, G, y, x, Ax, lip, l1, l2, scale, order):
     ``g`` at the start, a coordinate that moves updates it with one row of
     ``G``, and ``Ax`` is recomputed as ``A x`` at the end.
     """
+    l1, l2, scale = float(l1), float(l2), float(scale)
     g = AT @ (Ax - y)
     lip = lip.tolist()
     xs = x.tolist()
@@ -270,6 +281,13 @@ def csc_rmatvec(data, indices, indptr, v):
 
 def csc_col_norms_sq(data, indptr):
     p = indptr.size - 1
+    counts = np.diff(indptr)
+    if p and (counts == counts[0]).all():
+        # columns of one length (a fully dense CSC, say) are the rows of a
+        # p x m view; each batch of this product is a 1 x m by m x 1
+        # product, the same dot as ``c @ c`` per column
+        cols = data[indptr[0]:indptr[-1]].reshape(p, counts[0])
+        return np.matmul(cols[:, None, :], cols[:, :, None]).reshape(p)
     out = np.empty(p)
     for j in range(p):
         sl = slice(indptr[j], indptr[j + 1])
@@ -375,55 +393,94 @@ def group_epoch(data, indices, indptr, y, x, Ax, grp_cols, grp_ptr, lip_g,
 # the compiled Gram epoch
 # ---------------------------------------------------------------------------
 
-def _compiled_gram_epoch():
-    """`lsq_gram_epoch` with its coordinate loop run by ``gram_epoch`` of
-    ``_gram.c``, or None if that cannot be built or loaded (no compiler, a
-    failed or slow build, a ``/tmp`` that forbids executing, a library
-    without the symbol).  ``cc`` builds it into a private temporary
-    directory, so no built file is reused or outlives the import; the
-    loaded library stays mapped."""
-    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_gram.c")
-    try:
-        with tempfile.TemporaryDirectory() as tmp:
-            lib = os.path.join(tmp, "_gram.so")
-            subprocess.run(["cc", "-O2", "-ffp-contract=off", "-fPIC",
-                            "-shared", "-o", lib, src],
-                           timeout=60, check=True, capture_output=True)
-            gram_epoch = ctypes.CDLL(lib).gram_epoch
-    except (OSError, AttributeError, subprocess.SubprocessError):
-        return None
-    gram_epoch.restype = ctypes.c_int
-    gram_epoch.argtypes = [ctypes.c_void_p] * 5 + [ctypes.c_int64] * 2 + [
-        ctypes.c_double] * 3
+# the optimization levels tried in turn: the library is built on the host
+# that runs it, so ``-march=native`` never leaves that machine.  Plain
+# ``-O3`` serves compilers without that option: GCC on POWER has no
+# ``-march`` at all (the GCC manual's "RS/6000 and PowerPC Options" list
+# ``-mcpu`` and ``-mtune`` only), so ``-march=native`` fails there
+_OPT_LEVELS = (("-O3", "-march=native"), ("-O3",))
+_FP_FLAGS = ("-ffp-contract=off", "-fPIC", "-shared")
 
-    def lsq_gram_epoch(AT, G, y, x, Ax, lip, l1, l2, scale, order):
-        """The epoch of `_lsq_gram_epoch_loops`, bit for bit, with the
-        coordinate loop in C.  ``G`` must be a C-contiguous float64 (p, p)
-        array and ``x`` a float64 array of p entries; a strided ``x`` runs
-        on a copy that is written back.  An index outside ``[-p, p)``
-        raises IndexError before ``x`` or ``Ax`` changes."""
-        p = AT.shape[0]
+
+def _build_gram_epoch():
+    """``(gram_epoch, flags)``: the ``gram_epoch`` of ``_gram.c`` and the
+    ``cc`` flags it was built with, or ``(None, None)`` if no level of
+    ``_OPT_LEVELS`` builds and loads (no compiler, a failed or slow build,
+    a ``/tmp`` that forbids executing, a library without the symbol).
+    ``cc`` builds it into a private temporary directory, so no built file
+    is reused or outlives the import; the loaded library stays mapped."""
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_gram.c")
+    for opt in _OPT_LEVELS:
+        flags = opt + _FP_FLAGS
+        try:
+            with tempfile.TemporaryDirectory() as tmp:
+                lib = os.path.join(tmp, "_gram.so")
+                subprocess.run(["cc", *flags, "-o", lib, src], timeout=60,
+                               check=True, capture_output=True)
+                gram_epoch = ctypes.CDLL(lib).gram_epoch
+        except (OSError, AttributeError, subprocess.SubprocessError):
+            continue
+        gram_epoch.restype = ctypes.c_int
+        gram_epoch.argtypes = [ctypes.c_void_p] * 5 + [ctypes.c_int64] * 2 + [
+            ctypes.c_double] * 3
+        return gram_epoch, flags
+    return None, None
+
+
+def _lsq_gram_pass_loops(AT, G, y, lip, l1, l2, scale, order):
+    """`lsq_gram_pass` of the loop source."""
+    def run(x, Ax):
+        _lsq_gram_epoch_loops(AT, G, y, x, Ax, lip, l1, l2, scale, order)
+    return run
+
+
+def _compiled_gram_pass(gram_epoch):
+    """`lsq_gram_pass` with its coordinate loop run by ``gram_epoch``."""
+    def lsq_gram_pass(AT, G, y, lip, l1, l2, scale, order):
+        """The epoch ``run(x, Ax)`` of `_lsq_gram_epoch_loops` with every
+        other argument bound, bit for bit, with the coordinate loop in C.
+
+        ``G`` must be a C-contiguous float64 (p, p) array, ``lip`` hold p
+        entries and ``order`` indices in ``[-p, p)`` (else IndexError):
+        they are checked and converted here once, and the two scratch
+        vectors allocated.  ``run`` takes a float64 ``x`` of p entries (a
+        strided one runs on a copy that is written back).  The C loop
+        checks ``order`` again before it touches ``x``.
+        """
+        p, n = AT.shape
         if not (isinstance(G, np.ndarray) and G.dtype == np.float64
                 and G.shape == (p, p) and G.flags.c_contiguous
                 and G.flags.aligned):
             raise ValueError(f"G must be a C-contiguous float64 ({p}, {p}) "
                              "array")
-        if x.dtype != np.float64 or x.shape != (p,):
-            raise TypeError(f"x must be a float64 array of shape ({p},)")
         lip = np.require(lip, np.float64, ("C", "A"))
         if lip.shape != (p,):
             raise ValueError(f"lip must hold {p} entries")
         order = np.require(order, np.int64, ("C", "A"))
-        g = AT @ (Ax - y)
-        xc = x if x.flags.carray else x.copy()
-        if gram_epoch(G.ctypes.data, g.ctypes.data, xc.ctypes.data,
-                      lip.ctypes.data, order.ctypes.data, order.size, p, l1,
-                      l2, scale):
-            raise IndexError(f"order holds an index outside [-{p}, {p})")
-        if xc is not x:
-            x[:] = xc
-        Ax[:] = x @ AT
-    return lsq_gram_epoch
+        bad = f"order holds an index outside [-{p}, {p})"
+        if order.size and not -p <= order.min() <= order.max() < p:
+            raise IndexError(bad)
+        g, r = np.empty(p), np.empty(n)
+        G_p, g_p, lip_p, order_p = (a.ctypes.data for a in (G, g, lip, order))
+        m, l1, l2, scale = order.size, float(l1), float(l2), float(scale)
+
+        def run(x, Ax):
+            if x.dtype != np.float64 or x.shape != (p,):
+                raise TypeError(f"x must be a float64 array of shape ({p},)")
+            xc = x if x.flags.carray else x.copy()
+            np.subtract(Ax, y, out=r)
+            np.matmul(AT, r, out=g)
+            if gram_epoch(G_p, g_p, xc.ctypes.data, lip_p, order_p, m, p, l1,
+                          l2, scale):
+                raise IndexError(bad)
+            if xc is not x:
+                x[:] = xc
+            np.matmul(x, AT, out=Ax)
+        # the C loop reads these through the pointers above: the pass holds
+        # them, the converted copies of ``lip`` and ``order`` included
+        run.arrays = G, lip, order
+        return run
+    return lsq_gram_pass
 
 
 cd_dense_epoch = _cd_dense_epoch_loops
@@ -444,9 +501,21 @@ LOOPS = {
     "lsq_gram_epoch": _lsq_gram_epoch_loops,
 }
 
-lsq_gram_epoch = _compiled_gram_epoch() or _lsq_gram_epoch_loops
+_gram_epoch, CFLAGS = _build_gram_epoch()
+if _gram_epoch is None:
+    lsq_gram_pass = _lsq_gram_pass_loops
+    lsq_gram_epoch = _lsq_gram_epoch_loops
+else:
+    lsq_gram_pass = _compiled_gram_pass(_gram_epoch)
+
+    def lsq_gram_epoch(AT, G, y, x, Ax, lip, l1, l2, scale, order):
+        """The epoch of `_lsq_gram_epoch_loops`, bit for bit: `lsq_gram_pass`
+        bound and run once.  Kept as the one-call form of the kernel that
+        the loop source also has, so a caller running a single epoch (the
+        tests, say) need not hold a pass."""
+        lsq_gram_pass(AT, G, y, lip, l1, l2, scale, order)(x, Ax)
 # recorded by callers that report the backend
-BACKEND = "numpy" if lsq_gram_epoch is _lsq_gram_epoch_loops else "numpy+c"
+BACKEND = "numpy" if CFLAGS is None else "numpy+c"
 
 
 def warmup():

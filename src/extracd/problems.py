@@ -77,6 +77,23 @@ DENSE_LIMIT = 2000
 # asks for it once.
 # ---------------------------------------------------------------------------
 
+def _bound_per_order(bind):
+    """The epoch ``(x, Ax, order)`` that runs the pass ``bind(order)``.
+
+    A solve hands every epoch the same order array (a randomized one draws
+    a new array each time), so the pass is bound only when the array
+    changes.
+    """
+    bound = None, None
+
+    def epoch(x, Ax, order):
+        nonlocal bound
+        if order is not bound[0]:
+            bound = order, bind(order)
+        bound[1](x, Ax)
+    return epoch
+
+
 @dataclass(frozen=True, eq=False)
 class _DesignFit:
     """A datafit of the predictions ``Ax``."""
@@ -125,20 +142,18 @@ class LeastSquares(_DesignFit):
         """The coordinate epoch ``(x, Ax, order)`` of one solve.
 
         A fully dense ``A`` (``nnz == n * p``) with at most ``DENSE_LIMIT``
-        columns is swept by `kernels.lsq_gram_epoch` through its Gram
-        matrix A'A.  The Gram is built here and held by the returned
-        function alone, so it is dropped with the solve.
-        Otherwise the epoch is ``kernels.lasso_epoch`` (scale 1, no ridge)
-        or ``kernels.enet_epoch``.
+        columns is swept by `kernels.lsq_gram_pass` through its Gram
+        matrix A'A.  The Gram, and the pass bound to it, are built here and
+        held by the returned function alone, so they are dropped with the
+        solve.  Otherwise the epoch is ``kernels.lasso_epoch`` (scale 1, no
+        ridge) or ``kernels.enet_epoch``.
         """
         A, y, scale, l1, l2 = self.A, self.y, self.scale, penalty.l1, penalty.l2
         AT = kernels.dense_transpose(A.values, A.col_ptr, A.n_rows)
         if AT is not None and A.n_cols <= DENSE_LIMIT:
             G = AT @ AT.T
-
-            def epoch(x, Ax, order):
-                kernels.lsq_gram_epoch(AT, G, y, x, Ax, lip, l1, l2, scale,
-                                       order)
+            epoch = _bound_per_order(lambda order: kernels.lsq_gram_pass(
+                AT, G, y, lip, l1, l2, scale, order))
         elif scale == 1.0 and l2 == 0.0:
             def epoch(x, Ax, order):
                 kernels.lasso_epoch(A.values, A.row_idx, A.col_ptr, y, x, Ax,
@@ -386,17 +401,7 @@ class Quadratic:
         raise ArgumentError("lambda_max requires a sparsity-inducing penalty")
 
     def epoch(self, penalty, lip):
-        # a solve hands every epoch the same order array (a randomized one
-        # draws a new array each time), so the pass is chosen only when the
-        # array changes
-        chosen = None, None
-
-        def epoch(x, Ax, order):
-            nonlocal chosen
-            if order is not chosen[0]:
-                chosen = order, self.cd_sweep(order)
-            chosen[1](x, Ax)
-        return epoch
+        return _bound_per_order(self.cd_sweep)
 
     def solve(self):
         """The minimizer ``-H^{-1} b``."""

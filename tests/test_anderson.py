@@ -128,6 +128,29 @@ class TestWindow:
         with pytest.raises(ArgumentError):
             ExtrapolationWindow(K=0)
 
+    def test_full_ring_keeps_the_last_points(self):
+        # pushes past K + 1 drop the oldest point; the result is that of
+        # a window fed only the last K + 1
+        rng = np.random.default_rng(8)
+        pts = rng.standard_normal((7, 4))
+        ring, fresh = ExtrapolationWindow(K=3), ExtrapolationWindow(K=3)
+        for x in pts:
+            ring.push(x)
+        for x in pts[-4:]:
+            fresh.push(x)
+        got, want = ring.extrapolate(), fresh.extrapolate()
+        assert got.coefficients.tobytes() == want.coefficients.tobytes()
+        assert got.point.tobytes() == want.point.tobytes()
+
+    def test_reset_takes_a_new_shape(self):
+        win = ExtrapolationWindow(K=1)
+        win.push(np.zeros(3))
+        with pytest.raises(ArgumentError, match="shape"):
+            win.push(np.zeros(2))
+        win.reset(np.zeros(2))
+        win.push(np.ones(2))
+        assert win.extrapolate().point.shape == (2,)
+
 
 def linear_map(rho=0.8, p=6, seed=3):
     rng = np.random.default_rng(seed)

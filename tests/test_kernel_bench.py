@@ -11,7 +11,7 @@ from extracd import kernels
 SCRIPT = (Path(__file__).resolve().parents[1] / "benchmarks"
           / "kernel_bench.py")
 CASES = ["csc_matvec", "csc_rmatvec", "lasso_pass", "logreg_l1_pass"]
-WATCHED = ("lsq_gram_epoch", "lasso_epoch", "logreg_l1_epoch",
+WATCHED = ("lsq_gram_pass", "lasso_epoch", "logreg_l1_epoch",
            "cd_dense_epoch")
 
 
@@ -47,8 +47,10 @@ def test_cases_enter_the_selected_kernels(kernel_bench, monkeypatch,
     assert names == CASES + ["sparse_" + c for c in CASES] + ["quad_gs_pass"]
     assert report["args"] == {"n": 20, "p": 30, "repeat": 1}
     assert set(report["blas_env"].values()) == {"1"}
+    assert report["kernel_cflags"] == (None if kernels.CFLAGS is None
+                                       else list(kernels.CFLAGS))
     by_case = dict(zip(names, entered, strict=True))
-    assert by_case["lasso_pass"] == ["lsq_gram_epoch"]
+    assert by_case["lasso_pass"] == ["lsq_gram_pass"]
     assert by_case["sparse_lasso_pass"] == ["lasso_epoch"]
     assert by_case["logreg_l1_pass"] == ["logreg_l1_epoch"]
     assert by_case["quad_gs_pass"] == []

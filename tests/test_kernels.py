@@ -3,6 +3,8 @@ plain Python, against slow dense reference code and each other."""
 
 import functools
 import os
+import shlex
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -12,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from extracd import kernels
+from extracd import SolverConfig, kernels, solve
 from extracd.data import CscMatrix, parse_libsvm
 from extracd.kernels import LOOPS, warmup
 from extracd.problems import (ElasticNet, GroupLasso, Lasso, Quadratic,
@@ -302,6 +304,33 @@ class TestDensePaths:
         assert float(np.abs(x - x_ref).max()) <= 1e-12
         assert float(np.abs(Ax - Ax_ref).max()) <= 1e-12
 
+    @pytest.mark.parametrize("n, p", [(1, 1), (3, 5), (8, 3), (17, 33),
+                                      (100, 500), (40, 7)])
+    def test_col_norms_are_the_per_column_dots(self, n, p):
+        # one batched product over the columns, with the bits of a dot per
+        # column
+        _, A, _, _ = dense_problem(n, p, seed=n + p)
+        cols = [A.values[A.col_ptr[j]:A.col_ptr[j + 1]] for j in range(p)]
+        want = np.array([c @ c for c in cols])
+        got = NUMPY["csc_col_norms_sq"](A.values, A.col_ptr)
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("k, n, p", [(0, 4, 3), (1, 5, 9), (2, 6, 4),
+                                         (2, 40, 33), (3, 9, 17)])
+    def test_sparse_col_norms_of_equal_columns_are_the_dots(self, k, n, p):
+        # a sparse CSC with k entries in every column takes the same batched
+        # product as a dense one
+        rng = np.random.default_rng(k + n + p)
+        M = np.zeros((n, p))
+        for j in range(p):
+            M[rng.choice(n, k, replace=False), j] = rng.standard_normal(k)
+        A = CscMatrix.from_dense(M)
+        assert (np.diff(A.col_ptr) == k).all() and A.values.size < n * p
+        cols = [A.values[A.col_ptr[j]:A.col_ptr[j + 1]] for j in range(p)]
+        want = np.array([c @ c for c in cols])
+        got = NUMPY["csc_col_norms_sq"](A.values, A.col_ptr)
+        assert got.tobytes() == want.tobytes()
+
     @pytest.mark.parametrize("backward", [False, True])
     def test_quadratic_cyclic_passes(self, backward):
         for quad in acceptance_quadratics():
@@ -507,6 +536,100 @@ def test_compiled_gram_epoch_refuses_bad_arguments():
     run()
 
 
+@compiled
+@pytest.mark.parametrize("p", [1, 2, 3, 7, 8, 9, 15, 16, 17, 33])
+@pytest.mark.parametrize("l2, scale", [(0.0, 1.0), (0.3, None)],
+                         ids=["lasso", "enet"])
+def test_compiled_gram_epoch_is_the_loop_across_vector_tails(p, l2, scale):
+    # p straddles the SIMD widths, so the row update runs full vectors and
+    # every length of remainder
+    AT, G, y, x0, rng = gram_problem(11, p, seed=100 + p)
+    scale = 11 if scale is None else scale
+    lip = np.diag(G) / scale + l2
+    l1 = 0.1 * float(np.abs(AT @ y).max()) / scale
+    x, Ax = x0.copy(), x0 @ AT
+    x_ref, Ax_ref = x0.copy(), x0 @ AT
+    for order in gram_orders(p, rng) * 2:
+        kernels.lsq_gram_epoch(AT, G, y, x, Ax, lip, l1, l2, scale, order)
+        GRAM_LOOPS(AT, G, y, x_ref, Ax_ref, lip, l1, l2, scale, order)
+        assert x.tobytes() == x_ref.tobytes()
+        assert Ax.tobytes() == Ax_ref.tobytes()
+    if p > 1:  # one column is zero
+        assert not np.array_equal(x, x0)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_gram_epoch_takes_float32_penalties_as_doubles(seed):
+    # the loop source once divided by a float32 l1 in float32 while the C
+    # loop took it as a double
+    rng = np.random.default_rng(seed)
+    AT = rng.standard_normal((5, 3))
+    G, y, x0 = AT @ AT.T, rng.standard_normal(3), rng.standard_normal(5)
+    l1, l2, scale = np.float32(0.1), np.float32(0.3), np.float32(3.0)
+    lip = np.diag(G) / float(scale) + float(l2)
+    order = np.arange(5, dtype=np.int64)
+    runs = []
+    for epoch, pen in ((GRAM_LOOPS, (l1, l2, scale)),
+                       (kernels.lsq_gram_epoch, (l1, l2, scale)),
+                       (GRAM_LOOPS, (float(l1), float(l2), float(scale)))):
+        x, Ax = x0.copy(), x0 @ AT
+        for _ in range(3):
+            epoch(AT, G, y, x, Ax, lip, *pen, order)
+        runs.append(x.tobytes() + Ax.tobytes())
+    assert runs[0] == runs[1] == runs[2]
+
+
+@compiled
+def test_gram_pass_checks_once_when_bound():
+    AT, G, y, x0, _ = gram_problem(15, 24, seed=45)
+    lip, order = np.diag(G).copy(), np.arange(24)
+
+    def bind(G=G, lip=lip, order=order):
+        return kernels.lsq_gram_pass(AT, G, y, lip, 0.1, 0.0, 1.0, order)
+    for bad_G in (G[:, :23].copy(), G.astype(np.float32), G.ravel(),
+                  np.asfortranarray(G + np.triu(G))):
+        with pytest.raises(ValueError, match="G must be"):
+            bind(G=bad_G)
+    with pytest.raises(ValueError, match="lip must"):
+        bind(lip=lip[:23])
+    for bad in (24, -25, 2**40):
+        with pytest.raises(IndexError, match="order holds an index"):
+            bind(order=np.append(order, bad))
+    run = bind()
+    for bad_x in (x0.astype(np.float32), x0[:23]):
+        with pytest.raises(TypeError, match="x must be"):
+            run(bad_x, x0 @ AT)
+    # a lip and an order that the binding converts, then drops: the pass
+    # keeps its copies alive
+    run = bind(lip=lip.astype(np.float32), order=order.astype(np.int32))
+    junk = [np.full(24, np.nan) for _ in range(50)]
+    x, Ax = x0.copy(), x0 @ AT
+    x_ref, Ax_ref = x0.copy(), x0 @ AT
+    for _ in range(3):
+        run(x, Ax)
+        GRAM_LOOPS(AT, G, y, x_ref, Ax_ref, lip.astype(np.float32), 0.1,
+                   0.0, 1.0, order)
+    assert x.tobytes() + Ax.tobytes() == x_ref.tobytes() + Ax_ref.tobytes()
+    assert all(np.isnan(j).all() for j in junk)
+
+
+def test_a_solve_binds_its_gram_pass_once(monkeypatch):
+    rng = np.random.default_rng(6)
+    prob = Lasso(CscMatrix.from_dense(rng.standard_normal((20, 30))),
+                 rng.standard_normal(20), 1.0)
+    bound, bind = [], kernels.lsq_gram_pass
+
+    def counted(*args):
+        bound.append(args[-1])
+        return bind(*args)
+    monkeypatch.setattr(kernels, "lsq_gram_pass", counted)
+    tr = solve(prob, SolverConfig("pcd_anderson", max_epochs=50, tol=0.0))
+    assert tr.epochs[-1] == 50 and len(bound) == 1
+    bound.clear()
+    solve(prob, SolverConfig("prcd", max_epochs=5, tol=0.0))
+    assert len(bound) == 5  # a randomized order is a new array per epoch
+
+
 NO_COMPILER = """
 import numpy as np
 from extracd import CscMatrix, Lasso, SolverConfig, kernels, lambda_max, solve
@@ -517,7 +640,7 @@ prob = Lasso(CscMatrix.from_dense(M), y, 1.0)
 prob = Lasso(prob.A, prob.y, lambda_max(prob) / 20)
 tr = solve(prob, SolverConfig("pcd_anderson", max_epochs=400, tol=1e-12))
 loops = kernels.LOOPS["lsq_gram_epoch"]
-print(kernels.BACKEND, kernels.lsq_gram_epoch is loops)
+print(kernels.BACKEND, kernels.lsq_gram_epoch is loops, *(kernels.CFLAGS or ()))
 print(repr((tr.epochs, tr.events, tr.objectives, tr.gaps)),
       tr.x.tobytes().hex())
 """
@@ -536,7 +659,9 @@ def run_no_compiler_script(path, cwd):
 def lasso_trace_with_cc(tmp_path_factory):
     backend, trace = run_no_compiler_script(
         os.environ.get("PATH", os.defpath), tmp_path_factory.mktemp("cc"))
-    assert backend == f"{kernels.BACKEND} {kernels.BACKEND == 'numpy'}"
+    assert backend.split() == [kernels.BACKEND,
+                               str(kernels.BACKEND == "numpy"),
+                               *(kernels.CFLAGS or ())]
     assert "'accepted'" in trace  # the solve extrapolated
     return trace
 
@@ -544,6 +669,20 @@ def lasso_trace_with_cc(tmp_path_factory):
 # a ``cc`` that fails, and one whose "library" dlopen refuses
 FAKE_CC = {"failing": "exit 1\n",
            "junk": 'for a; do [ "$o" = -o ] && echo junk > "$a"; o=$a; done\n'}
+
+
+@compiled
+def test_a_compiler_without_native_builds_at_o3(tmp_path, lasso_trace_with_cc):
+    # a ``cc`` that refuses -march=native and runs the real one otherwise
+    script = tmp_path / "cc"
+    script.write_text(
+        '#!/bin/sh\nfor a; do [ "$a" = -march=native ] && exit 1; done\n'
+        f'PATH={shlex.quote(os.environ.get("PATH", os.defpath))} '
+        f'exec {shlex.quote(shutil.which("cc"))} "$@"\n')
+    script.chmod(0o755)
+    backend, trace = run_no_compiler_script(str(tmp_path), tmp_path)
+    assert backend == "numpy+c False -O3 -ffp-contract=off -fPIC -shared"
+    assert trace == lasso_trace_with_cc
 
 
 @pytest.mark.parametrize("cc", [None, "failing", "junk"])
