@@ -1,0 +1,118 @@
+/* The coordinate loops of two kernels: kernels.lsq_gram_epoch
+   (gram_epoch) and the logistic epochs kernels.logreg_l1_epoch and
+   logreg_l2_epoch (logreg_epoch).  Each does the operations of its loop
+   source in kernels (_lsq_gram_epoch_loops, _logreg_epoch_loops) in the
+   same order, so that compiled without FMA contraction (-ffp-contract=off)
+   and without -ffast-math it gives the same bits.
+
+   The Gram update g[k] = g[k] + d * row[k] is a multiply and an add per
+   entry, each rounded once, with no reduction across k: a compiler may run
+   it in SIMD lanes (restrict tells it that g, x and the Gram row do not
+   overlap), and each lane rounds as the scalar code does.  The logistic
+   gradient is a sum, which stays sequential because nothing allows its
+   reassociation, and its exp is the C library's, the function Python's
+   math.exp calls. */
+#include <math.h>
+#include <stdint.h>
+
+static double st(double v, double t)
+{
+    if (v > t)
+        return v - t;
+    if (v < -t)
+        return v + t;
+    return 0.0;
+}
+
+/* Returns -1 if an index of order lies outside [-p, p), else 0. */
+static int check_order(const int64_t *order, int64_t m, int64_t p)
+{
+    for (int64_t i = 0; i < m; i++)
+        if (order[i] < -p || order[i] >= p)
+            return -1;
+    return 0;
+}
+
+/* G is p x p in C order, g = A'(Ax - y), order holds m indices that may
+   count from the end.  Returns -1, touching nothing, if an index lies
+   outside [-p, p), else 0. */
+int gram_epoch(const double *G, double *restrict g, double *restrict x,
+               const double *lip, const int64_t *order, int64_t m, int64_t p,
+               double l1, double l2, double scale)
+{
+    if (check_order(order, m, p))
+        return -1;
+    for (int64_t i = 0; i < m; i++) {
+        int64_t j = order[i] < 0 ? order[i] + p : order[i];
+        double lj = lip[j];
+        if (lj <= 0.0)
+            continue;
+        double old = x[j];
+        double new = st(old - g[j] / scale / lj, l1 / lj) / (1.0 + l2 / lj);
+        if (new != old) {
+            double d = new - old;
+            const double *restrict row = G + j * p;
+            for (int64_t k = 0; k < p; k++)
+                g[k] = g[k] + d * row[k];
+            x[j] = new;
+        }
+    }
+    return 0;
+}
+
+/* sigma(-t) = 1 / (1 + e^t), overflow-safe on both sides (kernels._sig_neg) */
+static double sig_neg(double t)
+{
+    if (t >= 0.0) {
+        double e = exp(-t);
+        return e / (1.0 + e);
+    }
+    return 1.0 / (1.0 + exp(t));
+}
+
+/* A CSC design of p columns: data and indices hold nnz entries, indptr
+   p + 1 column pointers, y and Ax n rows.  order holds m indices that may
+   count from the end.  Before it touches x or Ax, returns -1 if an index
+   of order lies outside [-p, p), -2 if indptr does not rise from 0 or
+   more to nnz or less, -3 if a row index of the framed entries lies
+   outside [0, n); else runs the epoch and returns 0. */
+int logreg_epoch(const double *data, const int64_t *indices,
+                 const int64_t *indptr, const double *y, double *restrict x,
+                 double *restrict Ax, const double *lip, const int64_t *order,
+                 int64_t m, int64_t p, int64_t n, int64_t nnz, double l1,
+                 double l2, double scale)
+{
+    if (check_order(order, m, p))
+        return -1;
+    if (indptr[0] < 0 || indptr[p] > nnz)
+        return -2;
+    for (int64_t j = 0; j < p; j++)
+        if (indptr[j] > indptr[j + 1])
+            return -2;
+    for (int64_t k = indptr[0]; k < indptr[p]; k++)
+        if (indices[k] < 0 || indices[k] >= n)
+            return -3;
+    for (int64_t i = 0; i < m; i++) {
+        int64_t j = order[i] < 0 ? order[i] + p : order[i];
+        double lj = lip[j];
+        if (lj <= 0.0)
+            continue;
+        int64_t start = indptr[j], end = indptr[j + 1];
+        double grad = 0.0;
+        for (int64_t k = start; k < end; k++) {
+            int64_t r = indices[k];
+            grad += data[k] * (-y[r] * sig_neg(y[r] * Ax[r]));
+        }
+        double new = x[j] - grad / scale / lj;
+        if (l1 != 0.0)
+            new = st(new, l1 / lj);
+        new /= 1.0 + l2 / lj;
+        double d = new - x[j];
+        if (d != 0.0) {
+            for (int64_t k = start; k < end; k++)
+                Ax[indices[k]] += d * data[k];
+            x[j] = new;
+        }
+    }
+    return 0;
+}

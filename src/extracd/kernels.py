@@ -1,23 +1,23 @@
-"""Hot numerical kernels, in numpy, with one coordinate loop in C.
+"""Hot numerical kernels, in numpy, with two coordinate loops in C.
 
 Every kernel also has an explicit-loop source.  ``LOOPS`` holds them as a
 kernel table run as plain Python: the reference that tests compare the
-numpy kernels against.
+public kernels against.
 
 All sparse kernels operate on raw CSC arrays (values, row indices,
 column pointers) and update ``x`` / ``Ax`` in place.  Coordinates whose
 curvature bound is zero are skipped, which freezes them at their initial
-value.
+value.  An ``order`` index may count from the end, as in ``x[j]``; one
+outside ``[-p, p)`` raises IndexError before any coordinate moves.
 
 The lasso, elastic-net and both logistic epochs apply one proximal
 coordinate update, ``x_j <- st(x_j - A_j'r / scale / L_j, l1 / L_j) /
 (1 + l2 / L_j)``, where ``r`` is the datafit's per-row gradient factor:
 ``Ax - y`` for least squares, ``-y * sigma(-y * Ax)`` for logistic
-regression.  The loop sources have one body per datafit and the numpy
-kernels one for both, all called as ``(..., l1, l2, scale, order)``, and
-the four public kernels are wrappers that fix ``(l1, l2, scale)``.
-``l1 = 0`` leaves out the soft threshold, which would turn a NaN or
--0.0 step into 0.0.
+regression.  The loop sources have one body per datafit, all called as
+``(..., l1, l2, scale, order)``, and the four public kernels are wrappers
+that fix ``(l1, l2, scale)``.  ``l1 = 0`` leaves out the soft threshold,
+which would turn a NaN or -0.0 step into 0.0.
 
 Python loops over columns and coordinates are slow, so the numpy kernels
 avoid per-column work where the input allows:
@@ -27,9 +27,9 @@ avoid per-column work where the input allows:
   the entries in storage order, as the loop sources do; they make one
   BLAS call when the matrix is fully dense (``nnz == n_rows * n_cols``):
   its values are then A' in C order;
-- the coordinate epoch computes ``r`` once and recomputes its rows under
-  a column from the new ``Ax`` only when that coordinate moves, so ``r``
-  always equals the fresh expression bit for bit;
+- the least-squares coordinate epoch computes ``r`` once and recomputes
+  its rows under a column from the new ``Ax`` only when that coordinate
+  moves, so ``r`` always equals the fresh expression bit for bit;
 - `lsq_gram_epoch` runs a least-squares coordinate epoch on a dense design
   through its Gram matrix (``problems.LeastSquares.epoch`` chooses it,
   through `lsq_gram_pass`); its coordinate loop is compiled (below);
@@ -42,23 +42,34 @@ avoid per-column work where the input allows:
 ``cd_dense_epoch`` is its loop source, whose steps are already one BLAS
 dot each.
 
-A Gram epoch visits each coordinate for a few flops, so in Python the
-interpreter's round trip per visit is most of its time.  Its loop is
-``_gram.c``, built with ``cc`` when this module is imported and called
-through ``ctypes``.  It does the loop source's operations in the same
+Two coordinate loops visit each coordinate for a few operations, so in
+Python the interpreter's round trip per visit is most of their time: the
+Gram epoch's and the logistic epochs'.  Both are in ``_epochs.c``, built
+with ``cc`` into one library when this module is imported and called
+through ``ctypes``.  Each does its loop source's operations in the same
 order, compiled without FMA contraction, so its iterates are bitwise those
-of ``LOOPS["lsq_gram_epoch"]``.  The build tries ``-O3 -march=native``,
-then ``-O3``; both vectorize the row update ``g += d * G_j``, which keeps
-the bits: each entry is one multiply and one add, each rounded once, in a
-SIMD lane as in a scalar register, and ``-ffp-contract=off`` without
-``-ffast-math`` neither fuses nor reassociates them.  The loop source
-stays as the tests' reference and is the kernel wherever both builds fail
-(no compiler, say).  ``BACKEND`` is ``"numpy+c"`` when the compiled loop
-runs, else ``"numpy"``, and ``CFLAGS`` holds the flags of the build that
+of ``LOOPS["lsq_gram_epoch"]``, resp. ``LOOPS["logreg_l1_epoch"]`` and
+``LOOPS["logreg_l2_epoch"]``:
+
+- the build tries ``-O3 -march=native``, then ``-O3``; both vectorize the
+  Gram row update ``g += d * G_j``, which keeps the bits: each entry is
+  one multiply and one add, each rounded once, in a SIMD lane as in a
+  scalar register, and ``-ffp-contract=off`` without ``-ffast-math``
+  neither fuses nor reassociates them;
+- the logistic gradient is a sum over a column's rows, which therefore
+  stays sequential, and its ``exp`` is the C library's, linked with
+  ``-lm``: the function that the loop source's ``math.exp`` calls (not
+  ``np.exp``, whose last bits may differ).
+
+The loop sources stay as the tests' reference and are the kernels
+wherever both builds fail (no compiler, say), so an iterate has the same
+bits on every host.  ``BACKEND`` is ``"numpy+c"`` when the compiled loops
+run, else ``"numpy"``, and ``CFLAGS`` holds the flags of the build that
 loaded, or None.  A solve binds `lsq_gram_pass` once per order array, so
-each epoch is its products and one C call; ``lsq_gram_epoch`` binds and
-runs once.  The logistic epochs stay numpy: C's ``exp`` may differ from
-``np.exp`` in the last bits.
+each Gram epoch is its products and one C call; ``lsq_gram_epoch`` binds
+and runs once.  A logistic epoch checks and converts its raw arrays on
+every call, so that a tracer that rebinds ``logreg_l1_epoch`` sees each
+epoch with its arguments.
 """
 
 import ctypes
@@ -66,7 +77,6 @@ import math
 import os
 import subprocess
 import tempfile
-from functools import partial
 
 import numpy as np
 
@@ -140,10 +150,19 @@ def _cd_dense_epoch_loops(H, b, x, order):
         x[j] -= r / H[j, j]
 
 
+def _columns(order, p):
+    """``order`` as a list of indices in ``range(p)``; a negative one counts
+    from the end, as in ``x[j]``, and one outside ``[-p, p)`` raises
+    IndexError before any coordinate moves.  The column pointers hold
+    ``p + 1`` entries, so a negative ``j`` would frame another column."""
+    if order.size and not -p <= order.min() <= order.max() < p:
+        raise IndexError(f"order holds an index outside [-{p}, {p})")
+    return (order % max(p, 1)).tolist()
+
+
 def _lsq_epoch_loops(data, indices, indptr, y, x, Ax, lip, l1, l2, scale,
                      order):
-    for idx in range(order.size):
-        j = order[idx]
+    for j in _columns(order, indptr.size - 1):
         lj = lip[j]
         if lj <= 0.0:
             continue
@@ -165,8 +184,7 @@ def _lsq_epoch_loops(data, indices, indptr, y, x, Ax, lip, l1, l2, scale,
 
 def _logreg_epoch_loops(data, indices, indptr, y, x, Ax, lip, l1, l2, scale,
                         order):
-    for idx in range(order.size):
-        j = order[idx]
+    for j in _columns(order, indptr.size - 1):
         lj = lip[j]
         if lj <= 0.0:
             continue
@@ -295,30 +313,25 @@ def csc_col_norms_sq(data, indptr):
     return out
 
 
-def _lsq_rows(y, Ax):
-    return Ax - y
-
-
 def _logreg_rows(y, Ax):
+    # the logistic gradient's per-row factor, for `problems.Logistic`
     return -y * _sig_neg_vec(y * Ax)
 
 
-def _cd_epoch_numpy(row_factor, data, indices, indptr, y, x, Ax, lip, l1, l2,
-                    scale, order):
-    """Proximal coordinate epoch of a datafit with per-row factor ``r``.
+def _lsq_epoch_numpy(data, indices, indptr, y, x, Ax, lip, l1, l2, scale,
+                     order):
+    """Proximal coordinate epoch of least squares, the residual kept.
 
-    ``r = row_factor(y, Ax)`` is the per-row factor of the datafit's
-    gradient, so coordinate ``j`` has gradient ``A_j' r / scale``.  It is
-    computed once, and its rows under column ``j`` are recomputed from the
-    new ``Ax`` rows only when ``x_j`` moves, so ``r`` is bitwise the fresh
-    ``row_factor(y, Ax)`` and the iterates are those of the per-column
-    form.
+    The residual ``r = Ax - y`` is computed once, and its rows under column
+    ``j`` are recomputed from the new ``Ax`` rows only when ``x_j`` moves,
+    so ``r`` is bitwise the fresh ``Ax - y`` and the iterates are those of
+    the per-column form.
     """
-    r = row_factor(y, Ax)
+    r = Ax - y
     ptr = indptr.tolist()
     lip = lip.tolist()
     xs = x.tolist()
-    for j in order.tolist():
+    for j in _columns(order, len(ptr) - 1):
         lj = lip[j]
         if lj <= 0.0:
             continue
@@ -334,7 +347,7 @@ def _cd_epoch_numpy(row_factor, data, indices, indptr, y, x, Ax, lip, l1, l2,
         if d != 0.0:
             Ax_rows = Ax[rows] + d * vals
             Ax[rows] = Ax_rows
-            r[rows] = row_factor(y[rows], Ax_rows)
+            r[rows] = Ax_rows - y[rows]
             xs[j] = new
     x[:] = xs
 
@@ -390,7 +403,7 @@ def group_epoch(data, indices, indptr, y, x, Ax, grp_cols, grp_ptr, lip_g,
 
 
 # ---------------------------------------------------------------------------
-# the compiled Gram epoch
+# the compiled coordinate loops
 # ---------------------------------------------------------------------------
 
 # the optimization levels tried in turn: the library is built on the host
@@ -400,31 +413,101 @@ def group_epoch(data, indices, indptr, y, x, Ax, grp_cols, grp_ptr, lip_g,
 # ``-mcpu`` and ``-mtune`` only), so ``-march=native`` fails there
 _OPT_LEVELS = (("-O3", "-march=native"), ("-O3",))
 _FP_FLAGS = ("-ffp-contract=off", "-fPIC", "-shared")
+_I64, _F64, _PTR = ctypes.c_int64, ctypes.c_double, ctypes.c_void_p
+_SIGNATURES = {"gram_epoch": [_PTR] * 5 + [_I64] * 2 + [_F64] * 3,
+               "logreg_epoch": [_PTR] * 8 + [_I64] * 4 + [_F64] * 3}
 
 
-def _build_gram_epoch():
-    """``(gram_epoch, flags)``: the ``gram_epoch`` of ``_gram.c`` and the
-    ``cc`` flags it was built with, or ``(None, None)`` if no level of
-    ``_OPT_LEVELS`` builds and loads (no compiler, a failed or slow build,
-    a ``/tmp`` that forbids executing, a library without the symbol).
-    ``cc`` builds it into a private temporary directory, so no built file
-    is reused or outlives the import; the loaded library stays mapped."""
-    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_gram.c")
+def _build_loops():
+    """``(lib, flags)``: ``_epochs.c`` built into one library whose
+    functions ``_SIGNATURES`` lists, and the ``cc`` flags of that build,
+    or ``(None, None)`` if no level of ``_OPT_LEVELS`` builds and loads (no
+    compiler, a failed or slow build, a ``/tmp`` that forbids executing, a
+    library without a symbol).  One ``cc`` call per level, linked with
+    libm; ``cc`` builds into a private temporary directory, so no built
+    file is reused or outlives the import; the loaded library stays
+    mapped."""
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                       "_epochs.c")
     for opt in _OPT_LEVELS:
         flags = opt + _FP_FLAGS
         try:
             with tempfile.TemporaryDirectory() as tmp:
-                lib = os.path.join(tmp, "_gram.so")
-                subprocess.run(["cc", *flags, "-o", lib, src], timeout=60,
-                               check=True, capture_output=True)
-                gram_epoch = ctypes.CDLL(lib).gram_epoch
+                path = os.path.join(tmp, "_epochs.so")
+                subprocess.run(["cc", *flags, "-o", path, src, "-lm"],
+                               timeout=60, check=True, capture_output=True)
+                lib = ctypes.CDLL(path)
+                for name, argtypes in _SIGNATURES.items():
+                    fn = getattr(lib, name)
+                    fn.restype, fn.argtypes = ctypes.c_int, argtypes
         except (OSError, AttributeError, subprocess.SubprocessError):
             continue
-        gram_epoch.restype = ctypes.c_int
-        gram_epoch.argtypes = [ctypes.c_void_p] * 5 + [ctypes.c_int64] * 2 + [
-            ctypes.c_double] * 3
-        return gram_epoch, flags
+        return lib, flags
     return None, None
+
+
+def _c_array(a, dtype):
+    """``a`` as an aligned C-contiguous array of ``dtype``: ``a`` itself
+    when it is one, in about a tenth of the time of ``np.require``."""
+    a = np.ascontiguousarray(a, dtype)
+    return a if a.flags.aligned else a.copy()
+
+
+def _float64_out(a, name, size):
+    """``a``, an array the C loop writes, or a C-contiguous copy of it to
+    write back; TypeError unless it is float64 of shape ``(size,)``."""
+    if not (isinstance(a, np.ndarray) and a.dtype == np.float64
+            and a.shape == (size,)):
+        raise TypeError(f"{name} must be a float64 array of shape ({size},)")
+    if not a.flags.writeable:
+        raise ValueError(f"{name} is read-only")
+    return a if a.flags.carray else a.copy()
+
+
+def _compiled_logreg_epoch(logreg_epoch):
+    """`_logreg_epoch_loops` with its coordinate loop run by the C
+    ``logreg_epoch``."""
+    errors = {-1: "order holds an index outside [-{p}, {p})",
+              -2: "indptr must rise from 0 or more to at most {nnz}",
+              -3: "indices hold a row outside [0, {n})"}
+
+    def logreg(data, indices, indptr, y, x, Ax, lip, l1, l2, scale, order):
+        """The epoch of `_logreg_epoch_loops`, bit for bit.
+
+        ``data``, ``y`` and ``lip`` are taken as float64, ``indices``,
+        ``indptr`` and ``order`` as int64, the penalties as doubles.  ``y``
+        and ``Ax`` must hold n entries, ``lip`` and ``x`` p (``x`` and
+        ``Ax`` float64; a strided one runs on a copy that is written back).
+        The C loop checks ``order``, ``indptr`` and the row indices before
+        it touches ``x`` or ``Ax`` and raises IndexError on a bad one.
+        """
+        data, y, lip = (_c_array(data, np.float64), _c_array(y, np.float64),
+                        _c_array(lip, np.float64))
+        indices, indptr, order = (_c_array(indices, np.int64),
+                                  _c_array(indptr, np.int64),
+                                  _c_array(order, np.int64))
+        p, n, nnz = indptr.size - 1, y.size, data.size
+        if p < 0 or indptr.ndim != 1:
+            raise ValueError("indptr must be 1-d and not empty")
+        if data.shape != (nnz,) or indices.shape != (nnz,):
+            raise ValueError("data and indices must be 1-d of equal length")
+        if y.shape != (n,):
+            raise ValueError("y must be 1-d")
+        if lip.shape != (p,):
+            raise ValueError(f"lip must hold {p} entries")
+        xc, Axc = _float64_out(x, "x", p), _float64_out(Ax, "Ax", n)
+        code = logreg_epoch(
+            data.ctypes.data, indices.ctypes.data, indptr.ctypes.data,
+            y.ctypes.data, xc.ctypes.data, Axc.ctypes.data, lip.ctypes.data,
+            order.ctypes.data, order.size, p, n, nnz, float(l1), float(l2),
+            float(scale))
+        if code:
+            raise IndexError(errors[code].format(p=p, n=n, nnz=nnz))
+        if xc is not x:
+            x[:] = xc
+        if Axc is not Ax:
+            Ax[:] = Axc
+    return logreg
 
 
 def _lsq_gram_pass_loops(AT, G, y, lip, l1, l2, scale, order):
@@ -484,13 +567,6 @@ def _compiled_gram_pass(gram_epoch):
 
 
 cd_dense_epoch = _cd_dense_epoch_loops
-_EPOCHS = _epoch_kernels(partial(_cd_epoch_numpy, _lsq_rows),
-                         partial(_cd_epoch_numpy, _logreg_rows))
-lasso_epoch = _EPOCHS["lasso_epoch"]
-enet_epoch = _EPOCHS["enet_epoch"]
-logreg_l1_epoch = _EPOCHS["logreg_l1_epoch"]
-logreg_l2_epoch = _EPOCHS["logreg_l2_epoch"]
-
 LOOPS = {
     "csc_matvec": _csc_matvec_loops,
     "csc_rmatvec": _csc_rmatvec_loops,
@@ -501,12 +577,14 @@ LOOPS = {
     "lsq_gram_epoch": _lsq_gram_epoch_loops,
 }
 
-_gram_epoch, CFLAGS = _build_gram_epoch()
-if _gram_epoch is None:
+_lib, CFLAGS = _build_loops()
+if _lib is None:
     lsq_gram_pass = _lsq_gram_pass_loops
     lsq_gram_epoch = _lsq_gram_epoch_loops
+    _logreg_epoch = _logreg_epoch_loops
 else:
-    lsq_gram_pass = _compiled_gram_pass(_gram_epoch)
+    lsq_gram_pass = _compiled_gram_pass(_lib.gram_epoch)
+    _logreg_epoch = _compiled_logreg_epoch(_lib.logreg_epoch)
 
     def lsq_gram_epoch(AT, G, y, x, Ax, lip, l1, l2, scale, order):
         """The epoch of `_lsq_gram_epoch_loops`, bit for bit: `lsq_gram_pass`
@@ -514,10 +592,15 @@ else:
         the loop source also has, so a caller running a single epoch (the
         tests, say) need not hold a pass."""
         lsq_gram_pass(AT, G, y, lip, l1, l2, scale, order)(x, Ax)
+_EPOCHS = _epoch_kernels(_lsq_epoch_numpy, _logreg_epoch)
+lasso_epoch = _EPOCHS["lasso_epoch"]
+enet_epoch = _EPOCHS["enet_epoch"]
+logreg_l1_epoch = _EPOCHS["logreg_l1_epoch"]
+logreg_l2_epoch = _EPOCHS["logreg_l2_epoch"]
 # recorded by callers that report the backend
 BACKEND = "numpy" if CFLAGS is None else "numpy+c"
 
 
 def warmup():
-    """Prepare the kernels for a timed run: the one compiled kernel is
-    built at import, so this returns at once."""
+    """Prepare the kernels for a timed run: the compiled loops are built
+    at import, so this returns at once."""

@@ -17,11 +17,12 @@ from hypothesis import strategies as st
 from extracd import SolverConfig, kernels, solve
 from extracd.data import CscMatrix, parse_libsvm
 from extracd.kernels import LOOPS, warmup
-from extracd.problems import (ElasticNet, GroupLasso, Lasso, Quadratic,
-                              groups_from_size)
+from extracd.problems import (L1L2, ElasticNet, GroupLasso, Lasso, Logistic,
+                              Quadratic, groups_from_size)
 
-# the numpy kernels as a table beside LOOPS, the loop sources run as plain
-# Python: the reference they are checked against
+# the public kernels (numpy, with the C loops where they built) as a table
+# beside LOOPS, the loop sources run as plain Python: the reference they are
+# checked against
 NUMPY = {name: getattr(kernels, name) for name in LOOPS}
 TABLES = {"numpy": NUMPY, "loops": LOOPS}
 BACKENDS = sorted(TABLES)
@@ -632,7 +633,9 @@ def test_a_solve_binds_its_gram_pass_once(monkeypatch):
 
 NO_COMPILER = """
 import numpy as np
-from extracd import CscMatrix, Lasso, SolverConfig, kernels, lambda_max, solve
+from extracd import (CscMatrix, Lasso, LogRegL1, SolverConfig, kernels,
+                     lambda_max, solve)
+from extracd.data import load_sample
 rng = np.random.default_rng(5)
 M = rng.standard_normal((40, 80))
 y = M[:, :5] @ rng.standard_normal(5) + 0.1 * rng.standard_normal(40)
@@ -643,11 +646,19 @@ loops = kernels.LOOPS["lsq_gram_epoch"]
 print(kernels.BACKEND, kernels.lsq_gram_epoch is loops, *(kernels.CFLAGS or ()))
 print(repr((tr.epochs, tr.events, tr.objectives, tr.gaps)),
       tr.x.tobytes().hex())
+ds = load_sample()
+prob = LogRegL1(ds.A, ds.y, 1.0)
+prob = LogRegL1(prob.A, prob.y, lambda_max(prob) / 20)
+tr = solve(prob, SolverConfig("pcd_anderson", max_epochs=400, tol=1e-10))
+print(repr((tr.epochs, tr.events, tr.objectives, tr.gaps)),
+      tr.x.tobytes().hex())
 """
 
 
 def run_no_compiler_script(path, cwd):
-    """The two output lines of ``NO_COMPILER`` run with ``PATH=path``."""
+    """The three output lines of ``NO_COMPILER`` run with ``PATH=path``:
+    the backend, then the traces of a dense lasso (the Gram epoch) and of
+    an l1 logistic regression on the sample data (the logistic epoch)."""
     env = {**os.environ, "PATH": path,
            "PYTHONPATH": str(Path(kernels.__file__).resolve().parents[1])}
     proc = subprocess.run([sys.executable, "-c", NO_COMPILER], env=env,
@@ -656,14 +667,15 @@ def run_no_compiler_script(path, cwd):
 
 
 @pytest.fixture(scope="module")
-def lasso_trace_with_cc(tmp_path_factory):
-    backend, trace = run_no_compiler_script(
+def traces_with_cc(tmp_path_factory):
+    backend, *traces = run_no_compiler_script(
         os.environ.get("PATH", os.defpath), tmp_path_factory.mktemp("cc"))
     assert backend.split() == [kernels.BACKEND,
                                str(kernels.BACKEND == "numpy"),
                                *(kernels.CFLAGS or ())]
-    assert "'accepted'" in trace  # the solve extrapolated
-    return trace
+    assert len(traces) == 2
+    assert all("'accepted'" in t for t in traces)  # both solves extrapolated
+    return traces
 
 
 # a ``cc`` that fails, and one whose "library" dlopen refuses
@@ -672,7 +684,7 @@ FAKE_CC = {"failing": "exit 1\n",
 
 
 @compiled
-def test_a_compiler_without_native_builds_at_o3(tmp_path, lasso_trace_with_cc):
+def test_a_compiler_without_native_builds_at_o3(tmp_path, traces_with_cc):
     # a ``cc`` that refuses -march=native and runs the real one otherwise
     script = tmp_path / "cc"
     script.write_text(
@@ -680,22 +692,22 @@ def test_a_compiler_without_native_builds_at_o3(tmp_path, lasso_trace_with_cc):
         f'PATH={shlex.quote(os.environ.get("PATH", os.defpath))} '
         f'exec {shlex.quote(shutil.which("cc"))} "$@"\n')
     script.chmod(0o755)
-    backend, trace = run_no_compiler_script(str(tmp_path), tmp_path)
+    backend, *traces = run_no_compiler_script(str(tmp_path), tmp_path)
     assert backend == "numpy+c False -O3 -ffp-contract=off -fPIC -shared"
-    assert trace == lasso_trace_with_cc
+    assert traces == traces_with_cc
 
 
 @pytest.mark.parametrize("cc", [None, "failing", "junk"])
 def test_without_a_compiler_the_loop_runs_with_the_same_bits(
-        cc, tmp_path, lasso_trace_with_cc):
+        cc, tmp_path, traces_with_cc):
     if cc is not None:
         script = tmp_path / "cc"
         script.write_text("#!/bin/sh\n" + FAKE_CC[cc])
         script.chmod(0o755)
     path = "" if cc is None else str(tmp_path)
-    backend, trace = run_no_compiler_script(path, tmp_path)
+    backend, *traces = run_no_compiler_script(path, tmp_path)
     assert backend == "numpy True"
-    assert trace == lasso_trace_with_cc
+    assert traces == traces_with_cc
 
 
 def random_csc(seed):
@@ -719,29 +731,6 @@ def random_csc(seed):
         col_ptr.append(len(rows))
     return CscMatrix(n, p, np.array(col_ptr), np.array(rows, dtype=np.int64),
                      np.array(vals)), rng
-
-
-def per_column_logreg_epoch(l1, data, indices, indptr, y, x, Ax, lip, lam,
-                            order):
-    """The numpy logistic epoch as a per-column loop: every coordinate
-    recomputes its rows of the gradient factor from ``Ax``."""
-    for j in order:
-        lj = lip[j]
-        if lj <= 0.0:
-            continue
-        sl = slice(indptr[j], indptr[j + 1])
-        rows = indices[sl]
-        vals = data[sl]
-        yr = y[rows]
-        grad = vals @ (-yr * kernels._sig_neg_vec(yr * Ax[rows]))
-        if l1:
-            new = kernels._st(x[j] - grad / lj, lam / lj)
-        else:
-            new = (x[j] - grad / lj) / (1.0 + lam / lj)
-        d = new - x[j]
-        if d != 0.0:
-            Ax[rows] += d * vals
-            x[j] = new
 
 
 def per_column_lasso_epoch(data, indices, indptr, y, x, Ax, lip, lam, order):
@@ -781,9 +770,9 @@ def per_column_enet_epoch(data, indices, indptr, y, x, Ax, lip, lam, rho,
 
 
 class TestNumpySparsePath:
-    """The numpy sparse products and coordinate epochs, bit for bit,
-    against the explicit-loop sources run as plain Python and the
-    per-column epochs."""
+    """The sparse products and coordinate epochs, bit for bit, against the
+    explicit-loop sources run as plain Python (the products and the
+    logistic epochs) and the per-column epochs (least squares)."""
 
     @pytest.mark.parametrize("seed", range(40))
     def test_products_match_loops(self, seed):
@@ -823,10 +812,9 @@ class TestNumpySparsePath:
             lip, extra = norms / n_samples + rho, (lam / n_samples, rho,
                                                    n_samples)
             ref = per_column_enet_epoch
-        else:
+        else:  # the compiled loop runs the loop source's operations
             lip, extra = norms / 4.0, (lam,)
-            ref = functools.partial(per_column_logreg_epoch,
-                                    kernel == "logreg_l1_epoch")
+            ref = LOOPS[kernel]
         x, Ax = x0.copy(), kernels._csc_matvec_loops(*args, n, x0)
         x_ref, Ax_ref = x.copy(), Ax.copy()
         for order in (cyclic, cyclic[::-1].copy(), repeats) * 2:
@@ -950,3 +938,246 @@ class TestNumpyMatchesLoopsProperties:
             out[backend] = x, Ax
         for got, ref in zip(out["numpy"], out["loops"]):
             assert_close(got, ref)
+
+
+# ---------------------------------------------------------------------------
+# the compiled logistic epochs against their loop source, bit for bit
+# ---------------------------------------------------------------------------
+
+LOGREG_KERNELS = ("logreg_l1_epoch", "logreg_l2_epoch")
+
+
+def logreg_case(seed, n=12, p=8):
+    """A logistic epoch's arguments: a CSC design with an empty column (1),
+    a column of stored zeros (2), a column whose curvature bound is set to
+    zero (4) and a column of entries of 700-800 in magnitude (3) that
+    ``x0[3] = 1`` turns into margins ``|y Ax|`` past 708 (``exp`` of their
+    negation is subnormal) and past 745 (it is zero); -1/+1 labels, a
+    penalty and an ``x0`` holding -0.0, zeros and nonzeros."""
+    rng = np.random.default_rng(seed)
+    rows = [np.sort(rng.choice(n, int(rng.integers(1, n + 1)), replace=False))
+            for _ in range(p)]
+    vals = [rng.standard_normal(r.size) for r in rows]
+    rows[1], vals[1] = rows[1][:0], vals[1][:0]
+    vals[2] = np.zeros(rows[2].size)
+    rows[3] = np.arange(n)
+    vals[3] = rng.uniform(700.0, 800.0, n) * np.where(rng.random(n) < 0.5,
+                                                      -1.0, 1.0)
+    vals[3][:2] = 720.0, -790.0
+    A = CscMatrix(n, p, np.cumsum([0] + [r.size for r in rows]),
+                  np.concatenate(rows), np.concatenate(vals))
+    y = np.where(rng.random(n) < 0.5, -1.0, 1.0)
+    lip = LOOPS["csc_col_norms_sq"](A.values, A.col_ptr) / 4.0
+    lip[4] = 0.0
+    x0 = rng.standard_normal(p) * (rng.random(p) < 0.6)
+    x0[::3], x0[3] = -0.0, 1.0
+    lam = 0.2 * float(np.abs(LOOPS["csc_rmatvec"](
+        A.values, A.row_idx, A.col_ptr, y)).max()) / 2.0
+    return A, y, lip, lam, x0, rng
+
+
+def logreg_orders(p, rng):
+    """Cyclic, reversed, repeated, mixed-sign and all-negative orders."""
+    cyclic = np.arange(p, dtype=np.int64)
+    return (cyclic, cyclic[::-1].copy(), rng.integers(0, p, size=2 * p),
+            rng.integers(-p, p, size=p), cyclic - p)
+
+
+def assert_logreg_epochs_are_the_loop(kernel, A, y, lip, lam, x0, orders):
+    """Runs ``kernels.<kernel>`` and ``LOOPS[kernel]`` from ``x0`` over
+    ``orders``, comparing the bytes of ``x`` and ``Ax`` after each epoch;
+    returns the final ``x``."""
+    args = (A.values, A.row_idx, A.col_ptr, y)
+    Ax0 = LOOPS["csc_matvec"](A.values, A.row_idx, A.col_ptr, A.n_rows, x0)
+    x, Ax, x_ref, Ax_ref = x0.copy(), Ax0.copy(), x0.copy(), Ax0.copy()
+    for order in orders:
+        getattr(kernels, kernel)(*args, x, Ax, lip, lam, order)
+        LOOPS[kernel](*args, x_ref, Ax_ref, lip, lam, order)
+        assert x.tobytes() == x_ref.tobytes()
+        assert Ax.tobytes() == Ax_ref.tobytes()
+    return x
+
+
+@pytest.mark.parametrize("kernel", LOGREG_KERNELS)
+@pytest.mark.parametrize("seed", range(6))
+def test_logreg_epoch_is_the_loop(kernel, seed):
+    A, y, lip, lam, x0, rng = logreg_case(seed)
+    Ax0 = LOOPS["csc_matvec"](A.values, A.row_idx, A.col_ptr, A.n_rows, x0)
+    margins = np.abs(y * Ax0)
+    assert ((margins > 708.0) & (margins < 745.0)).any()  # subnormal exp
+    assert (margins > 745.0).any()  # exp(-|t|) underflows to 0
+    x = assert_logreg_epochs_are_the_loop(
+        kernel, A, y, lip, lam, x0, logreg_orders(A.n_cols, rng) * 2)
+    assert not np.array_equal(x, x0)
+    for j in (1, 2, 4):  # zero curvature bounds: skipped
+        assert x[j].tobytes() == x0[j].tobytes()
+
+
+@pytest.mark.parametrize("kernel", LOGREG_KERNELS)
+def test_logreg_epoch_without_rows_is_the_loop(kernel):
+    # n = 0: every column is empty, so only the penalty moves x
+    rng = np.random.default_rng(7)
+    A = CscMatrix(0, 5, np.zeros(6, dtype=np.int64), np.zeros(0, np.int64),
+                  np.zeros(0))
+    x0 = rng.standard_normal(5)
+    x0[0] = -0.0
+    x = assert_logreg_epochs_are_the_loop(
+        kernel, A, np.zeros(0), np.ones(5), 0.3, x0, logreg_orders(5, rng))
+    assert not np.array_equal(x, x0)
+
+
+@pytest.mark.parametrize("kernel", LOGREG_KERNELS)
+@settings(max_examples=100, deadline=None, database=None)
+@given(case=designs())
+def test_logreg_epoch_is_the_loop_property(kernel, case):
+    A, order, rng = case
+    y, (lip, lam, _) = epoch_tail(kernel, A, order, rng)
+    if rng.random() < 0.2:
+        lam = 0.0  # no soft threshold
+    x0 = rng.standard_normal(A.n_cols) * (rng.random(A.n_cols) < 0.6)
+    x0[rng.random(A.n_cols) < 0.2] = -0.0
+    mixed = order - A.n_cols * (rng.random(order.size) < 0.5)
+    assert_logreg_epochs_are_the_loop(kernel, A, y, lip, lam, x0,
+                                      (order, mixed, order))
+
+
+@pytest.mark.parametrize("kernel", ["lasso_epoch", "enet_epoch",
+                                    *LOGREG_KERNELS])
+@pytest.mark.parametrize("table", BACKENDS)
+def test_negative_order_counts_from_the_end(kernel, table):
+    # index j < 0 is column j + p, for the column's entries as well as for
+    # x and lip; it once framed the entries of column j + p + 1
+    A, y, lip, lam, x0, rng = logreg_case(8)
+    p = A.n_cols
+    extra = (lam, 0.1, 3.0) if kernel == "enet_epoch" else (lam,)
+    if not kernel.startswith("logreg"):
+        y = rng.standard_normal(A.n_rows)
+    order = rng.integers(0, p, size=3 * p)
+    runs = []
+    for o in (order, order - p):
+        x = x0.copy()
+        Ax = LOOPS["csc_matvec"](A.values, A.row_idx, A.col_ptr, A.n_rows, x)
+        TABLES[table][kernel](A.values, A.row_idx, A.col_ptr, y, x, Ax, lip,
+                              *extra, o)
+        runs.append(x.tobytes() + Ax.tobytes())
+        np.testing.assert_allclose(Ax, LOOPS["csc_matvec"](
+            A.values, A.row_idx, A.col_ptr, A.n_rows, x), rtol=1e-9,
+            atol=1e-9)
+    assert runs[0] == runs[1]
+
+
+@pytest.mark.parametrize("kernel", LOGREG_KERNELS)
+def test_logreg_epoch_writes_strided_arrays_back(kernel):
+    A, y, lip, lam, x0, rng = logreg_case(9)
+    n, p = A.n_rows, A.n_cols
+    order = rng.integers(-p, p, size=3 * p)
+    Ax0 = LOOPS["csc_matvec"](A.values, A.row_idx, A.col_ptr, n, x0)
+    xbuf, Axbuf = np.full(2 * p, 7.0), np.full(2 * n, 7.0)
+    xbuf[::2], Axbuf[::2] = x0, Ax0
+    x, Ax = xbuf[::2], Axbuf[::2]
+    x_ref, Ax_ref = x0.copy(), Ax0.copy()
+    getattr(kernels, kernel)(A.values, A.row_idx, A.col_ptr, y, x, Ax, lip,
+                             lam, order)
+    LOOPS[kernel](A.values, A.row_idx, A.col_ptr, y, x_ref, Ax_ref, lip, lam,
+                  order)
+    assert not np.array_equal(x_ref, x0)
+    assert np.ascontiguousarray(x).tobytes() == x_ref.tobytes()
+    assert np.ascontiguousarray(Ax).tobytes() == Ax_ref.tobytes()
+    assert (xbuf[1::2] == 7.0).all() and (Axbuf[1::2] == 7.0).all()
+
+
+def corrupt(A, what):
+    """Copies of ``A``'s raw arrays with one fault."""
+    data, indices, indptr = (A.values.copy(), A.row_idx.copy(),
+                             A.col_ptr.copy())
+    if what == "indptr-falls":
+        indptr[2] = indptr[3] + 1
+    elif what == "indptr-past-nnz":
+        indptr[-1] = data.size + 1
+    elif what == "indptr-negative":
+        indptr[0] = -1
+    elif what == "row-past-n":
+        indices[-1] = A.n_rows
+    else:  # "row-negative"
+        indices[0] = -1
+    return data, indices, indptr
+
+
+@pytest.mark.parametrize("bad", [8, -9, 2**40])
+@pytest.mark.parametrize("table", BACKENDS)
+@pytest.mark.parametrize("kernel", LOGREG_KERNELS)
+def test_logreg_epoch_bad_order_changes_nothing(kernel, table, bad):
+    A, y, lip, lam, x0, _ = logreg_case(10)
+    Ax0 = LOOPS["csc_matvec"](A.values, A.row_idx, A.col_ptr, A.n_rows, x0)
+    x, Ax = x0.copy(), Ax0.copy()
+    order = np.append(np.arange(8), bad)  # the valid visits come first
+    with pytest.raises(IndexError, match="order holds an index"):
+        TABLES[table][kernel](A.values, A.row_idx, A.col_ptr, y, x, Ax, lip,
+                              lam, order)
+    assert x.tobytes() == x0.tobytes()
+    assert Ax.tobytes() == Ax0.tobytes()
+
+
+@compiled
+@pytest.mark.parametrize("bad", ["indptr-falls", "indptr-past-nnz",
+                                 "indptr-negative", "row-past-n",
+                                 "row-negative"])
+@pytest.mark.parametrize("kernel", LOGREG_KERNELS)
+def test_compiled_logreg_epoch_bad_design_changes_nothing(kernel, bad):
+    A, y, lip, lam, x0, _ = logreg_case(11)
+    Ax0 = LOOPS["csc_matvec"](A.values, A.row_idx, A.col_ptr, A.n_rows, x0)
+    x, Ax = x0.copy(), Ax0.copy()
+    with pytest.raises(IndexError, match="indptr|row"):
+        getattr(kernels, kernel)(*corrupt(A, bad), y, x, Ax, lip, lam,
+                                 np.arange(8))
+    assert x.tobytes() == x0.tobytes()
+    assert Ax.tobytes() == Ax0.tobytes()
+
+
+@compiled
+def test_compiled_logreg_epoch_refuses_bad_arguments():
+    A, y, lip, lam, x0, _ = logreg_case(12)
+    Ax0 = LOOPS["csc_matvec"](A.values, A.row_idx, A.col_ptr, A.n_rows, x0)
+
+    def run(x=x0, Ax=Ax0, lip=lip, y=y, data=A.values):
+        kernels.logreg_l1_epoch(data, A.row_idx, A.col_ptr, y, x.copy(),
+                                Ax.copy(), lip, lam, np.arange(8))
+    for bad_x in (x0.astype(np.float32), x0[:7], list(x0)):
+        with pytest.raises(TypeError, match="x must be"):
+            run(x=bad_x)
+    for bad in (Ax0.astype(np.float32), Ax0[:-1]):
+        with pytest.raises(TypeError, match="Ax must be"):
+            run(Ax=bad)
+    with pytest.raises(TypeError, match="Ax must be"):
+        run(y=y[:-1])
+    with pytest.raises(ValueError, match="lip must"):
+        run(lip=lip[:7])
+    with pytest.raises(ValueError, match="data and indices"):
+        run(data=A.values[:-1])
+    frozen = x0.copy()
+    frozen.flags.writeable = False
+    with pytest.raises(ValueError, match="read-only"):
+        kernels.logreg_l1_epoch(A.values, A.row_idx, A.col_ptr, y, frozen,
+                                Ax0.copy(), lip, lam, np.arange(8))
+    run()
+
+
+@pytest.mark.parametrize("kernel", LOGREG_KERNELS)
+def test_logistic_epoch_takes_float32_lam_and_int_lip(kernel):
+    # what the numpy epoch accepted: a float32 penalty, an integer curvature
+    # bound and the read-only arrays of a CscMatrix, taken as doubles
+    A, y, lip, _, x0, rng = logreg_case(13)
+    assert not (A.values.flags.writeable or A.row_idx.flags.writeable
+                or A.col_ptr.flags.writeable)
+    lam, lip = np.float32(0.3), np.ceil(lip).astype(np.int64)
+    penalty = L1L2(lam, 0.0) if kernel == "logreg_l1_epoch" else L1L2(0.0,
+                                                                     lam)
+    epoch = Logistic(A, y).epoch(penalty, lip)
+    Ax0 = LOOPS["csc_matvec"](A.values, A.row_idx, A.col_ptr, A.n_rows, x0)
+    x, Ax, x_ref, Ax_ref = x0.copy(), Ax0.copy(), x0.copy(), Ax0.copy()
+    for order in logreg_orders(A.n_cols, rng):
+        epoch(x, Ax, order)
+        LOOPS[kernel](A.values, A.row_idx, A.col_ptr, y, x_ref, Ax_ref,
+                      lip.astype(np.float64), float(lam), order)
+        assert x.tobytes() + Ax.tobytes() == x_ref.tobytes() + Ax_ref.tobytes()
+    assert not np.array_equal(x, x0)
