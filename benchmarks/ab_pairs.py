@@ -6,12 +6,16 @@ Run from anywhere as::
         [--pairs 10] [--seconds 10]
 
 ``OTHER_ROOT`` is the root of another checkout (the parent commit, say).
-Each pair runs ``perfbench/run.py`` untraced once in this tree and once in
-``OTHER_ROOT``, each from its own root; pair ``i`` uses seed ``i``, and the
-side that runs first alternates from pair to pair (this tree first in pair
-0).  For each end-to-end metric of this tree's ``BENCHMARK.json`` it prints
-one line: each side's median [q1, q3], the ratio of the medians (this over
-other) and in how many pairs this tree did better.  The line ends in
+Both trees run from copies in two sibling temporary directories, so that
+where a checkout lies does not weigh on its times: each copy holds the
+tree's ``src``, its ``perfbench`` without ``perfbench/out`` and its
+``BENCHMARK.json``, and both are removed at the end.  Each pair runs
+``perfbench/run.py`` untraced once in each copy, from the copy's root;
+pair ``i`` uses seed ``i``, and the side that runs first alternates from
+pair to pair (this tree first in pair 0).  For each end-to-end metric of
+this tree's ``BENCHMARK.json`` it prints one line: each side's median
+[q1, q3], the ratio of the medians (this over other) and in how many
+pairs this tree did better.  The line ends in
 ``unresolved`` when the other tree's quartile spread, relative to its
 median, exceeds the metric's bound: the host's noise then decides the
 comparison.  The exit code is 1 if any run fails, reports
@@ -21,8 +25,10 @@ comparison.  The exit code is 1 if any run fails, reports
 import argparse
 import json
 import os
+import shutil
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 
@@ -33,6 +39,24 @@ def end_to_end_metrics():
     """The ``end_to_end`` entries of this tree's ``BENCHMARK.json``."""
     with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
         return json.load(fh)["end_to_end"]
+
+
+def copy_tree(root, dest):
+    """Copy into the new directory ``dest`` what a perfbench run reads of
+    the tree at ``root``: ``src``, ``perfbench`` without its ``out``
+    directory, and ``BENCHMARK.json``.  Bytecode caches stay behind."""
+    perfbench = os.path.join(root, "perfbench")
+
+    def skip(path, names):
+        drop = {"__pycache__"}
+        if os.path.samefile(path, perfbench):
+            drop.add("out")
+        return drop & set(names)
+    os.makedirs(dest)
+    for part in ("src", "perfbench"):
+        shutil.copytree(os.path.join(root, part), os.path.join(dest, part),
+                        ignore=skip)
+    shutil.copy2(os.path.join(root, "BENCHMARK.json"), dest)
 
 
 def run_once(root, workload, seed, seconds):
@@ -55,11 +79,12 @@ def run_once(root, workload, seed, seconds):
     return result
 
 
-def run_pairs(other_root, workload, n_pairs, seconds):
+def run_pairs(this_root, other_root, workload, n_pairs, seconds):
     """``[(this, other)]``: the results of each pair, in pair order."""
     pairs = []
     for i in range(n_pairs):
-        order = (ROOT, other_root) if i % 2 == 0 else (other_root, ROOT)
+        order = ((this_root, other_root) if i % 2 == 0
+                 else (other_root, this_root))
         first, second = (run_once(root, workload, i, seconds)
                          for root in order)
         pairs.append((first, second) if i % 2 == 0 else (second, first))
@@ -116,10 +141,18 @@ def main(argv=None):
     if args.pairs < 1:
         ap.error("--pairs must be at least 1")
     other = os.path.abspath(args.other_root)
-    if not os.path.isfile(os.path.join(other, "perfbench", "run.py")):
-        ap.error(f"no perfbench/run.py under {other}")
-    return summarize(run_pairs(other, args.workload, args.pairs,
-                               args.seconds), end_to_end_metrics())
+    for name in ("perfbench/run.py", "BENCHMARK.json"):
+        if not os.path.isfile(os.path.join(other, name)):
+            ap.error(f"no {name} under {other}")
+    with tempfile.TemporaryDirectory(prefix="ab_pairs-") as tmp:
+        # names of one length, so that the two paths differ in one letter
+        this_copy, other_copy = (os.path.join(tmp, "a"),
+                                 os.path.join(tmp, "b"))
+        copy_tree(ROOT, this_copy)
+        copy_tree(other, other_copy)
+        pairs = run_pairs(this_copy, other_copy, args.workload, args.pairs,
+                          args.seconds)
+    return summarize(pairs, end_to_end_metrics())
 
 
 if __name__ == "__main__":

@@ -1,17 +1,19 @@
-/* The coordinate loops of two kernels: kernels.lsq_gram_epoch
-   (gram_epoch) and the logistic epochs kernels.logreg_l1_epoch and
-   logreg_l2_epoch (logreg_epoch).  Each does the operations of its loop
-   source in kernels (_lsq_gram_epoch_loops, _logreg_epoch_loops) in the
-   same order, so that compiled without FMA contraction (-ffp-contract=off)
-   and without -ffast-math it gives the same bits.
+/* The coordinate loops of the epochs on a design: the Gram epoch
+   (gram_epoch, run by the passes of kernels.lsq_gram_pass), and the sparse
+   epochs of least squares (lsq_epoch: kernels.lasso_epoch and enet_epoch)
+   and of logistic regression (logreg_epoch: kernels.logreg_l1_epoch and
+   logreg_l2_epoch).  Each does the operations of its loop source in
+   kernels (_lsq_gram_epoch_loops, _lsq_epoch_loops, _logreg_epoch_loops)
+   in the same order, so that compiled without FMA contraction
+   (-ffp-contract=off) and without -ffast-math it gives the same bits.
 
    The Gram update g[k] = g[k] + d * row[k] is a multiply and an add per
    entry, each rounded once, with no reduction across k: a compiler may run
    it in SIMD lanes (restrict tells it that g, x and the Gram row do not
-   overlap), and each lane rounds as the scalar code does.  The logistic
-   gradient is a sum, which stays sequential because nothing allows its
-   reassociation, and its exp is the C library's, the function Python's
-   math.exp calls. */
+   overlap), and each lane rounds as the scalar code does.  A sparse
+   epoch's gradient is a sum, which stays sequential because nothing allows
+   its reassociation; the logistic one's exp is the C library's, the
+   function Python's math.exp calls. */
 #include <math.h>
 #include <stdint.h>
 
@@ -70,17 +72,31 @@ static double sig_neg(double t)
     return 1.0 / (1.0 + exp(t));
 }
 
+/* The per-row gradient factors r_i of the two datafits */
+static double lsq_row(double y, double Ax)
+{
+    return Ax - y;
+}
+
+static double logreg_row(double y, double Ax)
+{
+    return -y * sig_neg(y * Ax);
+}
+
 /* A CSC design of p columns: data and indices hold nnz entries, indptr
    p + 1 column pointers, y and Ax n rows.  order holds m indices that may
    count from the end.  Before it touches x or Ax, returns -1 if an index
    of order lies outside [-p, p), -2 if indptr does not rise from 0 or
    more to nnz or less, -3 if a row index of the framed entries lies
-   outside [0, n); else runs the epoch and returns 0. */
-int logreg_epoch(const double *data, const int64_t *indices,
-                 const int64_t *indptr, const double *y, double *restrict x,
-                 double *restrict Ax, const double *lip, const int64_t *order,
-                 int64_t m, int64_t p, int64_t n, int64_t nnz, double l1,
-                 double l2, double scale)
+   outside [0, n); else runs the epoch with row factor row and returns 0.
+   Each entry point below passes a constant row, which inlining fixes at
+   compile time, so neither loop tests which datafit it runs. */
+static inline __attribute__((always_inline)) int
+sparse_epoch(double (*row)(double, double), const double *data,
+             const int64_t *indices, const int64_t *indptr, const double *y,
+             double *restrict x, double *restrict Ax, const double *lip,
+             const int64_t *order, int64_t m, int64_t p, int64_t n,
+             int64_t nnz, double l1, double l2, double scale)
 {
     if (check_order(order, m, p))
         return -1;
@@ -101,7 +117,7 @@ int logreg_epoch(const double *data, const int64_t *indices,
         double grad = 0.0;
         for (int64_t k = start; k < end; k++) {
             int64_t r = indices[k];
-            grad += data[k] * (-y[r] * sig_neg(y[r] * Ax[r]));
+            grad += data[k] * row(y[r], Ax[r]);
         }
         double new = x[j] - grad / scale / lj;
         if (l1 != 0.0)
@@ -115,4 +131,24 @@ int logreg_epoch(const double *data, const int64_t *indices,
         }
     }
     return 0;
+}
+
+int lsq_epoch(const double *data, const int64_t *indices,
+              const int64_t *indptr, const double *y, double *restrict x,
+              double *restrict Ax, const double *lip, const int64_t *order,
+              int64_t m, int64_t p, int64_t n, int64_t nnz, double l1,
+              double l2, double scale)
+{
+    return sparse_epoch(lsq_row, data, indices, indptr, y, x, Ax, lip, order,
+                        m, p, n, nnz, l1, l2, scale);
+}
+
+int logreg_epoch(const double *data, const int64_t *indices,
+                 const int64_t *indptr, const double *y, double *restrict x,
+                 double *restrict Ax, const double *lip, const int64_t *order,
+                 int64_t m, int64_t p, int64_t n, int64_t nnz, double l1,
+                 double l2, double scale)
+{
+    return sparse_epoch(logreg_row, data, indices, indptr, y, x, Ax, lip,
+                        order, m, p, n, nnz, l1, l2, scale);
 }

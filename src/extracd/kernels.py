@@ -1,4 +1,4 @@
-"""Hot numerical kernels, in numpy, with two coordinate loops in C.
+"""Hot numerical kernels: numpy products, and coordinate loops in C.
 
 Every kernel also has an explicit-loop source.  ``LOOPS`` holds them as a
 kernel table run as plain Python: the reference that tests compare the
@@ -27,12 +27,6 @@ avoid per-column work where the input allows:
   the entries in storage order, as the loop sources do; they make one
   BLAS call when the matrix is fully dense (``nnz == n_rows * n_cols``):
   its values are then A' in C order;
-- the least-squares coordinate epoch computes ``r`` once and recomputes
-  its rows under a column from the new ``Ax`` only when that coordinate
-  moves, so ``r`` always equals the fresh expression bit for bit;
-- `lsq_gram_epoch` runs a least-squares coordinate epoch on a dense design
-  through its Gram matrix (``problems.LeastSquares.epoch`` chooses it,
-  through `lsq_gram_pass`); its coordinate loop is compiled (below);
 - ``csc_col_norms_sq`` is one batched ``np.matmul`` when every column
   holds as many entries (a fully dense CSC), with the bits of the
   per-column dots;
@@ -42,34 +36,43 @@ avoid per-column work where the input allows:
 ``cd_dense_epoch`` is its loop source, whose steps are already one BLAS
 dot each.
 
-Two coordinate loops visit each coordinate for a few operations, so in
-Python the interpreter's round trip per visit is most of their time: the
-Gram epoch's and the logistic epochs'.  Both are in ``_epochs.c``, built
-with ``cc`` into one library when this module is imported and called
-through ``ctypes``.  Each does its loop source's operations in the same
-order, compiled without FMA contraction, so its iterates are bitwise those
-of ``LOOPS["lsq_gram_epoch"]``, resp. ``LOOPS["logreg_l1_epoch"]`` and
-``LOOPS["logreg_l2_epoch"]``:
+The coordinate epochs on a design visit each coordinate for a few
+operations, so in Python the interpreter's round trip per visit is most
+of their time.  Each of them but the group epoch has two forms: its loop
+source, and a C loop in ``_epochs.c``, built with ``cc`` into one library
+when this module is imported and called through ``ctypes``:
+
+- the Gram epoch, which runs a least-squares epoch on a dense design
+  through its Gram matrix (``problems.LeastSquares.epoch`` chooses it,
+  through `lsq_gram_pass`): C ``gram_epoch``, loop source
+  ``LOOPS["lsq_gram_epoch"]``;
+- the four sparse epochs: one C body with the entry points ``lsq_epoch``
+  (``lasso_epoch``, ``enet_epoch``) and ``logreg_epoch``
+  (``logreg_l1_epoch``, ``logreg_l2_epoch``), which differ only in the
+  row factor ``r``, fixed in each at compile time; loop sources the
+  ``LOOPS`` entries of the same names.
+
+Each C loop does its loop source's operations in the same order, compiled
+without FMA contraction, so its iterates are bitwise the loop source's:
 
 - the build tries ``-O3 -march=native``, then ``-O3``; both vectorize the
   Gram row update ``g += d * G_j``, which keeps the bits: each entry is
   one multiply and one add, each rounded once, in a SIMD lane as in a
   scalar register, and ``-ffp-contract=off`` without ``-ffast-math``
   neither fuses nor reassociates them;
-- the logistic gradient is a sum over a column's rows, which therefore
-  stays sequential, and its ``exp`` is the C library's, linked with
-  ``-lm``: the function that the loop source's ``math.exp`` calls (not
-  ``np.exp``, whose last bits may differ).
+- a sparse epoch's gradient is a sum over a column's rows, which
+  therefore stays sequential, and the logistic ``exp`` is the C
+  library's, linked with ``-lm``: the function that the loop source's
+  ``math.exp`` calls (not ``np.exp``, whose last bits may differ).
 
-The loop sources stay as the tests' reference and are the kernels
-wherever both builds fail (no compiler, say), so an iterate has the same
-bits on every host.  ``BACKEND`` is ``"numpy+c"`` when the compiled loops
-run, else ``"numpy"``, and ``CFLAGS`` holds the flags of the build that
-loaded, or None.  A solve binds `lsq_gram_pass` once per order array, so
-each Gram epoch is its products and one C call; ``lsq_gram_epoch`` binds
-and runs once.  A logistic epoch checks and converts its raw arrays on
-every call, so that a tracer that rebinds ``logreg_l1_epoch`` sees each
-epoch with its arguments.
+The loop sources are the kernels wherever both builds fail (no compiler,
+say), so an iterate has the same bits on every host.  ``BACKEND`` is
+``"numpy+c"`` when the compiled loops run, else ``"numpy"``, and
+``CFLAGS`` holds the flags of the build that loaded, or None.  A solve
+binds `lsq_gram_pass` once per order array, so each Gram epoch is its
+products and one C call.  A sparse epoch checks and converts its raw
+arrays on every call, so that a tracer that rebinds ``lasso_epoch`` or
+``logreg_l1_epoch`` sees each epoch with its arguments.
 """
 
 import ctypes
@@ -318,40 +321,6 @@ def _logreg_rows(y, Ax):
     return -y * _sig_neg_vec(y * Ax)
 
 
-def _lsq_epoch_numpy(data, indices, indptr, y, x, Ax, lip, l1, l2, scale,
-                     order):
-    """Proximal coordinate epoch of least squares, the residual kept.
-
-    The residual ``r = Ax - y`` is computed once, and its rows under column
-    ``j`` are recomputed from the new ``Ax`` rows only when ``x_j`` moves,
-    so ``r`` is bitwise the fresh ``Ax - y`` and the iterates are those of
-    the per-column form.
-    """
-    r = Ax - y
-    ptr = indptr.tolist()
-    lip = lip.tolist()
-    xs = x.tolist()
-    for j in _columns(order, len(ptr) - 1):
-        lj = lip[j]
-        if lj <= 0.0:
-            continue
-        rows = indices[ptr[j]:ptr[j + 1]]
-        vals = data[ptr[j]:ptr[j + 1]]
-        old = xs[j]
-        # ndarray.dot: the BLAS ddot of ``@`` with less call overhead
-        new = old - vals.dot(r[rows]) / scale / lj
-        if l1 != 0.0:
-            new = _st(new, l1 / lj)
-        new /= 1.0 + l2 / lj
-        d = new - old
-        if d != 0.0:
-            Ax_rows = Ax[rows] + d * vals
-            Ax[rows] = Ax_rows
-            r[rows] = Ax_rows - y[rows]
-            xs[j] = new
-    x[:] = xs
-
-
 def _epoch_kernels(lsq, logreg):
     """The four public L1/L2 epoch kernels of one pair of bodies.
 
@@ -414,8 +383,9 @@ def group_epoch(data, indices, indptr, y, x, Ax, grp_cols, grp_ptr, lip_g,
 _OPT_LEVELS = (("-O3", "-march=native"), ("-O3",))
 _FP_FLAGS = ("-ffp-contract=off", "-fPIC", "-shared")
 _I64, _F64, _PTR = ctypes.c_int64, ctypes.c_double, ctypes.c_void_p
+_SPARSE_ARGS = [_PTR] * 8 + [_I64] * 4 + [_F64] * 3
 _SIGNATURES = {"gram_epoch": [_PTR] * 5 + [_I64] * 2 + [_F64] * 3,
-               "logreg_epoch": [_PTR] * 8 + [_I64] * 4 + [_F64] * 3}
+               "lsq_epoch": _SPARSE_ARGS, "logreg_epoch": _SPARSE_ARGS}
 
 
 def _build_loops():
@@ -464,15 +434,16 @@ def _float64_out(a, name, size):
     return a if a.flags.carray else a.copy()
 
 
-def _compiled_logreg_epoch(logreg_epoch):
-    """`_logreg_epoch_loops` with its coordinate loop run by the C
-    ``logreg_epoch``."""
+def _compiled_sparse_epoch(c_epoch):
+    """The loop source of a sparse epoch with its coordinate loop run by
+    ``c_epoch``: the C ``lsq_epoch`` or ``logreg_epoch``."""
     errors = {-1: "order holds an index outside [-{p}, {p})",
               -2: "indptr must rise from 0 or more to at most {nnz}",
               -3: "indices hold a row outside [0, {n})"}
 
-    def logreg(data, indices, indptr, y, x, Ax, lip, l1, l2, scale, order):
-        """The epoch of `_logreg_epoch_loops`, bit for bit.
+    def epoch(data, indices, indptr, y, x, Ax, lip, l1, l2, scale, order):
+        """The epoch of `_lsq_epoch_loops`, resp. `_logreg_epoch_loops`,
+        bit for bit.
 
         ``data``, ``y`` and ``lip`` are taken as float64, ``indices``,
         ``indptr`` and ``order`` as int64, the penalties as doubles.  ``y``
@@ -496,7 +467,7 @@ def _compiled_logreg_epoch(logreg_epoch):
         if lip.shape != (p,):
             raise ValueError(f"lip must hold {p} entries")
         xc, Axc = _float64_out(x, "x", p), _float64_out(Ax, "Ax", n)
-        code = logreg_epoch(
+        code = c_epoch(
             data.ctypes.data, indices.ctypes.data, indptr.ctypes.data,
             y.ctypes.data, xc.ctypes.data, Axc.ctypes.data, lip.ctypes.data,
             order.ctypes.data, order.size, p, n, nnz, float(l1), float(l2),
@@ -507,7 +478,7 @@ def _compiled_logreg_epoch(logreg_epoch):
             x[:] = xc
         if Axc is not Ax:
             Ax[:] = Axc
-    return logreg
+    return epoch
 
 
 def _lsq_gram_pass_loops(AT, G, y, lip, l1, l2, scale, order):
@@ -580,19 +551,11 @@ LOOPS = {
 _lib, CFLAGS = _build_loops()
 if _lib is None:
     lsq_gram_pass = _lsq_gram_pass_loops
-    lsq_gram_epoch = _lsq_gram_epoch_loops
-    _logreg_epoch = _logreg_epoch_loops
+    _EPOCHS = LOOPS
 else:
     lsq_gram_pass = _compiled_gram_pass(_lib.gram_epoch)
-    _logreg_epoch = _compiled_logreg_epoch(_lib.logreg_epoch)
-
-    def lsq_gram_epoch(AT, G, y, x, Ax, lip, l1, l2, scale, order):
-        """The epoch of `_lsq_gram_epoch_loops`, bit for bit: `lsq_gram_pass`
-        bound and run once.  Kept as the one-call form of the kernel that
-        the loop source also has, so a caller running a single epoch (the
-        tests, say) need not hold a pass."""
-        lsq_gram_pass(AT, G, y, lip, l1, l2, scale, order)(x, Ax)
-_EPOCHS = _epoch_kernels(_lsq_epoch_numpy, _logreg_epoch)
+    _EPOCHS = _epoch_kernels(_compiled_sparse_epoch(_lib.lsq_epoch),
+                             _compiled_sparse_epoch(_lib.logreg_epoch))
 lasso_epoch = _EPOCHS["lasso_epoch"]
 enet_epoch = _EPOCHS["enet_epoch"]
 logreg_l1_epoch = _EPOCHS["logreg_l1_epoch"]

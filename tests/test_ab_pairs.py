@@ -1,6 +1,8 @@
 """``benchmarks/ab_pairs.py``: run order, summary lines and exit code."""
 
 import importlib.util
+import json
+import os
 from pathlib import Path
 
 import pytest
@@ -31,11 +33,11 @@ def test_sides_alternate_and_seed_is_the_pair(ab_pairs, monkeypatch):
 
     def stub(root, workload, seed, seconds):
         calls.append((root, seed))
-        return result(1.0 if root == ab_pairs.ROOT else 2.0)
+        return result(1.0 if root == "THIS" else 2.0)
 
     monkeypatch.setattr(ab_pairs, "run_once", stub)
-    pairs = ab_pairs.run_pairs("OTHER", "quad-spectral", 3, 10.0)
-    this = ab_pairs.ROOT
+    pairs = ab_pairs.run_pairs("THIS", "OTHER", "quad-spectral", 3, 10.0)
+    this = "THIS"
     assert calls == [(this, 0), ("OTHER", 0), ("OTHER", 1), (this, 1),
                      (this, 2), ("OTHER", 2)]
     # each pair is (this tree's result, the other's), whoever ran first
@@ -82,3 +84,51 @@ def test_any_failure_exits_one(ab_pairs, capsys, spoilt):
 def test_no_complete_pair(ab_pairs, capsys):
     assert ab_pairs.summarize([(None, result(1.0))], METRICS) == 1
     assert capsys.readouterr().out == "no pair completed\n"
+
+
+def fake_tree(root, label):
+    """A checkout at ``root`` whose files name ``label``: the parts that a
+    perfbench run reads, a ``perfbench/out`` with a run's output, and
+    files that no run reads."""
+    files = {"src/extracd/__init__.py": label,
+             "src/extracd/_epochs.c": label,
+             "perfbench/run.py": label,
+             "perfbench/workloads.py": label,
+             "perfbench/out/quad-spectral-seed0-trace0/spans.csv": label,
+             "perfbench/__pycache__/run.cpython-311.pyc": label,
+             "tests/test_x.py": label,
+             "README.md": label,
+             "BENCHMARK.json": json.dumps({"end_to_end": METRICS})}
+    for name, text in files.items():
+        (root / name).parent.mkdir(parents=True, exist_ok=True)
+        (root / name).write_text(text)
+
+
+def tree_files(root):
+    return {str(Path(d, f).relative_to(root))
+            for d, _, names in os.walk(root) for f in names}
+
+
+def test_both_trees_run_from_sibling_copies(ab_pairs, monkeypatch, tmp_path):
+    this, other = tmp_path / "this", tmp_path / "other"
+    fake_tree(this, "this")
+    fake_tree(other, "other")
+    seen = []
+
+    def stub(root, workload, seed, seconds):
+        label = Path(root, "perfbench", "run.py").read_text()
+        seen.append((root, label, tree_files(root)))
+        return result(1.0)
+
+    monkeypatch.setattr(ab_pairs, "ROOT", str(this))
+    monkeypatch.setattr(ab_pairs, "run_once", stub)
+    assert ab_pairs.main([str(other), "--workload", "w", "--pairs", "2"]) == 0
+    copied = {"src/extracd/__init__.py", "src/extracd/_epochs.c",
+              "perfbench/run.py", "perfbench/workloads.py", "BENCHMARK.json"}
+    assert [label for _, label, _ in seen] == ["this", "other", "other",
+                                               "this"]
+    assert all(files == copied for _, _, files in seen)
+    roots = {root for root, _, _ in seen}
+    assert len(roots) == 2 and len({os.path.dirname(r) for r in roots}) == 1
+    assert not any(os.path.exists(r) for r in roots)  # removed at the end
+    assert tree_files(this) == tree_files(other)  # the trees are untouched

@@ -22,8 +22,10 @@ from extracd.problems import (L1L2, ElasticNet, GroupLasso, Lasso, Logistic,
 
 # the public kernels (numpy, with the C loops where they built) as a table
 # beside LOOPS, the loop sources run as plain Python: the reference they are
-# checked against
-NUMPY = {name: getattr(kernels, name) for name in LOOPS}
+# checked against.  The Gram epoch's public form is the pass that
+# `kernels.lsq_gram_pass` binds, checked below.
+NUMPY = {name: getattr(kernels, name) for name in LOOPS
+         if name != "lsq_gram_epoch"}
 TABLES = {"numpy": NUMPY, "loops": LOOPS}
 BACKENDS = sorted(TABLES)
 
@@ -297,8 +299,8 @@ class TestDensePaths:
         order = np.arange(30, dtype=np.int64)
         AT = np.ascontiguousarray(M.T)
         x, Ax = x0.copy(), M @ x0
-        kernels.lsq_gram_epoch(AT, AT @ AT.T, y, x, Ax, lip, 0.3, 0.0,
-                               1.0, order)
+        kernels.lsq_gram_pass(AT, AT @ AT.T, y, lip, 0.3, 0.0, 1.0,
+                              order)(x, Ax)
         x_ref, Ax_ref = x0.copy(), M @ x0
         LOOPS["lasso_epoch"](A.values, A.row_idx, A.col_ptr, y, x_ref, Ax_ref,
                              lip, 0.3, order)
@@ -363,7 +365,7 @@ class TestDensePaths:
 
 
 def gram_case():
-    """`lsq_gram_epoch` on a dense-stored design with an all-zero column:
+    """`lsq_gram_pass` on a dense-stored design with an all-zero column:
     the explicit ``2:0`` entries keep every entry stored."""
     ds = parse_libsvm(b"1 1:1 2:0 3:2\n-1 1:3 2:0 3:-1\n2 1:-2 2:0 3:1\n")
     A, y = ds.A, ds.y
@@ -371,9 +373,7 @@ def gram_case():
     assert AT is not None
     lip, order = A.col_norms_sq(), np.arange(3, dtype=np.int64)
 
-    def epoch(x, Ax):
-        kernels.lsq_gram_epoch(AT, AT @ AT.T, y, x, Ax, lip, 0.3, 0.0,
-                               1.0, order)
+    epoch = kernels.lsq_gram_pass(AT, AT @ AT.T, y, lip, 0.3, 0.0, 1.0, order)
 
     def reference(x, Ax):
         LOOPS["lasso_epoch"](A.values, A.row_idx, A.col_ptr, y, x, Ax, lip,
@@ -425,8 +425,16 @@ def test_zero_curvature_is_skipped(make):
 # ---------------------------------------------------------------------------
 
 GRAM_LOOPS = LOOPS["lsq_gram_epoch"]
+
+
+def gram_epoch(AT, G, y, x, Ax, lip, l1, l2, scale, order):
+    """One epoch of `kernels.lsq_gram_pass`, bound and run once, called
+    as its loop source `GRAM_LOOPS`."""
+    kernels.lsq_gram_pass(AT, G, y, lip, l1, l2, scale, order)(x, Ax)
+
+
 compiled = pytest.mark.skipif(kernels.BACKEND != "numpy+c",
-                              reason="the Gram epoch was not compiled")
+                              reason="the C loops were not compiled")
 
 
 def gram_problem(n, p, seed):
@@ -459,7 +467,7 @@ def test_compiled_gram_epoch_is_the_loop(l2, scale, l1_frac):
     x, Ax = x0.copy(), x0 @ AT
     x_ref, Ax_ref = x0.copy(), x0 @ AT
     for order in gram_orders(24, rng) * 2:
-        kernels.lsq_gram_epoch(AT, G, y, x, Ax, lip, l1, l2, scale, order)
+        gram_epoch(AT, G, y, x, Ax, lip, l1, l2, scale, order)
         GRAM_LOOPS(AT, G, y, x_ref, Ax_ref, lip, l1, l2, scale, order)
         assert x.tobytes() == x_ref.tobytes()
         assert Ax.tobytes() == Ax_ref.tobytes()
@@ -480,7 +488,7 @@ def test_compiled_gram_epoch_is_the_loop_property(seed, n, p):
     x, Ax = x0.copy(), x0 @ AT
     x_ref, Ax_ref = x0.copy(), x0 @ AT
     for order in gram_orders(p, rng):
-        kernels.lsq_gram_epoch(AT, G, y, x, Ax, lip, l1, l2, scale, order)
+        gram_epoch(AT, G, y, x, Ax, lip, l1, l2, scale, order)
         GRAM_LOOPS(AT, G, y, x_ref, Ax_ref, lip, l1, l2, scale, order)
         assert x.tobytes() == x_ref.tobytes()
         assert Ax.tobytes() == Ax_ref.tobytes()
@@ -494,7 +502,7 @@ def test_compiled_gram_epoch_writes_a_strided_x_back():
     buf[::2] = x0
     x, Ax = buf[::2], x0 @ AT
     x_ref, Ax_ref = x0.copy(), x0 @ AT
-    kernels.lsq_gram_epoch(AT, G, y, x, Ax, lip, 0.5, 0.0, 1.0, order)
+    gram_epoch(AT, G, y, x, Ax, lip, 0.5, 0.0, 1.0, order)
     GRAM_LOOPS(AT, G, y, x_ref, Ax_ref, lip, 0.5, 0.0, 1.0, order)
     assert not np.array_equal(x_ref, x0)
     assert np.ascontiguousarray(x).tobytes() == x_ref.tobytes()
@@ -503,7 +511,7 @@ def test_compiled_gram_epoch_writes_a_strided_x_back():
 
 
 @pytest.mark.parametrize("bad", [24, -25, 2**40])
-@pytest.mark.parametrize("epoch", [kernels.lsq_gram_epoch, GRAM_LOOPS],
+@pytest.mark.parametrize("epoch", [gram_epoch, GRAM_LOOPS],
                          ids=["public", "loops"])
 def test_gram_epoch_bad_index_changes_nothing(epoch, bad):
     AT, G, y, x0, _ = gram_problem(15, 24, seed=43)
@@ -522,8 +530,7 @@ def test_compiled_gram_epoch_refuses_bad_arguments():
     lip, order = np.diag(G).copy(), np.arange(24)
 
     def run(G=G, x=x0, lip=lip):
-        kernels.lsq_gram_epoch(AT, G, y, x.copy(), x0 @ AT, lip, 0.1, 0.0,
-                               1.0, order)
+        gram_epoch(AT, G, y, x.copy(), x0 @ AT, lip, 0.1, 0.0, 1.0, order)
     for bad_G in (G[:, :23].copy(), G[:23].copy(), G.astype(np.float32),
                   np.asfortranarray(G + np.triu(G)), list(G), G.ravel()):
         with pytest.raises(ValueError, match="G must be"):
@@ -551,7 +558,7 @@ def test_compiled_gram_epoch_is_the_loop_across_vector_tails(p, l2, scale):
     x, Ax = x0.copy(), x0 @ AT
     x_ref, Ax_ref = x0.copy(), x0 @ AT
     for order in gram_orders(p, rng) * 2:
-        kernels.lsq_gram_epoch(AT, G, y, x, Ax, lip, l1, l2, scale, order)
+        gram_epoch(AT, G, y, x, Ax, lip, l1, l2, scale, order)
         GRAM_LOOPS(AT, G, y, x_ref, Ax_ref, lip, l1, l2, scale, order)
         assert x.tobytes() == x_ref.tobytes()
         assert Ax.tobytes() == Ax_ref.tobytes()
@@ -571,7 +578,7 @@ def test_gram_epoch_takes_float32_penalties_as_doubles(seed):
     order = np.arange(5, dtype=np.int64)
     runs = []
     for epoch, pen in ((GRAM_LOOPS, (l1, l2, scale)),
-                       (kernels.lsq_gram_epoch, (l1, l2, scale)),
+                       (gram_epoch, (l1, l2, scale)),
                        (GRAM_LOOPS, (float(l1), float(l2), float(scale)))):
         x, Ax = x0.copy(), x0 @ AT
         for _ in range(3):
@@ -642,23 +649,28 @@ y = M[:, :5] @ rng.standard_normal(5) + 0.1 * rng.standard_normal(40)
 prob = Lasso(CscMatrix.from_dense(M), y, 1.0)
 prob = Lasso(prob.A, prob.y, lambda_max(prob) / 20)
 tr = solve(prob, SolverConfig("pcd_anderson", max_epochs=400, tol=1e-12))
-loops = kernels.LOOPS["lsq_gram_epoch"]
-print(kernels.BACKEND, kernels.lsq_gram_epoch is loops, *(kernels.CFLAGS or ()))
+loops = kernels.lsq_gram_pass is kernels._lsq_gram_pass_loops and all(
+    getattr(kernels, k) is kernels.LOOPS[k] for k in (
+        "lasso_epoch", "enet_epoch", "logreg_l1_epoch", "logreg_l2_epoch"))
+print(kernels.BACKEND, loops, *(kernels.CFLAGS or ()))
 print(repr((tr.epochs, tr.events, tr.objectives, tr.gaps)),
       tr.x.tobytes().hex())
 ds = load_sample()
-prob = LogRegL1(ds.A, ds.y, 1.0)
-prob = LogRegL1(prob.A, prob.y, lambda_max(prob) / 20)
-tr = solve(prob, SolverConfig("pcd_anderson", max_epochs=400, tol=1e-10))
-print(repr((tr.epochs, tr.events, tr.objectives, tr.gaps)),
-      tr.x.tobytes().hex())
+for cls, max_epochs, tol in ((LogRegL1, 400, 1e-10), (Lasso, 50, 0.0)):
+    prob = cls(ds.A, ds.y, 1.0)
+    prob = cls(prob.A, prob.y, lambda_max(prob) / 20)
+    tr = solve(prob, SolverConfig("pcd_anderson", max_epochs=max_epochs,
+                                  tol=tol))
+    print(repr((tr.epochs, tr.events, tr.objectives, tr.gaps)),
+          tr.x.tobytes().hex())
 """
 
 
 def run_no_compiler_script(path, cwd):
-    """The three output lines of ``NO_COMPILER`` run with ``PATH=path``:
-    the backend, then the traces of a dense lasso (the Gram epoch) and of
-    an l1 logistic regression on the sample data (the logistic epoch)."""
+    """The four output lines of ``NO_COMPILER`` run with ``PATH=path``:
+    the backend, then the traces of a dense lasso (the Gram epoch), and of
+    an l1 logistic regression and a lasso on the sparse sample data (the
+    logistic and the least-squares sparse epochs)."""
     env = {**os.environ, "PATH": path,
            "PYTHONPATH": str(Path(kernels.__file__).resolve().parents[1])}
     proc = subprocess.run([sys.executable, "-c", NO_COMPILER], env=env,
@@ -673,8 +685,8 @@ def traces_with_cc(tmp_path_factory):
     assert backend.split() == [kernels.BACKEND,
                                str(kernels.BACKEND == "numpy"),
                                *(kernels.CFLAGS or ())]
-    assert len(traces) == 2
-    assert all("'accepted'" in t for t in traces)  # both solves extrapolated
+    assert len(traces) == 3
+    assert all("'accepted'" in t for t in traces)  # every solve extrapolated
     return traces
 
 
@@ -733,46 +745,9 @@ def random_csc(seed):
                      np.array(vals)), rng
 
 
-def per_column_lasso_epoch(data, indices, indptr, y, x, Ax, lip, lam, order):
-    """The numpy lasso epoch as a per-column loop: every coordinate
-    recomputes its rows of the residual ``Ax - y``."""
-    for j in order:
-        lj = lip[j]
-        if lj <= 0.0:
-            continue
-        sl = slice(indptr[j], indptr[j + 1])
-        rows = indices[sl]
-        vals = data[sl]
-        grad = vals @ (Ax[rows] - y[rows])
-        new = kernels._st(x[j] - grad / lj, lam / lj)
-        d = new - x[j]
-        if d != 0.0:
-            Ax[rows] += d * vals
-            x[j] = new
-
-
-def per_column_enet_epoch(data, indices, indptr, y, x, Ax, lip, lam, rho,
-                          n_samples, order):
-    """The numpy elastic-net epoch as a per-column loop."""
-    for j in order:
-        lj = lip[j]
-        if lj <= 0.0:
-            continue
-        sl = slice(indptr[j], indptr[j + 1])
-        rows = indices[sl]
-        vals = data[sl]
-        grad = (vals @ (Ax[rows] - y[rows])) / n_samples
-        new = kernels._st(x[j] - grad / lj, lam / lj) / (1.0 + rho / lj)
-        d = new - x[j]
-        if d != 0.0:
-            Ax[rows] += d * vals
-            x[j] = new
-
-
 class TestNumpySparsePath:
     """The sparse products and coordinate epochs, bit for bit, against the
-    explicit-loop sources run as plain Python (the products and the
-    logistic epochs) and the per-column epochs (least squares)."""
+    explicit-loop sources run as plain Python."""
 
     @pytest.mark.parametrize("seed", range(40))
     def test_products_match_loops(self, seed):
@@ -806,15 +781,14 @@ class TestNumpySparsePath:
         repeats = rng.integers(0, p, size=2 * p)
         if kernel == "lasso_epoch":
             lip, extra = norms, (lam,)
-            ref = per_column_lasso_epoch
         elif kernel == "enet_epoch":
             rho, n_samples = 0.1, max(n, 1)
             lip, extra = norms / n_samples + rho, (lam / n_samples, rho,
                                                    n_samples)
-            ref = per_column_enet_epoch
-        else:  # the compiled loop runs the loop source's operations
+        else:
             lip, extra = norms / 4.0, (lam,)
-            ref = LOOPS[kernel]
+        # the compiled loop runs the loop source's operations
+        ref = LOOPS[kernel]
         x, Ax = x0.copy(), kernels._csc_matvec_loops(*args, n, x0)
         x_ref, Ax_ref = x.copy(), Ax.copy()
         for order in (cyclic, cyclic[::-1].copy(), repeats) * 2:
@@ -834,7 +808,7 @@ def test_warmup_idempotent():
 def test_warmup_calls_no_kernel_on_numpy(monkeypatch):
     # the numpy kernels compile nothing, so warming them up is wasted work
     called = []
-    for name in LOOPS:
+    for name in (*NUMPY, "lsq_gram_pass"):
         monkeypatch.setattr(kernels, name,
                             lambda *args, name=name: called.append(name))
     warmup()
@@ -941,10 +915,11 @@ class TestNumpyMatchesLoopsProperties:
 
 
 # ---------------------------------------------------------------------------
-# the compiled logistic epochs against their loop source, bit for bit
+# the compiled sparse epochs against their loop sources, bit for bit
 # ---------------------------------------------------------------------------
 
 LOGREG_KERNELS = ("logreg_l1_epoch", "logreg_l2_epoch")
+SPARSE_KERNELS = (*LOGREG_KERNELS, "lasso_epoch", "enet_epoch")
 
 
 def logreg_case(seed, n=12, p=8):
@@ -976,6 +951,21 @@ def logreg_case(seed, n=12, p=8):
     return A, y, lip, lam, x0, rng
 
 
+def sparse_case(kernel, seed):
+    """`logreg_case` for ``kernel``: the design, labels and ``x0``, and the
+    curvature bounds and penalties ``(lip, *penalty)`` that ``kernel``
+    takes, with the zero bounds of the logistic case kept zero."""
+    A, y, lip, lam, x0, rng = logreg_case(seed)
+    n = A.n_rows
+    if kernel == "lasso_epoch":
+        tail = 4.0 * lip, lam
+    elif kernel == "enet_epoch":
+        tail = np.where(lip > 0.0, 4.0 * lip / n + 0.1, 0.0), lam / n, 0.1, n
+    else:
+        tail = lip, lam
+    return A, y, tail, x0, rng
+
+
 def logreg_orders(p, rng):
     """Cyclic, reversed, repeated, mixed-sign and all-negative orders."""
     cyclic = np.arange(p, dtype=np.int64)
@@ -983,37 +973,37 @@ def logreg_orders(p, rng):
             rng.integers(-p, p, size=p), cyclic - p)
 
 
-def assert_logreg_epochs_are_the_loop(kernel, A, y, lip, lam, x0, orders):
+def assert_epochs_are_the_loop(kernel, A, y, tail, x0, orders):
     """Runs ``kernels.<kernel>`` and ``LOOPS[kernel]`` from ``x0`` over
-    ``orders``, comparing the bytes of ``x`` and ``Ax`` after each epoch;
-    returns the final ``x``."""
+    ``orders`` with the arguments ``tail = (lip, *penalty)``, comparing the
+    bytes of ``x`` and ``Ax`` after each epoch; returns the final ``x``."""
     args = (A.values, A.row_idx, A.col_ptr, y)
     Ax0 = LOOPS["csc_matvec"](A.values, A.row_idx, A.col_ptr, A.n_rows, x0)
     x, Ax, x_ref, Ax_ref = x0.copy(), Ax0.copy(), x0.copy(), Ax0.copy()
     for order in orders:
-        getattr(kernels, kernel)(*args, x, Ax, lip, lam, order)
-        LOOPS[kernel](*args, x_ref, Ax_ref, lip, lam, order)
+        getattr(kernels, kernel)(*args, x, Ax, *tail, order)
+        LOOPS[kernel](*args, x_ref, Ax_ref, *tail, order)
         assert x.tobytes() == x_ref.tobytes()
         assert Ax.tobytes() == Ax_ref.tobytes()
     return x
 
 
-@pytest.mark.parametrize("kernel", LOGREG_KERNELS)
+@pytest.mark.parametrize("kernel", SPARSE_KERNELS)
 @pytest.mark.parametrize("seed", range(6))
 def test_logreg_epoch_is_the_loop(kernel, seed):
-    A, y, lip, lam, x0, rng = logreg_case(seed)
+    A, y, tail, x0, rng = sparse_case(kernel, seed)
     Ax0 = LOOPS["csc_matvec"](A.values, A.row_idx, A.col_ptr, A.n_rows, x0)
     margins = np.abs(y * Ax0)
     assert ((margins > 708.0) & (margins < 745.0)).any()  # subnormal exp
     assert (margins > 745.0).any()  # exp(-|t|) underflows to 0
-    x = assert_logreg_epochs_are_the_loop(
-        kernel, A, y, lip, lam, x0, logreg_orders(A.n_cols, rng) * 2)
+    x = assert_epochs_are_the_loop(
+        kernel, A, y, tail, x0, logreg_orders(A.n_cols, rng) * 2)
     assert not np.array_equal(x, x0)
     for j in (1, 2, 4):  # zero curvature bounds: skipped
         assert x[j].tobytes() == x0[j].tobytes()
 
 
-@pytest.mark.parametrize("kernel", LOGREG_KERNELS)
+@pytest.mark.parametrize("kernel", SPARSE_KERNELS)
 def test_logreg_epoch_without_rows_is_the_loop(kernel):
     # n = 0: every column is empty, so only the penalty moves x
     rng = np.random.default_rng(7)
@@ -1021,24 +1011,25 @@ def test_logreg_epoch_without_rows_is_the_loop(kernel):
                   np.zeros(0))
     x0 = rng.standard_normal(5)
     x0[0] = -0.0
-    x = assert_logreg_epochs_are_the_loop(
-        kernel, A, np.zeros(0), np.ones(5), 0.3, x0, logreg_orders(5, rng))
+    tail = (np.ones(5), 0.3) + ((0.1, 1) if kernel == "enet_epoch" else ())
+    x = assert_epochs_are_the_loop(kernel, A, np.zeros(0), tail, x0,
+                                   logreg_orders(5, rng))
     assert not np.array_equal(x, x0)
 
 
-@pytest.mark.parametrize("kernel", LOGREG_KERNELS)
+@pytest.mark.parametrize("kernel", SPARSE_KERNELS)
 @settings(max_examples=100, deadline=None, database=None)
 @given(case=designs())
 def test_logreg_epoch_is_the_loop_property(kernel, case):
     A, order, rng = case
-    y, (lip, lam, _) = epoch_tail(kernel, A, order, rng)
+    y, (lip, *penalty, _) = epoch_tail(kernel, A, order, rng)
     if rng.random() < 0.2:
-        lam = 0.0  # no soft threshold
+        penalty[0] = 0.0  # no soft threshold
     x0 = rng.standard_normal(A.n_cols) * (rng.random(A.n_cols) < 0.6)
     x0[rng.random(A.n_cols) < 0.2] = -0.0
     mixed = order - A.n_cols * (rng.random(order.size) < 0.5)
-    assert_logreg_epochs_are_the_loop(kernel, A, y, lip, lam, x0,
-                                      (order, mixed, order))
+    assert_epochs_are_the_loop(kernel, A, y, (lip, *penalty), x0,
+                               (order, mixed, order))
 
 
 @pytest.mark.parametrize("kernel", ["lasso_epoch", "enet_epoch",
@@ -1066,9 +1057,9 @@ def test_negative_order_counts_from_the_end(kernel, table):
     assert runs[0] == runs[1]
 
 
-@pytest.mark.parametrize("kernel", LOGREG_KERNELS)
+@pytest.mark.parametrize("kernel", SPARSE_KERNELS)
 def test_logreg_epoch_writes_strided_arrays_back(kernel):
-    A, y, lip, lam, x0, rng = logreg_case(9)
+    A, y, tail, x0, rng = sparse_case(kernel, 9)
     n, p = A.n_rows, A.n_cols
     order = rng.integers(-p, p, size=3 * p)
     Ax0 = LOOPS["csc_matvec"](A.values, A.row_idx, A.col_ptr, n, x0)
@@ -1076,9 +1067,9 @@ def test_logreg_epoch_writes_strided_arrays_back(kernel):
     xbuf[::2], Axbuf[::2] = x0, Ax0
     x, Ax = xbuf[::2], Axbuf[::2]
     x_ref, Ax_ref = x0.copy(), Ax0.copy()
-    getattr(kernels, kernel)(A.values, A.row_idx, A.col_ptr, y, x, Ax, lip,
-                             lam, order)
-    LOOPS[kernel](A.values, A.row_idx, A.col_ptr, y, x_ref, Ax_ref, lip, lam,
+    getattr(kernels, kernel)(A.values, A.row_idx, A.col_ptr, y, x, Ax, *tail,
+                             order)
+    LOOPS[kernel](A.values, A.row_idx, A.col_ptr, y, x_ref, Ax_ref, *tail,
                   order)
     assert not np.array_equal(x_ref, x0)
     assert np.ascontiguousarray(x).tobytes() == x_ref.tobytes()
@@ -1105,15 +1096,15 @@ def corrupt(A, what):
 
 @pytest.mark.parametrize("bad", [8, -9, 2**40])
 @pytest.mark.parametrize("table", BACKENDS)
-@pytest.mark.parametrize("kernel", LOGREG_KERNELS)
+@pytest.mark.parametrize("kernel", SPARSE_KERNELS)
 def test_logreg_epoch_bad_order_changes_nothing(kernel, table, bad):
-    A, y, lip, lam, x0, _ = logreg_case(10)
+    A, y, tail, x0, _ = sparse_case(kernel, 10)
     Ax0 = LOOPS["csc_matvec"](A.values, A.row_idx, A.col_ptr, A.n_rows, x0)
     x, Ax = x0.copy(), Ax0.copy()
     order = np.append(np.arange(8), bad)  # the valid visits come first
     with pytest.raises(IndexError, match="order holds an index"):
-        TABLES[table][kernel](A.values, A.row_idx, A.col_ptr, y, x, Ax, lip,
-                              lam, order)
+        TABLES[table][kernel](A.values, A.row_idx, A.col_ptr, y, x, Ax,
+                              *tail, order)
     assert x.tobytes() == x0.tobytes()
     assert Ax.tobytes() == Ax0.tobytes()
 
@@ -1122,13 +1113,13 @@ def test_logreg_epoch_bad_order_changes_nothing(kernel, table, bad):
 @pytest.mark.parametrize("bad", ["indptr-falls", "indptr-past-nnz",
                                  "indptr-negative", "row-past-n",
                                  "row-negative"])
-@pytest.mark.parametrize("kernel", LOGREG_KERNELS)
+@pytest.mark.parametrize("kernel", SPARSE_KERNELS)
 def test_compiled_logreg_epoch_bad_design_changes_nothing(kernel, bad):
-    A, y, lip, lam, x0, _ = logreg_case(11)
+    A, y, tail, x0, _ = sparse_case(kernel, 11)
     Ax0 = LOOPS["csc_matvec"](A.values, A.row_idx, A.col_ptr, A.n_rows, x0)
     x, Ax = x0.copy(), Ax0.copy()
     with pytest.raises(IndexError, match="indptr|row"):
-        getattr(kernels, kernel)(*corrupt(A, bad), y, x, Ax, lip, lam,
+        getattr(kernels, kernel)(*corrupt(A, bad), y, x, Ax, *tail,
                                  np.arange(8))
     assert x.tobytes() == x0.tobytes()
     assert Ax.tobytes() == Ax0.tobytes()
@@ -1136,30 +1127,35 @@ def test_compiled_logreg_epoch_bad_design_changes_nothing(kernel, bad):
 
 @compiled
 def test_compiled_logreg_epoch_refuses_bad_arguments():
-    A, y, lip, lam, x0, _ = logreg_case(12)
-    Ax0 = LOOPS["csc_matvec"](A.values, A.row_idx, A.col_ptr, A.n_rows, x0)
+    # the kernels are a loop here, not a parameter, so the test keeps the id
+    # it had when it checked the logistic epoch alone
+    for kernel in SPARSE_KERNELS:
+        A, y, (lip, *penalty), x0, _ = sparse_case(kernel, 12)
+        Ax0 = LOOPS["csc_matvec"](A.values, A.row_idx, A.col_ptr, A.n_rows,
+                                  x0)
+        epoch = getattr(kernels, kernel)
 
-    def run(x=x0, Ax=Ax0, lip=lip, y=y, data=A.values):
-        kernels.logreg_l1_epoch(data, A.row_idx, A.col_ptr, y, x.copy(),
-                                Ax.copy(), lip, lam, np.arange(8))
-    for bad_x in (x0.astype(np.float32), x0[:7], list(x0)):
-        with pytest.raises(TypeError, match="x must be"):
-            run(x=bad_x)
-    for bad in (Ax0.astype(np.float32), Ax0[:-1]):
+        def run(x=x0, Ax=Ax0, lip=lip, y=y, data=A.values):
+            epoch(data, A.row_idx, A.col_ptr, y, x.copy(), Ax.copy(), lip,
+                  *penalty, np.arange(8))
+        for bad_x in (x0.astype(np.float32), x0[:7], list(x0)):
+            with pytest.raises(TypeError, match="x must be"):
+                run(x=bad_x)
+        for bad in (Ax0.astype(np.float32), Ax0[:-1]):
+            with pytest.raises(TypeError, match="Ax must be"):
+                run(Ax=bad)
         with pytest.raises(TypeError, match="Ax must be"):
-            run(Ax=bad)
-    with pytest.raises(TypeError, match="Ax must be"):
-        run(y=y[:-1])
-    with pytest.raises(ValueError, match="lip must"):
-        run(lip=lip[:7])
-    with pytest.raises(ValueError, match="data and indices"):
-        run(data=A.values[:-1])
-    frozen = x0.copy()
-    frozen.flags.writeable = False
-    with pytest.raises(ValueError, match="read-only"):
-        kernels.logreg_l1_epoch(A.values, A.row_idx, A.col_ptr, y, frozen,
-                                Ax0.copy(), lip, lam, np.arange(8))
-    run()
+            run(y=y[:-1])
+        with pytest.raises(ValueError, match="lip must"):
+            run(lip=lip[:7])
+        with pytest.raises(ValueError, match="data and indices"):
+            run(data=A.values[:-1])
+        frozen = x0.copy()
+        frozen.flags.writeable = False
+        with pytest.raises(ValueError, match="read-only"):
+            epoch(A.values, A.row_idx, A.col_ptr, y, frozen, Ax0.copy(), lip,
+                  *penalty, np.arange(8))
+        run()
 
 
 @pytest.mark.parametrize("kernel", LOGREG_KERNELS)
