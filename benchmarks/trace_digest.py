@@ -53,6 +53,16 @@ whose ``PYTHONPATH`` is that tree's ``src``.  It prints ``name this other``
 for every record that differs or exists on one side only (``-`` marks the
 missing side), and exits 1 if there is any, else 0 (2 if a tree's run
 fails).
+
+To digest the Python loops that run where no C compiler is found, empty
+``PATH`` and start the real interpreter, ``sys.executable``, by its full
+path::
+
+    PATH= PYTHONPATH=src "$(python3 -c 'import sys; print(sys.executable)')" \
+        benchmarks/trace_digest.py > digest-nocc.txt
+
+A ``python3`` that is a shim script (pyenv's, say) fails without ``PATH``,
+with ``/usr/bin/env: 'bash': No such file or directory``.
 """
 
 import os

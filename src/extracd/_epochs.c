@@ -3,8 +3,8 @@
    epochs of least squares (lsq_epoch: kernels.lasso_epoch and enet_epoch)
    and of logistic regression (logreg_epoch: kernels.logreg_l1_epoch and
    logreg_l2_epoch).  Each does the operations of its loop source in
-   kernels (_lsq_gram_epoch_loops, _lsq_epoch_loops, _logreg_epoch_loops)
-   in the same order, so that compiled without FMA contraction
+   kernels (_gram_epoch_loops; _sparse_epoch_loops with _lsq_row or
+   _logreg_row) in the same order, so that compiled without FMA contraction
    (-ffp-contract=off) and without -ffast-math it gives the same bits.
 
    The Gram update g[k] = g[k] + d * row[k] is a multiply and an add per

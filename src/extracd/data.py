@@ -195,8 +195,9 @@ def parse_libsvm(source, n_cols=None):
     ParseError
         On malformed or non-finite labels, malformed ``index:value``
         tokens, non-finite values, indices below 1 or non-increasing
-        indices, and on text that is not UTF-8; messages carry the
-        1-based line number.  Also on a truncated or corrupt gzip stream.
+        indices, numbers with underscores or non-ASCII digits, and on
+        text that is not UTF-8; messages carry the 1-based line number.
+        Also on a truncated or corrupt gzip stream.
     """
     text = _open_text(source)
     labels, rows, cols, vals = [], [], [], []
@@ -206,6 +207,13 @@ def parse_libsvm(source, n_cols=None):
         if not line:
             continue
         tokens = line.split()
+        if not line.isascii() or "_" in line:
+            # int() and float() also read PEP 515 underscores and any
+            # Unicode digit, neither of which LibSVM text allows
+            for t, tok in enumerate(tokens):
+                if not tok.isascii() or "_" in tok:
+                    what = "index:value pair" if t else "label"
+                    raise ParseError(f"bad {what} {tok!r}", line=lineno)
         try:
             label = float(tokens[0])
         except ValueError:

@@ -7,17 +7,18 @@ public kernels against.
 All sparse kernels operate on raw CSC arrays (values, row indices,
 column pointers) and update ``x`` / ``Ax`` in place.  Coordinates whose
 curvature bound is zero are skipped, which freezes them at their initial
-value.  An ``order`` index may count from the end, as in ``x[j]``; one
-outside ``[-p, p)`` raises IndexError before any coordinate moves.
+value.  Every coordinate kernel takes its ``order`` by the one rule of
+`_checked_order`: 1-d integers (else TypeError), each in ``[-p, p)`` (else
+IndexError, before any coordinate moves), a negative one counting from
+the end, as in ``x[j]``.
 
 The lasso, elastic-net and both logistic epochs apply one proximal
 coordinate update, ``x_j <- st(x_j - A_j'r / scale / L_j, l1 / L_j) /
 (1 + l2 / L_j)``, where ``r`` is the datafit's per-row gradient factor:
-``Ax - y`` for least squares, ``-y * sigma(-y * Ax)`` for logistic
-regression.  The loop sources have one body per datafit, all called as
-``(..., l1, l2, scale, order)``, and the four public kernels are wrappers
-that fix ``(l1, l2, scale)``.  ``l1 = 0`` leaves out the soft threshold,
-which would turn a NaN or -0.0 step into 0.0.
+``Ax - y`` for least squares (`_lsq_row`), ``-y * sigma(-y * Ax)`` for
+logistic regression (`_logreg_row`).  The four public kernels are
+wrappers that fix ``(l1, l2, scale)`` of one loop.  ``l1 = 0`` leaves out
+the soft threshold, which would turn a NaN or -0.0 step into 0.0.
 
 Python loops over columns and coordinates are slow, so the numpy kernels
 avoid per-column work where the input allows:
@@ -38,19 +39,20 @@ dot each.
 
 The coordinate epochs on a design visit each coordinate for a few
 operations, so in Python the interpreter's round trip per visit is most
-of their time.  Each of them but the group epoch has two forms: its loop
-source, and a C loop in ``_epochs.c``, built with ``cc`` into one library
-when this module is imported and called through ``ctypes``:
+of their time.  Each of them but the group epoch runs a C loop of
+``_epochs.c``, built with ``cc`` into one library when this module is
+imported and called through ``ctypes``, and each C loop has one loop
+source here:
 
-- the Gram epoch, which runs a least-squares epoch on a dense design
-  through its Gram matrix (``problems.LeastSquares.epoch`` chooses it,
-  through `lsq_gram_pass`): C ``gram_epoch``, loop source
-  ``LOOPS["lsq_gram_epoch"]``;
-- the four sparse epochs: one C body with the entry points ``lsq_epoch``
-  (``lasso_epoch``, ``enet_epoch``) and ``logreg_epoch``
-  (``logreg_l1_epoch``, ``logreg_l2_epoch``), which differ only in the
-  row factor ``r``, fixed in each at compile time; loop sources the
-  ``LOOPS`` entries of the same names.
+- C ``gram_epoch``: `_gram_epoch_loops`, the coordinate loop of the Gram
+  epoch, a least-squares epoch on a dense design through its Gram matrix
+  (``problems.LeastSquares.epoch`` chooses it), which `lsq_gram_pass`
+  runs between the epoch's two products;
+- C ``sparse_epoch``, with the row factor ``lsq_row`` (entry point
+  ``lsq_epoch``: ``lasso_epoch``, ``enet_epoch``) or ``logreg_row``
+  (``logreg_epoch``: ``logreg_l1_epoch``, ``logreg_l2_epoch``), fixed in
+  each at compile time: `_sparse_epoch_loops` with `_lsq_row` or
+  `_logreg_row`.
 
 Each C loop does its loop source's operations in the same order, compiled
 without FMA contraction, so its iterates are bitwise the loop source's:
@@ -70,12 +72,14 @@ say), so an iterate has the same bits on every host.  ``BACKEND`` is
 ``"numpy+c"`` when the compiled loops run, else ``"numpy"``, and
 ``CFLAGS`` holds the flags of the build that loaded, or None.  A solve
 binds `lsq_gram_pass` once per order array, so each Gram epoch is its
-products and one C call.  A sparse epoch checks and converts its raw
-arrays on every call, so that a tracer that rebinds ``lasso_epoch`` or
-``logreg_l1_epoch`` sees each epoch with its arguments.
+products and one call of the loop.  A sparse epoch checks and converts
+its raw arrays on every call, so that a tracer that rebinds
+``lasso_epoch`` or ``logreg_l1_epoch`` sees each epoch with its
+arguments.
 """
 
 import ctypes
+import functools
 import math
 import os
 import subprocess
@@ -104,10 +108,31 @@ def _sig_neg(t):
     return 1.0 / (1.0 + math.exp(t))
 
 
-def _sig_neg_vec(t):
-    # same two branches as _sig_neg, without boolean-mask indexing
-    e = np.exp(-np.abs(t))
-    return np.where(t >= 0.0, e, 1.0) / (1.0 + e)
+# the per-row gradient factors r_i of the two datafits
+def _lsq_row(y, Ax):
+    return Ax - y
+
+
+def _logreg_row(y, Ax):
+    return -y * _sig_neg(y * Ax)
+
+
+def _checked_order(order, p, c_checks_range=False):
+    """``order`` of a coordinate kernel over ``p`` coordinates as int64
+    indices in ``range(p)``, a negative one counting from the end: else
+    TypeError unless it is 1-d of integers (not bools), IndexError unless
+    each lies in ``[-p, p)``.  With ``c_checks_range``, the C loop checks the
+    range, so an order that int64 holds is returned without a pass over
+    it."""
+    order = np.asarray(order)
+    if order.ndim != 1 or order.dtype.kind not in "iu":
+        raise TypeError("order must be a 1-d array of integers, not "
+                        f"{order.ndim}-d {order.dtype}")
+    if c_checks_range and np.can_cast(order.dtype, np.int64):
+        return order
+    if order.size and not -p <= order.min() <= order.max() < p:
+        raise IndexError(f"order holds an index outside [-{p}, {p})")
+    return order.astype(np.int64) % max(p, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -147,25 +172,16 @@ def _csc_col_norms_sq_loops(data, indptr):
 
 
 def _cd_dense_epoch_loops(H, b, x, order):
-    for idx in range(order.size):
-        j = order[idx]
+    for j in _checked_order(order, x.size).tolist():
         r = np.dot(H[j], x) + b[j]
         x[j] -= r / H[j, j]
 
 
-def _columns(order, p):
-    """``order`` as a list of indices in ``range(p)``; a negative one counts
-    from the end, as in ``x[j]``, and one outside ``[-p, p)`` raises
-    IndexError before any coordinate moves.  The column pointers hold
-    ``p + 1`` entries, so a negative ``j`` would frame another column."""
-    if order.size and not -p <= order.min() <= order.max() < p:
-        raise IndexError(f"order holds an index outside [-{p}, {p})")
-    return (order % max(p, 1)).tolist()
-
-
-def _lsq_epoch_loops(data, indices, indptr, y, x, Ax, lip, l1, l2, scale,
-                     order):
-    for j in _columns(order, indptr.size - 1):
+def _sparse_epoch_loops(row, data, indices, indptr, y, x, Ax, lip, l1, l2,
+                        scale, order):
+    """C ``sparse_epoch``: one epoch of the datafit whose per-row gradient
+    factor is ``row``."""
+    for j in _checked_order(order, indptr.size - 1).tolist():
         lj = lip[j]
         if lj <= 0.0:
             continue
@@ -173,29 +189,7 @@ def _lsq_epoch_loops(data, indices, indptr, y, x, Ax, lip, l1, l2, scale,
         grad = 0.0
         for k in range(start, end):
             i = indices[k]
-            grad += data[k] * (Ax[i] - y[i])
-        new = x[j] - grad / scale / lj
-        if l1 != 0.0:
-            new = _st(new, l1 / lj)
-        new /= 1.0 + l2 / lj
-        d = new - x[j]
-        if d != 0.0:
-            for k in range(start, end):
-                Ax[indices[k]] += d * data[k]
-            x[j] = new
-
-
-def _logreg_epoch_loops(data, indices, indptr, y, x, Ax, lip, l1, l2, scale,
-                        order):
-    for j in _columns(order, indptr.size - 1):
-        lj = lip[j]
-        if lj <= 0.0:
-            continue
-        start, end = indptr[j], indptr[j + 1]
-        grad = 0.0
-        for k in range(start, end):
-            i = indices[k]
-            grad += data[k] * (-y[i] * _sig_neg(y[i] * Ax[i]))
+            grad += data[k] * row(y[i], Ax[i])
         new = x[j] - grad / scale / lj
         if l1 != 0.0:
             new = _st(new, l1 / lj)
@@ -209,8 +203,7 @@ def _logreg_epoch_loops(data, indices, indptr, y, x, Ax, lip, l1, l2, scale,
 
 def _group_epoch_loops(data, indices, indptr, y, x, Ax, grp_cols, grp_ptr,
                        lip_g, lam, order_g):
-    for idx in range(order_g.size):
-        g = order_g[idx]
+    for g in _checked_order(order_g, len(grp_ptr) - 1).tolist():
         lg = lip_g[g]
         if lg <= 0.0:
             continue
@@ -240,21 +233,14 @@ def _group_epoch_loops(data, indices, indptr, y, x, Ax, grp_cols, grp_ptr,
                 x[j] = new
 
 
-def _lsq_gram_epoch_loops(AT, G, y, x, Ax, lip, l1, l2, scale, order):
-    """One least-squares coordinate epoch on a dense design, in place.
-
-    ``AT`` is the design's transpose (p x n) and ``G = AT @ AT.T`` its Gram
-    matrix.  The update is that of ``enet_epoch`` (``lasso_epoch`` for
-    ``scale = 1`` and ``l2 = 0``): ``x_j <- st(x_j - g_j / (scale L_j),
-    l1 / L_j) / (1 + l2 / L_j)`` with ``g = A'(Ax - y)``.  One product gives
-    ``g`` at the start, a coordinate that moves updates it with one row of
-    ``G``, and ``Ax`` is recomputed as ``A x`` at the end.
-    """
+def _gram_epoch_loops(G, g, x, lip, l1, l2, scale, order):
+    """C ``gram_epoch``: the coordinate loop of a least-squares epoch on a
+    dense design, in place on ``x`` and on ``g = A'(Ax - y)``, which a
+    coordinate that moves updates with its row of the Gram matrix ``G``."""
     l1, l2, scale = float(l1), float(l2), float(scale)
-    g = AT @ (Ax - y)
     lip = lip.tolist()
     xs = x.tolist()
-    for j in order.tolist():
+    for j in _checked_order(order, len(xs)).tolist():
         lj = lip[j]
         if lj <= 0.0:
             continue
@@ -264,6 +250,16 @@ def _lsq_gram_epoch_loops(AT, G, y, x, Ax, lip, l1, l2, scale, order):
             g += (new - old) * G[j]
             xs[j] = new
     x[:] = xs
+
+
+def _lsq_gram_epoch_loops(AT, G, y, x, Ax, lip, l1, l2, scale, order):
+    """One least-squares coordinate epoch on a dense design, in place, with
+    the update of ``enet_epoch`` (``lasso_epoch`` for ``scale = 1`` and
+    ``l2 = 0``): ``g = A'(Ax - y)`` from ``AT``, the design's transpose
+    (p x n), then `_gram_epoch_loops` with the Gram matrix ``G = AT @
+    AT.T``, then ``Ax`` recomputed as ``A x``."""
+    g = AT @ (Ax - y)
+    _gram_epoch_loops(G, g, x, lip, l1, l2, scale, order)
     Ax[:] = x @ AT
 
 
@@ -317,8 +313,11 @@ def csc_col_norms_sq(data, indptr):
 
 
 def _logreg_rows(y, Ax):
-    # the logistic gradient's per-row factor, for `problems.Logistic`
-    return -y * _sig_neg_vec(y * Ax)
+    # the logistic gradient's per-row factors, for `problems.Logistic`:
+    # `_logreg_row`'s two branches, without boolean-mask indexing
+    t = y * Ax
+    e = np.exp(-np.abs(t))
+    return -y * (np.where(t >= 0.0, e, 1.0) / (1.0 + e))
 
 
 def _epoch_kernels(lsq, logreg):
@@ -349,7 +348,7 @@ def _epoch_kernels(lsq, logreg):
 
 def group_epoch(data, indices, indptr, y, x, Ax, grp_cols, grp_ptr, lip_g,
                 lam, order_g):
-    for g in order_g:
+    for g in _checked_order(order_g, len(grp_ptr) - 1).tolist():
         lg = lip_g[g]
         if lg <= 0.0:
             continue
@@ -435,28 +434,28 @@ def _float64_out(a, name, size):
 
 
 def _compiled_sparse_epoch(c_epoch):
-    """The loop source of a sparse epoch with its coordinate loop run by
+    """`_sparse_epoch_loops` with its row factor bound and its loop run by
     ``c_epoch``: the C ``lsq_epoch`` or ``logreg_epoch``."""
     errors = {-1: "order holds an index outside [-{p}, {p})",
               -2: "indptr must rise from 0 or more to at most {nnz}",
               -3: "indices hold a row outside [0, {n})"}
 
     def epoch(data, indices, indptr, y, x, Ax, lip, l1, l2, scale, order):
-        """The epoch of `_lsq_epoch_loops`, resp. `_logreg_epoch_loops`,
-        bit for bit.
+        """The epoch of `_sparse_epoch_loops` with `_lsq_row`, resp.
+        `_logreg_row`, bit for bit.
 
         ``data``, ``y`` and ``lip`` are taken as float64, ``indices``,
         ``indptr`` and ``order`` as int64, the penalties as doubles.  ``y``
         and ``Ax`` must hold n entries, ``lip`` and ``x`` p (``x`` and
         ``Ax`` float64; a strided one runs on a copy that is written back).
-        The C loop checks ``order``, ``indptr`` and the row indices before
-        it touches ``x`` or ``Ax`` and raises IndexError on a bad one.
+        ``order`` must be 1-d of integers (else TypeError); the C loop
+        checks its range, ``indptr`` and the row indices before it touches
+        ``x`` or ``Ax`` and raises IndexError on a bad one.
         """
         data, y, lip = (_c_array(data, np.float64), _c_array(y, np.float64),
                         _c_array(lip, np.float64))
-        indices, indptr, order = (_c_array(indices, np.int64),
-                                  _c_array(indptr, np.int64),
-                                  _c_array(order, np.int64))
+        indices, indptr = (_c_array(indices, np.int64),
+                           _c_array(indptr, np.int64))
         p, n, nnz = indptr.size - 1, y.size, data.size
         if p < 0 or indptr.ndim != 1:
             raise ValueError("indptr must be 1-d and not empty")
@@ -466,6 +465,8 @@ def _compiled_sparse_epoch(c_epoch):
             raise ValueError("y must be 1-d")
         if lip.shape != (p,):
             raise ValueError(f"lip must hold {p} entries")
+        order = _c_array(_checked_order(order, p, c_checks_range=True),
+                         np.int64)
         xc, Axc = _float64_out(x, "x", p), _float64_out(Ax, "Ax", n)
         code = c_epoch(
             data.ctypes.data, indices.ctypes.data, indptr.ctypes.data,
@@ -481,60 +482,52 @@ def _compiled_sparse_epoch(c_epoch):
     return epoch
 
 
-def _lsq_gram_pass_loops(AT, G, y, lip, l1, l2, scale, order):
-    """`lsq_gram_pass` of the loop source."""
-    def run(x, Ax):
-        _lsq_gram_epoch_loops(AT, G, y, x, Ax, lip, l1, l2, scale, order)
-    return run
+def lsq_gram_pass(AT, G, y, lip, l1, l2, scale, order):
+    """The epoch ``run(x, Ax)`` of `_lsq_gram_epoch_loops` with every other
+    argument bound, bit for bit, its coordinate loop run by C
+    ``gram_epoch`` where that was built, else by `_gram_epoch_loops`.
 
-
-def _compiled_gram_pass(gram_epoch):
-    """`lsq_gram_pass` with its coordinate loop run by ``gram_epoch``."""
-    def lsq_gram_pass(AT, G, y, lip, l1, l2, scale, order):
-        """The epoch ``run(x, Ax)`` of `_lsq_gram_epoch_loops` with every
-        other argument bound, bit for bit, with the coordinate loop in C.
-
-        ``G`` must be a C-contiguous float64 (p, p) array, ``lip`` hold p
-        entries and ``order`` indices in ``[-p, p)`` (else IndexError):
-        they are checked and converted here once, and the two scratch
-        vectors allocated.  ``run`` takes a float64 ``x`` of p entries (a
-        strided one runs on a copy that is written back).  The C loop
-        checks ``order`` again before it touches ``x``.
-        """
-        p, n = AT.shape
-        if not (isinstance(G, np.ndarray) and G.dtype == np.float64
-                and G.shape == (p, p) and G.flags.c_contiguous
-                and G.flags.aligned):
-            raise ValueError(f"G must be a C-contiguous float64 ({p}, {p}) "
-                             "array")
-        lip = np.require(lip, np.float64, ("C", "A"))
-        if lip.shape != (p,):
-            raise ValueError(f"lip must hold {p} entries")
-        order = np.require(order, np.int64, ("C", "A"))
-        bad = f"order holds an index outside [-{p}, {p})"
-        if order.size and not -p <= order.min() <= order.max() < p:
-            raise IndexError(bad)
-        g, r = np.empty(p), np.empty(n)
+    ``G`` must be a C-contiguous float64 (p, p) array, ``lip`` hold p
+    entries and ``order`` follow `_checked_order`: they are checked and
+    converted here once, and the two scratch vectors allocated.  ``run``
+    takes ``x`` as `_float64_out` does.
+    """
+    p, n = AT.shape
+    if not (isinstance(G, np.ndarray) and G.dtype == np.float64
+            and G.shape == (p, p) and G.flags.c_contiguous
+            and G.flags.aligned):
+        raise ValueError(f"G must be a C-contiguous float64 ({p}, {p}) "
+                         "array")
+    lip = np.require(lip, np.float64, ("C", "A"))
+    if lip.shape != (p,):
+        raise ValueError(f"lip must hold {p} entries")
+    order = _checked_order(order, p)
+    g, r = np.empty(p), np.empty(n)
+    l1, l2, scale = float(l1), float(l2), float(scale)
+    if _lib is None:
+        def loop(x):
+            _gram_epoch_loops(G, g, x, lip, l1, l2, scale, order)
+    else:
+        # the C loop reads these arrays through their pointers: ``run``
+        # holds them, the converted copies of ``lip`` and ``order`` included
         G_p, g_p, lip_p, order_p = (a.ctypes.data for a in (G, g, lip, order))
-        m, l1, l2, scale = order.size, float(l1), float(l2), float(scale)
+        gram_epoch, m = _lib.gram_epoch, order.size
 
-        def run(x, Ax):
-            if x.dtype != np.float64 or x.shape != (p,):
-                raise TypeError(f"x must be a float64 array of shape ({p},)")
-            xc = x if x.flags.carray else x.copy()
-            np.subtract(Ax, y, out=r)
-            np.matmul(AT, r, out=g)
-            if gram_epoch(G_p, g_p, xc.ctypes.data, lip_p, order_p, m, p, l1,
-                          l2, scale):
-                raise IndexError(bad)
-            if xc is not x:
-                x[:] = xc
-            np.matmul(x, AT, out=Ax)
-        # the C loop reads these through the pointers above: the pass holds
-        # them, the converted copies of ``lip`` and ``order`` included
-        run.arrays = G, lip, order
-        return run
-    return lsq_gram_pass
+        def loop(x):
+            # ``order`` is in range(p), so the C loop's own check passes
+            gram_epoch(G_p, g_p, x.ctypes.data, lip_p, order_p, m, p, l1, l2,
+                       scale)
+
+    def run(x, Ax):
+        xc = _float64_out(x, "x", p)
+        np.subtract(Ax, y, out=r)
+        np.matmul(AT, r, out=g)
+        loop(xc)
+        if xc is not x:
+            x[:] = xc
+        np.matmul(x, AT, out=Ax)
+    run.arrays = G, lip, order
+    return run
 
 
 cd_dense_epoch = _cd_dense_epoch_loops
@@ -543,19 +536,16 @@ LOOPS = {
     "csc_rmatvec": _csc_rmatvec_loops,
     "csc_col_norms_sq": _csc_col_norms_sq_loops,
     "cd_dense_epoch": _cd_dense_epoch_loops,
-    **_epoch_kernels(_lsq_epoch_loops, _logreg_epoch_loops),
+    **_epoch_kernels(functools.partial(_sparse_epoch_loops, _lsq_row),
+                     functools.partial(_sparse_epoch_loops, _logreg_row)),
     "group_epoch": _group_epoch_loops,
     "lsq_gram_epoch": _lsq_gram_epoch_loops,
 }
 
 _lib, CFLAGS = _build_loops()
-if _lib is None:
-    lsq_gram_pass = _lsq_gram_pass_loops
-    _EPOCHS = LOOPS
-else:
-    lsq_gram_pass = _compiled_gram_pass(_lib.gram_epoch)
-    _EPOCHS = _epoch_kernels(_compiled_sparse_epoch(_lib.lsq_epoch),
-                             _compiled_sparse_epoch(_lib.logreg_epoch))
+_EPOCHS = LOOPS if _lib is None else _epoch_kernels(
+    _compiled_sparse_epoch(_lib.lsq_epoch),
+    _compiled_sparse_epoch(_lib.logreg_epoch))
 lasso_epoch = _EPOCHS["lasso_epoch"]
 enet_epoch = _EPOCHS["enet_epoch"]
 logreg_l1_epoch = _EPOCHS["logreg_l1_epoch"]

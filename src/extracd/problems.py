@@ -423,6 +423,7 @@ class Quadratic:
         with ``H @ x`` of the new ``x``.
         """
         H, b = self.H, self.b
+        kernels._checked_order(order, self.dim)
         inv = None
         if order.size == self.dim:
             cyclic = np.arange(self.dim)

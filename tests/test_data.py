@@ -197,6 +197,21 @@ class TestParseLibsvm:
         assert f"line {lineno}:" in str(err.value)
         assert frag in str(err.value)
 
+    @pytest.mark.parametrize("text,frag", [
+        ("1 1:1\n1_0 2:1\n", "bad label '1_0'"),
+        ("1 1:1\n1 1_0:2\n", "bad index:value pair '1_0:2'"),
+        ("1 1:1\n1 3:1e1_0\n", "bad index:value pair '3:1e1_0'"),
+        ("1 1:1\n1 ３:2\n", "bad index:value pair '３:2'"),
+        ("1 1:1\n1 3:١.5\n", "bad index:value pair '3:١.5'"),
+    ], ids=["label_underscore", "index_underscore", "value_underscore",
+            "fullwidth_index", "arabic_indic_value"])
+    def test_only_ascii_numbers_without_underscores(self, text, frag):
+        # int() and float() read all of these as numbers
+        with pytest.raises(ParseError) as err:
+            parse_libsvm(text.encode())
+        assert err.value.line == 2
+        assert frag in str(err.value)
+
     def test_records_end_only_at_newlines(self):
         # NEL inside a record is whitespace, so "-1" reads as a feature
         # token of line 1 instead of the label of a second record

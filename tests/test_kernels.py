@@ -649,9 +649,8 @@ y = M[:, :5] @ rng.standard_normal(5) + 0.1 * rng.standard_normal(40)
 prob = Lasso(CscMatrix.from_dense(M), y, 1.0)
 prob = Lasso(prob.A, prob.y, lambda_max(prob) / 20)
 tr = solve(prob, SolverConfig("pcd_anderson", max_epochs=400, tol=1e-12))
-loops = kernels.lsq_gram_pass is kernels._lsq_gram_pass_loops and all(
-    getattr(kernels, k) is kernels.LOOPS[k] for k in (
-        "lasso_epoch", "enet_epoch", "logreg_l1_epoch", "logreg_l2_epoch"))
+loops = all(getattr(kernels, k) is kernels.LOOPS[k] for k in (
+    "lasso_epoch", "enet_epoch", "logreg_l1_epoch", "logreg_l2_epoch"))
 print(kernels.BACKEND, loops, *(kernels.CFLAGS or ()))
 print(repr((tr.epochs, tr.events, tr.objectives, tr.gaps)),
       tr.x.tobytes().hex())
@@ -1177,3 +1176,88 @@ def test_logistic_epoch_takes_float32_lam_and_int_lip(kernel):
                       lip.astype(np.float64), float(lam), order)
         assert x.tobytes() + Ax.tobytes() == x_ref.tobytes() + Ax_ref.tobytes()
     assert not np.array_equal(x, x0)
+
+
+# ---------------------------------------------------------------------------
+# the order rule, the same for every coordinate kernel
+# ---------------------------------------------------------------------------
+
+ORDER_RULE_KERNELS = (*SPARSE_KERNELS, "lsq_gram_epoch", "cd_dense_epoch",
+                      "group_epoch")
+
+
+def order_rule_case(kernel):
+    """``(p, x0, Ax0, epoch)`` for one coordinate kernel: its number of
+    coordinates (of groups, for the group epoch), a start, and
+    ``epoch(table, x, Ax, order)``, which runs one epoch of the kernel of
+    ``table`` (the public one of the Gram epoch is `gram_epoch`: a bound
+    `kernels.lsq_gram_pass`)."""
+    if kernel in SPARSE_KERNELS:
+        A, y, tail, x0, _ = sparse_case(kernel, 14)
+
+        def epoch(table, x, Ax, order):
+            table[kernel](A.values, A.row_idx, A.col_ptr, y, x, Ax, *tail,
+                          order)
+        return A.n_cols, x0, LOOPS["csc_matvec"](
+            A.values, A.row_idx, A.col_ptr, A.n_rows, x0), epoch
+    if kernel == "lsq_gram_epoch":
+        AT, G, y, x0, _ = gram_problem(15, 24, seed=47)
+
+        def epoch(table, x, Ax, order):
+            run = GRAM_LOOPS if table is LOOPS else gram_epoch
+            run(AT, G, y, x, Ax, np.diag(G).copy(), 0.1, 0.0, 1.0, order)
+        return 24, x0, x0 @ AT, epoch
+    M, A, y, x0 = make_problem(18, 9, seed=15)
+    if kernel == "cd_dense_epoch":
+        H, b = M.T @ M + np.eye(9), y[:9]
+
+        def epoch(table, x, Ax, order):
+            table[kernel](H, b, x, order)
+        return 9, x0, H @ x0, epoch
+    # groups of 2, 5 and 2 columns, so that a group index counted from the
+    # wrong end frames other columns
+    grp_cols = np.array([4, 0, 1, 2, 3, 5, 8, 6, 7])
+    grp_ptr = np.array([0, 2, 7, 9])
+    lip_g = np.array([np.linalg.norm(M[:, grp_cols[s:e]], 2) ** 2
+                      for s, e in zip(grp_ptr[:-1], grp_ptr[1:])])
+
+    def epoch(table, x, Ax, order):
+        table[kernel](A.values, A.row_idx, A.col_ptr, y, x, Ax, grp_cols,
+                      grp_ptr, lip_g, 0.2, order)
+    return 3, x0, M @ x0, epoch
+
+
+@pytest.mark.parametrize("table", BACKENDS)
+@pytest.mark.parametrize("kernel", ORDER_RULE_KERNELS)
+def test_every_coordinate_kernel_follows_the_order_rule(kernel, table):
+    # a float, bool or 2-d order is refused, not truncated, read as a mask
+    # or flattened; a bad index is refused before any coordinate moves; a
+    # negative index counts from the end
+    p, x0, Ax0, epoch = order_rule_case(kernel)
+    table = TABLES[table]
+    for error, order in ((TypeError, np.array([0.7, 1.9])),
+                         (TypeError, np.array([True, False])),
+                         (TypeError, np.array([[0, 1], [1, 0]])),
+                         (IndexError, np.append(np.arange(p), p)),
+                         (IndexError, np.append(np.arange(p), -p - 1))):
+        x, Ax = x0.copy(), Ax0.copy()
+        with pytest.raises(error, match="order"):
+            epoch(table, x, Ax, order)
+        assert x.tobytes() + Ax.tobytes() == x0.tobytes() + Ax0.tobytes()
+    order = np.random.default_rng(16).integers(0, p, size=3 * p)
+    runs = []
+    for o in (order, order - p):
+        x, Ax = x0.copy(), Ax0.copy()
+        epoch(table, x, Ax, o)
+        assert not np.array_equal(x, x0)
+        runs.append(x.tobytes() + Ax.tobytes())
+    assert runs[0] == runs[1]
+
+
+def test_quadratic_sweep_checks_its_order_when_bound():
+    # a float order equal to 0..p-1 once took the Gauss-Seidel step
+    quad = Quadratic(2.0 * np.eye(3), np.ones(3))
+    for error, order in ((TypeError, np.arange(3.0)),
+                         (IndexError, np.array([0, 1, 3]))):
+        with pytest.raises(error, match="order"):
+            quad.cd_sweep(order)
