@@ -18,8 +18,12 @@ this tree's ``BENCHMARK.json`` it prints one line: each side's median
 pairs this tree did better.  The line ends in
 ``unresolved`` when the other tree's quartile spread, relative to its
 median, exceeds the metric's bound: the host's noise then decides the
-comparison.  The exit code is 1 if any run fails, reports
-``correct: false`` or reports a nonzero ``failed``, else 0.
+comparison.  A last line, on stderr beside the progress lines, gives
+each side's median number of ``attempted`` operations: a run of fixed
+length completes more of them when it is faster, and some metrics
+(``peak_rss_mb``) grow with that number.  The exit code is 1 if any run
+fails, reports ``correct: false`` or reports a nonzero ``failed``, else
+0.
 """
 
 import argparse
@@ -127,6 +131,10 @@ def summarize(pairs, metrics):
                 f"other {m_other:.6g} [{q1_other:.6g}, {q3_other:.6g}], "
                 f"ratio {ratio:.4f}, this better in {wins}/{len(both)}")
         print(line + (" unresolved" if spread > bound else ""))
+    this, other = (np.median([r["attempted"] for r in side])
+                   for side in zip(*both))
+    print(f"attempted operations: this {this:.6g}, other {other:.6g} "
+          f"(medians over {len(both)} pairs)", file=sys.stderr)
     return 1 if bad else 0
 
 

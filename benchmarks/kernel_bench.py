@@ -6,10 +6,11 @@ products and one pass from x = 0 of the epoch that ``problems`` selects
 for a lasso (``lasso_pass``) and an l1 logistic regression
 (``logreg_l1_pass``) at lambda_max / 10: the pass a solve runs, so a
 dense design with at most 2000 columns is swept through its Gram matrix.
-Each pass is built, Gram matrix included, before its timer starts,
-because that is per-solve set-up.  ``quad_gs_pass`` times one cyclic
-pass (a Gauss-Seidel step) of a seeded p = 200 quadratic.  Whole
-operations (solves, numerical ranges) are timed by ``perfbench/run.py``.
+Each pass is built and bound to its order, Gram matrix included, before
+its timer starts, because that is per-solve set-up.  ``quad_gs_pass``
+times one cyclic pass (a Gauss-Seidel step) of a seeded p = 200
+quadratic.  Whole operations (solves, numerical ranges) are timed by
+``perfbench/run.py``.
 
 BLAS is pinned to one thread.  Run from the repository root as::
 
@@ -63,12 +64,13 @@ def sparse_design():
 
 
 def selected_pass(prob):
-    """One cyclic pass from x = 0 of the epoch a solve of ``prob`` runs."""
+    """One cyclic pass from x = 0 of the epoch a solve of ``prob`` runs,
+    bound here to its order."""
     datafit, penalty = prob.datafit, prob.penalty
-    epoch = penalty.epoch(datafit, datafit.coordinate_lipschitz(penalty))
+    bind = penalty.epoch(datafit, datafit.coordinate_lipschitz(penalty))
     n, p = prob.A.n_rows, prob.A.n_cols
-    order = np.arange(p, dtype=np.int64)
-    return lambda: epoch(np.zeros(p), np.zeros(n), order)
+    run = bind(np.arange(p, dtype=np.int64))
+    return lambda: run(np.zeros(p), np.zeros(n))
 
 
 def kernel_cases(A, y, prefix=""):

@@ -222,8 +222,16 @@ _GRIDS = {
 
 
 def build_problems(spec, dataset):
-    """Instantiate the (tag, problem) grid described by the config."""
-    return _GRIDS[spec.kind](spec, dataset)
+    """Instantiate the (tag, problem) grid described by the config.  Its
+    references and files are keyed by tag, which shows a fraction to 6
+    digits: two problems of one tag raise ArgumentError."""
+    tagged = _GRIDS[spec.kind](spec, dataset)
+    tags = [tag for tag, _ in tagged]
+    for tag in tags:
+        if tags.count(tag) > 1:
+            raise ArgumentError(f"two problems share the tag {tag!r}; make "
+                                "their fractions differ in 6 digits")
+    return tagged
 
 
 def fingerprint(prob):
@@ -379,9 +387,9 @@ def run_bench(spec):
     abort the rest) and the tags whose reference optimum is not verified;
     their plots say so in the title.
     """
-    os.makedirs(spec.out_dir, exist_ok=True)
     dataset = build_dataset(spec)
     tagged = build_problems(spec, dataset)
+    os.makedirs(spec.out_dir, exist_ok=True)
     refs = references(spec, tagged)
 
     summary = {"csv": [], "svg": [], "errors": [], "unverified": []}

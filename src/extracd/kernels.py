@@ -71,11 +71,11 @@ The loop sources are the kernels wherever both builds fail (no compiler,
 say), so an iterate has the same bits on every host.  ``BACKEND`` is
 ``"numpy+c"`` when the compiled loops run, else ``"numpy"``, and
 ``CFLAGS`` holds the flags of the build that loaded, or None.  A solve
-binds `lsq_gram_pass` once per order array, so each Gram epoch is its
-products and one call of the loop.  A sparse epoch checks and converts
-its raw arrays on every call, so that a tracer that rebinds
-``lasso_epoch`` or ``logreg_l1_epoch`` sees each epoch with its
-arguments.
+binds `lsq_gram_pass` once per order, which the pass keeps a checked copy
+of, so each Gram epoch is its products and one call of the loop.  A
+sparse epoch checks and converts its raw arrays on every call, so that a
+tracer that rebinds ``lasso_epoch`` or ``logreg_l1_epoch`` sees each
+epoch with its arguments.
 """
 
 import ctypes

@@ -72,26 +72,26 @@ DENSE_LIMIT = 2000
 #
 # ``scale`` bounds the curvature: the Hessian of a datafit in ``Ax`` is at
 # most ``I / scale`` (for the quadratic, ``H / scale`` in ``x``).
-# ``epoch(penalty, lip)`` returns the function ``(x, Ax, order)`` that
-# applies one coordinate epoch in place with the penalty's kernel; a solve
-# asks for it once.
+# ``epoch(penalty, lip)`` returns ``bind(order)``, which checks ``order`` by
+# `kernels._checked_order` and returns the pass ``(x, Ax)``: one coordinate
+# epoch in place with the penalty's kernel over that checked copy, which
+# later writes to the caller's order array leave as it was.
 # ---------------------------------------------------------------------------
 
-def _bound_per_order(bind):
-    """The epoch ``(x, Ax, order)`` that runs the pass ``bind(order)``.
+def _kernel_pass(kernel, fit, n, *tail):
+    """``bind(order)`` of the pass that calls ``kernels.<kernel>``, looked
+    up per call for a tracer to see, with ``fit``'s CSC arrays and labels,
+    ``x``, ``Ax``, ``tail`` and ``order`` checked over ``n`` coordinates."""
+    A, y = fit.A, fit.y
 
-    A solve hands every epoch the same order array (a randomized one draws
-    a new array each time), so the pass is bound only when the array
-    changes.
-    """
-    bound = None, None
+    def bind(order):
+        order = kernels._checked_order(order, n)
 
-    def epoch(x, Ax, order):
-        nonlocal bound
-        if order is not bound[0]:
-            bound = order, bind(order)
-        bound[1](x, Ax)
-    return epoch
+        def run(x, Ax):
+            getattr(kernels, kernel)(A.values, A.row_idx, A.col_ptr, y, x, Ax,
+                                     *tail, order)
+        return run
+    return bind
 
 
 @dataclass(frozen=True, eq=False)
@@ -139,30 +139,24 @@ class LeastSquares(_DesignFit):
         return penalty.dual_norm(self.A.rmatvec(self.y)) / self.scale
 
     def epoch(self, penalty, lip):
-        """The coordinate epoch ``(x, Ax, order)`` of one solve.
+        """``bind(order)`` of one solve's coordinate epoch.
 
         A fully dense ``A`` (``nnz == n * p``) with at most ``DENSE_LIMIT``
-        columns is swept by `kernels.lsq_gram_pass` through its Gram
-        matrix A'A.  The Gram, and the pass bound to it, are built here and
-        held by the returned function alone, so they are dropped with the
-        solve.  Otherwise the epoch is ``kernels.lasso_epoch`` (scale 1, no
-        ridge) or ``kernels.enet_epoch``.
+        columns is swept by `kernels.lsq_gram_pass`, which ``bind`` is,
+        through its Gram matrix A'A.  The Gram is built here and held by
+        ``bind`` and its passes alone, so it is dropped with the solve.
+        Otherwise the pass runs ``kernels.lasso_epoch`` (scale 1, no ridge)
+        or ``kernels.enet_epoch``.
         """
         A, y, scale, l1, l2 = self.A, self.y, self.scale, penalty.l1, penalty.l2
         AT = kernels.dense_transpose(A.values, A.col_ptr, A.n_rows)
         if AT is not None and A.n_cols <= DENSE_LIMIT:
             G = AT @ AT.T
-            epoch = _bound_per_order(lambda order: kernels.lsq_gram_pass(
-                AT, G, y, lip, l1, l2, scale, order))
-        elif scale == 1.0 and l2 == 0.0:
-            def epoch(x, Ax, order):
-                kernels.lasso_epoch(A.values, A.row_idx, A.col_ptr, y, x, Ax,
-                                    lip, l1, order)
-        else:
-            def epoch(x, Ax, order):
-                kernels.enet_epoch(A.values, A.row_idx, A.col_ptr, y, x, Ax,
-                                   lip, l1, l2, scale, order)
-        return epoch
+            return lambda order: kernels.lsq_gram_pass(AT, G, y, lip, l1, l2,
+                                                       scale, order)
+        if scale == 1.0 and l2 == 0.0:
+            return _kernel_pass("lasso_epoch", self, A.n_cols, lip, l1)
+        return _kernel_pass("enet_epoch", self, A.n_cols, lip, l1, l2, scale)
 
 
 @dataclass(frozen=True, eq=False)
@@ -187,16 +181,11 @@ class Logistic(_DesignFit):
 
     def epoch(self, penalty, lip):
         # one kernel per penalty: l1 only, or l2 only
-        A, y = self.A, self.y
         if penalty.l2 == 0.0:
-            def epoch(x, Ax, order):
-                kernels.logreg_l1_epoch(A.values, A.row_idx, A.col_ptr, y, x,
-                                        Ax, lip, penalty.l1, order)
-        else:
-            def epoch(x, Ax, order):
-                kernels.logreg_l2_epoch(A.values, A.row_idx, A.col_ptr, y, x,
-                                        Ax, lip, penalty.l2, order)
-        return epoch
+            return _kernel_pass("logreg_l1_epoch", self, self.n_coef, lip,
+                                penalty.l1)
+        return _kernel_pass("logreg_l2_epoch", self, self.n_coef, lip,
+                            penalty.l2)
 
 
 # ---------------------------------------------------------------------------
@@ -315,13 +304,8 @@ class Group:
 
     def epoch(self, datafit, lip):
         # group_epoch implements least squares with scale 1
-        A, y = datafit.A, datafit.y
-
-        def epoch(x, Ax, order):
-            kernels.group_epoch(A.values, A.row_idx, A.col_ptr, y, x, Ax,
-                                self.grp_cols, self.grp_ptr, lip, self.lam,
-                                order)
-        return epoch
+        return _kernel_pass("group_epoch", datafit, len(self.groups),
+                            self.grp_cols, self.grp_ptr, lip, self.lam)
 
 
 # ---------------------------------------------------------------------------
@@ -401,7 +385,7 @@ class Quadratic:
         raise ArgumentError("lambda_max requires a sparsity-inducing penalty")
 
     def epoch(self, penalty, lip):
-        return _bound_per_order(self.cd_sweep)
+        return self.cd_sweep
 
     def solve(self):
         """The minimizer ``-H^{-1} b``."""
@@ -409,7 +393,8 @@ class Quadratic:
 
     def cd_sweep(self, order):
         """The in-place coordinate-descent pass ``sweep(x, Hx=None)`` over
-        ``order``, its path chosen here once.
+        ``order``, checked by `kernels._checked_order`: the pass keeps that
+        checked copy, and its path is chosen here once.
 
         Coordinate ``j`` moves to its exact minimizer, ``x_j -= (H_j x +
         b_j) / H_jj``.  The cyclic orders ``0..p-1`` and ``p-1..0`` run as
@@ -423,7 +408,7 @@ class Quadratic:
         with ``H @ x`` of the new ``x``.
         """
         H, b = self.H, self.b
-        kernels._checked_order(order, self.dim)
+        order = kernels._checked_order(order, self.dim)
         inv = None
         if order.size == self.dim:
             cyclic = np.arange(self.dim)

@@ -120,17 +120,19 @@ def cdsym_epoch_quadratic(quad, x, Hx=None):
 def _cd_step(prob, order=None, rng=None):
     """``step(x, Ax)``: one in-place proximal coordinate epoch over the
     coordinates (blocks for group penalties), cyclic unless an ``order``
-    is given or ``rng`` draws the picks uniformly with replacement."""
+    is given or ``rng`` draws the picks uniformly with replacement.  The
+    pass is bound here to a fixed order, and in each step to a drawn one."""
     datafit, penalty = prob.datafit, prob.penalty
     lip = datafit.coordinate_lipschitz(penalty)
-    epoch = penalty.epoch(datafit, lip)
+    bind = penalty.epoch(datafit, lip)
     n = lip.size
-    if order is None:
-        order = np.arange(n, dtype=np.int64)
+    if rng is None:
+        epoch = bind(np.arange(n, dtype=np.int64) if order is None else order)
 
     def step(x, Ax):
-        epoch(x, Ax, order if rng is None
-              else rng.integers(0, n, size=n, dtype=np.int64))
+        run = epoch if rng is None else bind(
+            rng.integers(0, n, size=n, dtype=np.int64))
+        run(x, Ax)
         return x, Ax
     return step
 

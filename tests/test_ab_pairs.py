@@ -86,6 +86,21 @@ def test_no_complete_pair(ab_pairs, capsys):
     assert capsys.readouterr().out == "no pair completed\n"
 
 
+def test_operation_counts_of_both_sides(ab_pairs, capsys):
+    # a run of fixed length completes more operations on the faster side,
+    # so each side's count is reported; a pair with a failed run is left out
+    pairs = []
+    for this_ops, other_ops in ((10, 7), (12, 8), (11, 6)):
+        this, other = result(1.0), result(2.0)
+        this["attempted"], other["attempted"] = this_ops, other_ops
+        pairs.append((this, other))
+    assert ab_pairs.summarize(pairs + [(None, result(2.0))], METRICS) == 1
+    captured = capsys.readouterr()
+    assert len(captured.out.splitlines()) == len(METRICS)
+    assert captured.err.splitlines()[-1] == (
+        "attempted operations: this 11, other 7 (medians over 3 pairs)")
+
+
 def fake_tree(root, label):
     """A checkout at ``root`` whose files name ``label``: the parts that a
     perfbench run reads, a ``perfbench/out`` with a run's output, and

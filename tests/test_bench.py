@@ -154,6 +154,20 @@ class TestGridAndFingerprint:
             assert isinstance(prob, ElasticNet)
             assert prob.rho == prob.lam
 
+    @pytest.mark.parametrize("kind, lambda_fracs, rho_fracs, tag", [
+        ("lasso", (0.1, 0.1000001), (0.1,), "lasso_lf0.1"),
+        ("lasso", (0.1, 0.1), (0.1,), "lasso_lf0.1"),
+        ("enet", (0.1,), (0.5, 0.5000001), "enet_lf0.1_rf0.5"),
+    ], ids=["lambda_fracs_within_g", "lambda_fracs_exact", "rho_fracs"])
+    def test_repeated_tags_are_refused(self, kind, lambda_fracs, rho_fracs,
+                                       tag):
+        # references and output files are keyed by tag: two problems of one
+        # tag would share a reference and overwrite each other's files
+        spec = BenchSpec(n=30, p=12, kind=kind, lambda_fracs=lambda_fracs,
+                         rho_fracs=rho_fracs)
+        with pytest.raises(ArgumentError, match=f"tag '{tag}'"):
+            build_problems(spec, build_dataset(spec))
+
     @pytest.mark.parametrize("n,p", [(10, 40), (40, 10)])
     def test_logreg_l2_eigenvalues_from_smaller_gram(self, monkeypatch, n,
                                                      p):
@@ -570,6 +584,18 @@ class TestCli:
         assert main(["bench", "--config", str(cfg), "--out",
                      str(tmp_path / "res")]) == 2
         assert "mean over rows" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["bench", "ref"])
+    def test_repeated_tag_exit_two_naming_it(self, command, tmp_path,
+                                             capsys):
+        cfg = write_config(tmp_path / "b.ini",
+                           {"problem": {"lambda_fracs": "0.1 0.1000001"}})
+        out = tmp_path / "res"
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "tag 'lasso_lf0.1'" in captured.err
+        assert not out.exists()
 
     def test_bench_missing_config_exit_two(self, tmp_path, capsys):
         assert main(["bench", "--config", str(tmp_path / "no.ini")]) == 2

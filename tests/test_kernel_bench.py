@@ -11,8 +11,7 @@ from extracd import kernels
 SCRIPT = (Path(__file__).resolve().parents[1] / "benchmarks"
           / "kernel_bench.py")
 CASES = ["csc_matvec", "csc_rmatvec", "lasso_pass", "logreg_l1_pass"]
-WATCHED = ("lsq_gram_pass", "lasso_epoch", "logreg_l1_epoch",
-           "cd_dense_epoch")
+WATCHED = ("lasso_epoch", "logreg_l1_epoch", "cd_dense_epoch")
 
 
 @pytest.fixture(scope="module")
@@ -25,8 +24,9 @@ def kernel_bench():
 
 def test_cases_enter_the_selected_kernels(kernel_bench, monkeypatch,
                                           tmp_path, capsys):
-    # one list per timed case, of the watched kernels its calls entered
-    entered = []
+    # one list per timed case, of the watched kernels and Gram passes its
+    # calls entered; and, per Gram pass bound, how many timers had started
+    entered, binds = [], []
     time_call = kernel_bench.time_call
 
     def timed(fn, repeat):
@@ -39,6 +39,16 @@ def test_cases_enter_the_selected_kernels(kernel_bench, monkeypatch,
             return _fn(*args)
         monkeypatch.setattr(kernels, name, counted)
 
+    def gram_pass(*args, _bind=kernels.lsq_gram_pass):
+        binds.append(len(entered))
+        run = _bind(*args)
+
+        def counted(x, Ax):
+            entered[-1].append("lsq_gram_pass")
+            run(x, Ax)
+        return counted
+    monkeypatch.setattr(kernels, "lsq_gram_pass", gram_pass)
+
     out = tmp_path / "kb.json"
     kernel_bench.main(["--n", "20", "--p", "30", "--repeat", "1",
                        "--json", str(out)])
@@ -50,6 +60,7 @@ def test_cases_enter_the_selected_kernels(kernel_bench, monkeypatch,
     assert report["kernel_cflags"] == (None if kernels.CFLAGS is None
                                        else list(kernels.CFLAGS))
     by_case = dict(zip(names, entered, strict=True))
+    assert binds == [0]  # the dense lasso's, before any timer
     assert by_case["lasso_pass"] == ["lsq_gram_pass"]
     assert by_case["sparse_lasso_pass"] == ["lasso_epoch"]
     assert by_case["logreg_l1_pass"] == ["logreg_l1_epoch"]

@@ -18,7 +18,7 @@ from extracd import SolverConfig, kernels, solve
 from extracd.data import CscMatrix, parse_libsvm
 from extracd.kernels import LOOPS, warmup
 from extracd.problems import (L1L2, ElasticNet, GroupLasso, Lasso, Logistic,
-                              Quadratic, groups_from_size)
+                              LogRegL1, LogRegL2, Quadratic, groups_from_size)
 
 # the public kernels (numpy, with the C loops where they built) as a table
 # beside LOOPS, the loop sources run as plain Python: the reference they are
@@ -276,13 +276,13 @@ class TestDensePaths:
                                                              rho)
         datafit, penalty = prob.datafit, prob.penalty
         lip = datafit.coordinate_lipschitz(penalty)
-        epoch = penalty.epoch(datafit, lip)
+        bind = penalty.epoch(datafit, lip)
         cyclic = np.arange(25, dtype=np.int64)
         repeats = np.random.default_rng(22).integers(0, 25, size=25)
         x, Ax = x0.copy(), M @ x0
         x_ref, Ax_ref = x0.copy(), M @ x0
         for order in (cyclic, repeats, cyclic, cyclic[::-1].copy(), cyclic):
-            epoch(x, Ax, order)
+            bind(order)(x, Ax)
             if rho == 0.0:
                 LOOPS["lasso_epoch"](A.values, A.row_idx, A.col_ptr, y, x_ref,
                                      Ax_ref, lip, lam, order)
@@ -524,7 +524,6 @@ def test_gram_epoch_bad_index_changes_nothing(epoch, bad):
     assert Ax.tobytes() == Ax0.tobytes()
 
 
-@compiled
 def test_compiled_gram_epoch_refuses_bad_arguments():
     AT, G, y, x0, _ = gram_problem(15, 24, seed=44)
     lip, order = np.diag(G).copy(), np.arange(24)
@@ -587,7 +586,6 @@ def test_gram_epoch_takes_float32_penalties_as_doubles(seed):
     assert runs[0] == runs[1] == runs[2]
 
 
-@compiled
 def test_gram_pass_checks_once_when_bound():
     AT, G, y, x0, _ = gram_problem(15, 24, seed=45)
     lip, order = np.diag(G).copy(), np.arange(24)
@@ -636,6 +634,74 @@ def test_a_solve_binds_its_gram_pass_once(monkeypatch):
     bound.clear()
     solve(prob, SolverConfig("prcd", max_epochs=5, tol=0.0))
     assert len(bound) == 5  # a randomized order is a new array per epoch
+
+
+# ---------------------------------------------------------------------------
+# a bound pass keeps its own copy of the order
+# ---------------------------------------------------------------------------
+
+BOUND_PATHS = ("quad_cyclic", "quad_reversed", "quad_custom", "gram_lasso",
+               "gram_enet", "sparse_lasso", "sparse_enet", "logreg_l1",
+               "logreg_l2", "group_lasso")
+
+
+def bound_path_case(path):
+    """``(prob, order, x0)``: a problem whose ``epoch(penalty, lip)`` takes
+    ``path``, an order to bind to it, and a start."""
+    rng = np.random.default_rng(BOUND_PATHS.index(path))
+    if path.startswith("quad"):
+        quad = spd_quadratic(rng, 9, rng.uniform(0.1, 2.0, size=9))
+        order = {"quad_cyclic": np.arange(9),
+                 "quad_reversed": np.arange(9)[::-1].copy(),
+                 "quad_custom": rng.integers(0, 9, size=12)}[path]
+        return quad, order, rng.standard_normal(9)
+    # a fully dense design takes the Gram pass, a sparse one the CSC kernels
+    make = dense_problem if path.startswith("gram") else make_problem
+    M, A, y, x0 = make(20, 8, seed=BOUND_PATHS.index(path))
+    yb = np.where(y > 0.0, 1.0, -1.0)
+    prob = {"gram_lasso": lambda: Lasso(A, y, 0.3),
+            "gram_enet": lambda: ElasticNet(A, y, 0.03, 0.1),
+            "sparse_lasso": lambda: Lasso(A, y, 0.3),
+            "sparse_enet": lambda: ElasticNet(A, y, 0.03, 0.1),
+            "logreg_l1": lambda: LogRegL1(A, yb, 0.3),
+            "logreg_l2": lambda: LogRegL2(A, yb, 0.3),
+            "group_lasso": lambda: GroupLasso(A, y, 0.3,
+                                              groups_from_size(8, 3))}[path]()
+    n = 3 if path == "group_lasso" else 8
+    return prob, rng.permutation(n), x0
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("path", BOUND_PATHS)
+def test_a_bound_pass_keeps_its_own_order(path, backend, monkeypatch):
+    # the caller overwrites its order array between two epochs of a bound
+    # pass: the pass still runs the order it was bound to, bit for bit
+    if backend == "loops":
+        monkeypatch.setattr(kernels, "_lib", None)
+        for name in NUMPY:
+            monkeypatch.setattr(kernels, name, LOOPS[name])
+    prob, order, x0 = bound_path_case(path)
+    datafit, penalty = prob.datafit, prob.penalty
+    bind = penalty.epoch(datafit, datafit.coordinate_lipschitz(penalty))
+    Ax0 = datafit.predict(x0)
+
+    def epochs(*orders):
+        """``x`` and ``Ax`` after one epoch of a pass bound to each order."""
+        x, Ax = x0.copy(), Ax0.copy()
+        for o in orders:
+            bind(o)(x, Ax)
+        return x.tobytes() + Ax.tobytes()
+    want = epochs(order.copy(), order.copy())
+    ones = np.ones_like(order)
+    assert want != epochs(order.copy(), ones)  # the overwrite would matter
+    caller = order.copy()
+    run = bind(caller)
+    x, Ax = x0.copy(), Ax0.copy()
+    run(x, Ax)
+    caller[:] = ones
+    run(x, Ax)
+    assert x.tobytes() + Ax.tobytes() == want
+    assert not np.array_equal(x, x0)
 
 
 NO_COMPILER = """
@@ -1134,8 +1200,8 @@ def test_compiled_logreg_epoch_refuses_bad_arguments():
                                   x0)
         epoch = getattr(kernels, kernel)
 
-        def run(x=x0, Ax=Ax0, lip=lip, y=y, data=A.values):
-            epoch(data, A.row_idx, A.col_ptr, y, x.copy(), Ax.copy(), lip,
+        def run(x=x0, Ax=Ax0, lip=lip, y=y, data=A.values, indptr=A.col_ptr):
+            epoch(data, A.row_idx, indptr, y, x.copy(), Ax.copy(), lip,
                   *penalty, np.arange(8))
         for bad_x in (x0.astype(np.float32), x0[:7], list(x0)):
             with pytest.raises(TypeError, match="x must be"):
@@ -1149,6 +1215,11 @@ def test_compiled_logreg_epoch_refuses_bad_arguments():
             run(lip=lip[:7])
         with pytest.raises(ValueError, match="data and indices"):
             run(data=A.values[:-1])
+        for bad in (A.col_ptr[:0], A.col_ptr[None]):
+            with pytest.raises(ValueError, match="indptr must be 1-d"):
+                run(indptr=bad)
+        with pytest.raises(ValueError, match="y must be 1-d"):
+            run(y=y.reshape(3, 4))
         frozen = x0.copy()
         frozen.flags.writeable = False
         with pytest.raises(ValueError, match="read-only"):
@@ -1167,11 +1238,11 @@ def test_logistic_epoch_takes_float32_lam_and_int_lip(kernel):
     lam, lip = np.float32(0.3), np.ceil(lip).astype(np.int64)
     penalty = L1L2(lam, 0.0) if kernel == "logreg_l1_epoch" else L1L2(0.0,
                                                                      lam)
-    epoch = Logistic(A, y).epoch(penalty, lip)
+    bind = Logistic(A, y).epoch(penalty, lip)
     Ax0 = LOOPS["csc_matvec"](A.values, A.row_idx, A.col_ptr, A.n_rows, x0)
     x, Ax, x_ref, Ax_ref = x0.copy(), Ax0.copy(), x0.copy(), Ax0.copy()
     for order in logreg_orders(A.n_cols, rng):
-        epoch(x, Ax, order)
+        bind(order)(x, Ax)
         LOOPS[kernel](A.values, A.row_idx, A.col_ptr, y, x_ref, Ax_ref,
                       lip.astype(np.float64), float(lam), order)
         assert x.tobytes() + Ax.tobytes() == x_ref.tobytes() + Ax_ref.tobytes()
