@@ -20,14 +20,14 @@ Records:
   ``anderson/online_singular``: the online driver on the same map when
   its second iterate is NaN, so that the first attempt is singular;
 - ``fixedpoint/cd`` and ``fixedpoint/cdsym``: the probed pass matrices;
-- ``epoch/cd_quadratic/<order>``: one ``cd_epoch_quadratic`` from a fixed
-  ``x`` on the quadratic of those matrices, over the ``cyclic`` order, the
+- ``epoch/cd_quadratic/<order>``: one ``pcd_epoch`` from a fixed ``x`` on
+  the quadratic of those matrices, over the ``cyclic`` order, the
   ``backward`` one and a ``custom`` one with repeats;
   ``epoch/cdsym_quadratic/hx`` and ``/none``: one ``cdsym_epoch_quadratic``
   from that ``x`` with and without ``Hx`` (the returned ``Hx`` included);
-- ``epoch/pcd/<design>/<problem>``: one ``pcd_epoch`` with a
-  ``ResidualState`` from a fixed ``x`` on each design problem above (the
-  epoch's ``x`` and predictions);
+- ``epoch/pcd/<design>/<problem>``: one ``pcd_epoch`` from a fixed ``x``
+  and its predictions on each design problem above (the epoch's ``x`` and
+  predictions);
 - ``wide_lasso``: 300 epochs of ``pcd_anderson`` on the 100 x 5000
   dense-stored lasso at lambda_max / 100;
 - ``parse/sample`` and ``parse/padded``: the CSC arrays and labels that
@@ -52,7 +52,9 @@ which runs the records of this script on both trees, each in a subprocess
 whose ``PYTHONPATH`` is that tree's ``src``.  It prints ``name this other``
 for every record that differs or exists on one side only (``-`` marks the
 missing side), and exits 1 if there is any, else 0 (2 if a tree's run
-fails).
+fails).  The other tree must have every function these records call; a
+tree from before ``pcd_epoch`` took ``Ax`` does not, so compare it by
+running each tree's own script and diffing the outputs.
 
 To digest the Python loops that run where no C compiler is found, empty
 ``PATH`` and start the real interpreter, ``sys.executable``, by its full
@@ -267,10 +269,9 @@ def pcd_epoch_records(probs, design):
     x0 = np.random.default_rng(5).standard_normal(P)
     for pname, prob in probs.items():
         if pname != "quadratic":
-            x = x0.copy()
-            state = solvers.ResidualState(prob.A, x)
+            x, Ax = x0.copy(), prob.A.matvec(x0)
             emit(f"epoch/pcd/{design}/{pname}",
-                 solvers.pcd_epoch(prob, x, state=state), state.Ax)
+                 solvers.pcd_epoch(prob, x, Ax), Ax)
 
 
 def fixedpoint_quadratic():
@@ -289,7 +290,7 @@ def quadratic_epoch_records():
               "custom": rng.integers(0, quad.dim, size=quad.dim + 3)}
     for name, order in orders.items():
         emit(f"epoch/cd_quadratic/{name}",
-             solvers.cd_epoch_quadratic(quad, x0.copy(), order=order))
+             solvers.pcd_epoch(quad, x0.copy(), order=order))
     x, Hx = x0.copy(), quad.H @ x0
     emit("epoch/cdsym_quadratic/hx",
          solvers.cdsym_epoch_quadratic(quad, x, Hx), Hx)

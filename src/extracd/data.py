@@ -101,12 +101,15 @@ class CscMatrix:
         return cls(n, p, _col_ptr(cols, p), row_idx, arr[row_idx, cols])
 
     def toarray(self):
-        return self.columns(range(self.n_cols))
+        return self.columns(np.arange(self.n_cols))
 
     def columns(self, cols):
-        """Dense ``n_rows x len(cols)`` copy of the listed columns."""
-        out = np.zeros((self.n_rows, len(cols)))
-        for t, j in enumerate(cols):
+        """Dense ``n_rows x len(cols)`` copy of the listed columns, taken as
+        `kernels._checked_order` takes an order: integers, each in
+        ``[-n_cols, n_cols)``, a negative one counting from the end."""
+        cols = kernels._checked_order(cols, self.n_cols)
+        out = np.zeros((self.n_rows, cols.size))
+        for t, j in enumerate(cols.tolist()):
             sl = slice(self.col_ptr[j], self.col_ptr[j + 1])
             out[self.row_idx[sl], t] = self.values[sl]
         return out

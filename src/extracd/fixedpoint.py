@@ -2,10 +2,11 @@
 
 Gradient descent and cyclic coordinate descent on a positive definite
 quadratic are affine maps ``x -> T x + b_vec``.  This module materializes
-``T`` (by probing the solvers' own epochs with unit vectors, so ``T`` is
-the map the solvers run), measures spectral radii, builds the
-similarity-symmetrized matrix of the double-sweep iteration, and traces
-numerical-range boundaries used to judge whether acceleration is safe.
+``T`` (by probing the step of `pcd` or `cdsym`, bound once, with unit
+vectors, so ``T`` is the map the solvers run), measures spectral radii,
+builds the similarity-symmetrized matrix of the double-sweep iteration,
+and traces numerical-range boundaries used to judge whether acceleration
+is safe.
 
 All diagnostics here are dense and deliberately refuse dimensions above
 ``DENSE_LIMIT``.
@@ -18,7 +19,7 @@ import numpy as np
 
 from .errors import ArgumentError
 from .problems import DENSE_LIMIT, Quadratic
-from .solvers import cd_epoch_quadratic, cdsym_epoch_quadratic
+from .solvers import _cd_step, _cdsym_step
 
 __all__ = [
     "DENSE_LIMIT",
@@ -73,8 +74,12 @@ def gd_iteration(quad, L):
     return LinearIteration(T, -quad.b / L, kind="gd")
 
 
-def _probe_affine(epoch, p):
+def _probe_affine(quad, step):
     # Columns of T via epoch(e_j) - epoch(0); epoch(0) is the offset.
+    p = quad.dim
+
+    def epoch(x):
+        return step(x, quad.predict(x))[0]
     b_vec = epoch(np.zeros(p))
     T = np.empty((p, p))
     for j in range(p):
@@ -87,11 +92,11 @@ def _probe_affine(epoch, p):
 def cd_iteration(quad):
     """One cyclic coordinate-descent epoch (coordinate 1 first) as an affine map.
 
-    The matrix is built by probing `solvers.cd_epoch_quadratic` with unit
-    vectors, so it reflects exactly what the solver executes.
+    The matrix is built by probing the step `pcd` runs, bound once, with
+    unit vectors, so it reflects exactly what the solver executes.
     """
     _check_dense_size(quad.dim)
-    T, b_vec = _probe_affine(lambda x: cd_epoch_quadratic(quad, x), quad.dim)
+    T, b_vec = _probe_affine(quad, _cd_step(quad))
     return LinearIteration(T, b_vec, kind="cd")
 
 
@@ -110,11 +115,10 @@ def cdsym_iteration(quad):
     Returns the affine map of one double sweep together with the
     symmetric matrix ``S = H^{1/2} T H^{-1/2}``, which shares its
     spectrum with ``T`` and certifies that all eigenvalues are real.  The
-    map is probed from `solvers.cdsym_epoch_quadratic`.
+    map is probed from the step `cdsym` runs, bound once.
     """
     _check_dense_size(quad.dim)
-    T, b_vec = _probe_affine(lambda x: cdsym_epoch_quadratic(quad, x),
-                             quad.dim)
+    T, b_vec = _probe_affine(quad, _cdsym_step(quad))
     H_half, H_half_inv = _sqrt_psd(quad.H)
     S = H_half @ T @ H_half_inv
     S = 0.5 * (S + S.T)

@@ -490,7 +490,7 @@ def lsq_gram_pass(AT, G, y, lip, l1, l2, scale, order):
     ``G`` must be a C-contiguous float64 (p, p) array, ``lip`` hold p
     entries and ``order`` follow `_checked_order`: they are checked and
     converted here once, and the two scratch vectors allocated.  ``run``
-    takes ``x`` as `_float64_out` does.
+    takes ``x`` and ``Ax`` as `_float64_out` does.
     """
     p, n = AT.shape
     if not (isinstance(G, np.ndarray) and G.dtype == np.float64
@@ -519,13 +519,15 @@ def lsq_gram_pass(AT, G, y, lip, l1, l2, scale, order):
                        scale)
 
     def run(x, Ax):
-        xc = _float64_out(x, "x", p)
-        np.subtract(Ax, y, out=r)
+        xc, Axc = _float64_out(x, "x", p), _float64_out(Ax, "Ax", n)
+        np.subtract(Axc, y, out=r)
         np.matmul(AT, r, out=g)
         loop(xc)
         if xc is not x:
             x[:] = xc
-        np.matmul(x, AT, out=Ax)
+        np.matmul(x, AT, out=Axc)
+        if Axc is not Ax:
+            Ax[:] = Axc
     run.arrays = G, lip, order
     return run
 

@@ -392,7 +392,7 @@ class Quadratic:
         return np.linalg.solve(self.H, -self.b)
 
     def cd_sweep(self, order):
-        """The in-place coordinate-descent pass ``sweep(x, Hx=None)`` over
+        """The in-place coordinate-descent pass ``sweep(x, Hx)`` over
         ``order``, checked by `kernels._checked_order`: the pass keeps that
         checked copy, and its path is chosen here once.
 
@@ -403,9 +403,9 @@ class Quadratic:
         inverse of each triangle is computed once per quadratic (H is a
         read-only copy).  Other orders run ``kernels.cd_dense_epoch``.
 
-        ``Hx``, when given, must equal ``H @ x``: the Gauss-Seidel step
-        takes its gradient from it, and the pass ends by overwriting it
-        with ``H @ x`` of the new ``x``.
+        ``Hx`` is required, as ``Ax`` is in every bound pass, and must equal
+        ``H @ x``: the Gauss-Seidel step takes its gradient from it, and the
+        pass ends by overwriting it with ``H @ x`` of the new ``x``.
         """
         H, b = self.H, self.b
         order = kernels._checked_order(order, self.dim)
@@ -417,13 +417,12 @@ class Quadratic:
             elif np.array_equal(order, cyclic[::-1]):
                 inv = self._upper_inv
 
-        def sweep(x, Hx=None):
+        def sweep(x, Hx):
             if inv is None:
                 kernels.cd_dense_epoch(H, b, x, order)
             else:
-                x -= inv @ ((H @ x if Hx is None else Hx) + b)
-            if Hx is not None:
-                Hx[:] = H @ x
+                x -= inv @ (Hx + b)
+            Hx[:] = H @ x
         return sweep
 
     @cached_property

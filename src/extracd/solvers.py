@@ -22,8 +22,6 @@ from .problems import Quadratic, evaluate, objective_value
 __all__ = [
     "SolverConfig",
     "Trace",
-    "ResidualState",
-    "cd_epoch_quadratic",
     "cdsym_epoch_quadratic",
     "pcd_epoch",
     "anderson_pcd",
@@ -87,34 +85,20 @@ def epochs_to_target(trace, f_star, tol):
     return None
 
 
-class ResidualState:
-    """Predictions ``Ax`` of a problem with a design matrix, which
-    `pcd_epoch` updates in place.
-
-    Coordinate epochs update the predictions incrementally, so the driver
-    recomputes them from ``x`` every ``REFRESH_EVERY`` epochs.
-    """
-
-    REFRESH_EVERY = 100
-
-    def __init__(self, A, x):
-        self.Ax = A.matvec(x)
+# coordinate epochs update the predictions incrementally, so the driver
+# recomputes them from ``x`` every ``REFRESH_EVERY`` epochs
+REFRESH_EVERY = 100
 
 
 # ---------------------------------------------------------------------------
 # epochs
 # ---------------------------------------------------------------------------
 
-def cd_epoch_quadratic(quad, x, order=None):
-    """One in-place coordinate-descent epoch on a quadratic, cyclic unless
-    an ``order`` is given: the step `pcd` runs (see `Quadratic.cd_sweep`)."""
-    return pcd_epoch(quad, x, order=order)
-
-
 def cdsym_epoch_quadratic(quad, x, Hx=None):
-    """One double-sweep epoch (coordinates 1..p then p..1), the step
-    `cdsym` runs; ``Hx`` as in `Quadratic.cd_sweep`."""
-    return _cdsym_step(quad)(x, Hx)[0]
+    """One in-place double-sweep epoch (coordinates 1..p then p..1), the
+    step `cdsym` runs; ``Hx`` as ``Ax`` in `pcd_epoch`."""
+    _cdsym_step(quad)(x, quad.predict(x) if Hx is None else Hx)
+    return x
 
 
 def _cd_step(prob, order=None, rng=None):
@@ -137,16 +121,15 @@ def _cd_step(prob, order=None, rng=None):
     return step
 
 
-def pcd_epoch(prob, x, state=None, order=None):
-    """One proximal coordinate-descent epoch in place.
+def pcd_epoch(prob, x, Ax=None, order=None):
+    """One in-place proximal coordinate-descent epoch on any problem, the
+    step `pcd` runs, cyclic unless an ``order`` is given.
 
-    ``state`` carries the maintained predictions for problems with a
-    design matrix.  A quadratic needs none: without it the epoch computes
-    ``Hx`` from ``x`` itself.
+    ``Ax`` holds the predictions ``prob.datafit.predict(x)`` (``Hx`` for a
+    quadratic): given, it must equal them, and the epoch updates it in
+    place to those of the new ``x``; else the epoch computes them first.
     """
-    if state is None and prob.datafit.A is not None:
-        raise ArgumentError("sparse problems need a ResidualState")
-    _cd_step(prob, order)(x, None if state is None else state.Ax)
+    _cd_step(prob, order)(x, prob.datafit.predict(x) if Ax is None else Ax)
     return x
 
 
@@ -166,8 +149,8 @@ def _guarded(prob, cfg, step):
 
 def _drive(prob, cfg, solver_name, step):
     """Run ``step(x, Ax) -> (x, Ax)`` from ``x = 0``, one call per epoch,
-    and refresh the predictions ``Ax`` (``Hx`` for a quadratic) as
-    `ResidualState` says.  The trace's events are ``step.events`` (see
+    and recompute the predictions ``Ax`` (``Hx`` for a quadratic) every
+    ``REFRESH_EVERY`` epochs.  The trace's events are ``step.events`` (see
     `anderson.online`), if any."""
     datafit = prob.datafit
     x = np.zeros(datafit.n_coef)
@@ -181,7 +164,7 @@ def _drive(prob, cfg, solver_name, step):
             break
         t0 = time.perf_counter()
         x, Ax = step(x, Ax)
-        if epoch % ResidualState.REFRESH_EVERY == 0:
+        if epoch % REFRESH_EVERY == 0:
             Ax = datafit.predict(x)
         elapsed += time.perf_counter() - t0
 

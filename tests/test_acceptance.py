@@ -26,10 +26,9 @@ from extracd.problems import (ElasticNet, GroupLasso, Lasso, LogRegL1,
                               datafit_value, duality_gap, groups_from_size,
                               lambda_max, objective_value, prox_coordinate,
                               prox_group, ridge_quadratic)
-from extracd.solvers import (ResidualState, SolverConfig, anderson_pcd,
-                             baseline_pcd, baseline_pgd, cd_epoch_quadratic,
-                             cdsym_epoch_quadratic, epochs_to_target,
-                             pcd_epoch)
+from extracd.solvers import (SolverConfig, anderson_pcd, baseline_pcd,
+                             baseline_pgd, cdsym_epoch_quadratic,
+                             epochs_to_target, pcd_epoch)
 
 
 def criterion(number, name, budget_s):
@@ -166,7 +165,7 @@ def test_criterion_04_epoch_affine_equivalence():
         x = rng.standard_normal(p)
 
         it_cd = cd_iteration(quad)
-        got = cd_epoch_quadratic(quad, x.copy())
+        got = pcd_epoch(quad, x.copy())
         assert float(np.abs(got - it_cd.apply(x)).max()) <= 1e-12
 
         it_sym, _ = cdsym_iteration(quad)
@@ -290,7 +289,7 @@ def test_criterion_08_penalty_ceiling_certificates():
         for lam, stays_zero in ((ceiling, True), (0.99 * ceiling, False)):
             prob = build(lam)
             x = np.zeros(30)
-            pcd_epoch(prob, x, state=ResidualState(prob.A, x))
+            pcd_epoch(prob, x)
             moved = float(np.abs(x).max())
             if stays_zero:
                 assert moved <= 1e-12, f"{type(prob).__name__}: {moved:.3e}"

@@ -48,6 +48,18 @@ class TestCscMatrix:
         assert A.nnz == 0
         np.testing.assert_array_equal(A.matvec(np.ones(3)), np.zeros(4))
 
+    def test_columns_count_negative_indices_from_the_end(self):
+        # column -1 once read past the pointers into a zero column, -4 read
+        # column 0, and 3 raised numpy's error on the pointer array
+        A = CscMatrix.from_dense(np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]]))
+        np.testing.assert_array_equal(A.columns([-1]), [[3.0], [6.0]])
+        np.testing.assert_array_equal(A.columns(np.array([2, -3])),
+                                      [[3.0, 1.0], [6.0, 4.0]])
+        for bad in ([-4], [3]):
+            with pytest.raises(IndexError, match=r"outside \[-3, 3\)"):
+                A.columns(bad)
+        assert CscMatrix.from_dense(np.zeros((2, 0))).toarray().shape == (2, 0)
+
     def test_invariant_violations(self):
         with pytest.raises(ArgumentError):
             CscMatrix(2, 1, np.array([0, 1]), np.array([5]), np.array([1.0]))

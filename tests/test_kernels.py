@@ -19,6 +19,7 @@ from extracd.data import CscMatrix, parse_libsvm
 from extracd.kernels import LOOPS, warmup
 from extracd.problems import (L1L2, ElasticNet, GroupLasso, Lasso, Logistic,
                               LogRegL1, LogRegL2, Quadratic, groups_from_size)
+from extracd.solvers import pcd_epoch
 
 # the public kernels (numpy, with the C loops where they built) as a table
 # beside LOOPS, the loop sources run as plain Python: the reference they are
@@ -342,7 +343,7 @@ class TestDensePaths:
                 order = order[::-1].copy()
             x0 = np.random.default_rng(quad.dim).standard_normal(quad.dim)
             got, ref = x0.copy(), x0.copy()
-            quad.cd_sweep(order)(got)
+            quad.cd_sweep(order)(got, quad.H @ got)
             kernels._cd_dense_epoch_loops(quad.H, quad.b, ref, order)
             assert float(np.abs(got - ref).max()) <= 1e-12, quad.dim
 
@@ -357,10 +358,10 @@ class TestDensePaths:
             x0 = rng.standard_normal(p)
             for order in (cyclic, cyclic[::-1].copy(), repeats):
                 want = x0.copy()
-                quad.cd_sweep(order)(want)
+                kernels._cd_dense_epoch_loops(quad.H, quad.b, want, order)
                 got, Hx = x0.copy(), quad.H @ x0
                 quad.cd_sweep(order)(got, Hx)
-                assert got.tobytes() == want.tobytes(), (p, order[:3])
+                assert float(np.abs(got - want).max()) <= 1e-12, (p, order[:3])
                 assert np.array_equal(Hx, quad.H @ got), (p, order[:3])
 
 
@@ -507,6 +508,33 @@ def test_compiled_gram_epoch_writes_a_strided_x_back():
     assert not np.array_equal(x_ref, x0)
     assert np.ascontiguousarray(x).tobytes() == x_ref.tobytes()
     assert Ax.tobytes() == Ax_ref.tobytes()
+    assert (buf[1::2] == 7.0).all()
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_gram_pass_takes_ax_as_it_takes_x(backend, monkeypatch):
+    # ``Ax`` once went unchecked: a float32 one took single-precision
+    # predictions, and a short one failed in numpy's broadcasting
+    if backend == "loops":
+        monkeypatch.setattr(kernels, "_lib", None)
+    AT, G, y, x0, _ = gram_problem(15, 24, seed=46)
+    run = kernels.lsq_gram_pass(AT, G, y, np.diag(G).copy(), 0.5, 0.0, 1.0,
+                                np.arange(24))
+    for bad in ((x0 @ AT).astype(np.float32), (x0 @ AT)[:-1]):
+        x = x0.copy()
+        with pytest.raises(TypeError, match=r"Ax must be a float64 array "
+                                            r"of shape \(15,\)"):
+            run(x, bad)
+        assert x.tobytes() == x0.tobytes()
+    # a strided ``Ax`` runs on a copy that is written back
+    buf = np.full(30, 7.0)
+    buf[::2] = x0 @ AT
+    x, Ax = x0.copy(), buf[::2]
+    x_ref, Ax_ref = x0.copy(), x0 @ AT
+    run(x, Ax)
+    run(x_ref, Ax_ref)
+    assert x.tobytes() == x_ref.tobytes()
+    assert np.ascontiguousarray(Ax).tobytes() == Ax_ref.tobytes()
     assert (buf[1::2] == 7.0).all()
 
 
@@ -702,6 +730,29 @@ def test_a_bound_pass_keeps_its_own_order(path, backend, monkeypatch):
     run(x, Ax)
     assert x.tobytes() + Ax.tobytes() == want
     assert not np.array_equal(x, x0)
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("path", BOUND_PATHS)
+def test_pcd_epoch_takes_or_computes_the_predictions(path, backend,
+                                                     monkeypatch):
+    # an epoch without ``Ax`` is the epoch from ``predict(x)``, bit for bit;
+    # a passed ``Ax`` ends as the predictions of the new ``x``
+    if backend == "loops":  # as an import that found no C compiler
+        monkeypatch.setattr(kernels, "_lib", None)
+        for name in SPARSE_KERNELS:
+            monkeypatch.setattr(kernels, name, LOOPS[name])
+    prob, order, x0 = bound_path_case(path)
+    predict = prob.datafit.predict
+    x, Ax = x0.copy(), predict(x0)
+    pcd_epoch(prob, x, Ax, order)
+    assert pcd_epoch(prob, x0.copy(), order=order).tobytes() == x.tobytes()
+    assert not np.array_equal(x, x0)
+    want = predict(x)
+    if path.startswith(("quad", "gram")):  # passes that recompute ``Ax``
+        assert Ax.tobytes() == want.tobytes()
+    else:
+        assert float(np.abs(Ax - want).max()) <= 1e-12 * np.abs(want).max()
 
 
 NO_COMPILER = """

@@ -166,12 +166,12 @@ class TestQuadraticDatafit:
         quad = Quadratic(base[:], b)
         order = np.arange(10, dtype=np.int64)
         x = np.zeros(10)
-        quad.cd_sweep(order)(x)
+        quad.cd_sweep(order)(x, quad.H @ x)
         base *= 2.0
         assert quad.H.tobytes() == H.tobytes()
         want = x.copy()
         kernels.LOOPS["cd_dense_epoch"](quad.H, quad.b, want, order)
-        quad.cd_sweep(order)(x)
+        quad.cd_sweep(order)(x, quad.H @ x)
         assert float(np.abs(x - want).max()) <= 1e-12
 
 

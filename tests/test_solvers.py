@@ -11,13 +11,13 @@ from extracd.fixedpoint import cd_iteration, cdsym_iteration
 from extracd.problems import (ElasticNet, GroupLasso, Lasso, LogRegL1,
                               LogRegL2, Quadratic, groups_from_size,
                               lambda_max, objective_value, stopping_measure)
-from extracd.solvers import (SOLVERS, ResidualState, SolverConfig, Trace,
-                             anderson_gd, anderson_pcd, baseline_cdsym,
-                             baseline_fista, baseline_gd, baseline_pcd,
-                             baseline_pgd, baseline_prcd, cd_epoch_quadratic,
-                             cdsym_epoch_quadratic, conjugate_gradient,
-                             epochs_to_target, global_lipschitz, pcd_epoch,
-                             power_iteration, solve)
+from extracd.solvers import (SOLVERS, SolverConfig, Trace, anderson_gd,
+                             anderson_pcd, baseline_cdsym, baseline_fista,
+                             baseline_gd, baseline_pcd, baseline_pgd,
+                             baseline_prcd, cdsym_epoch_quadratic,
+                             conjugate_gradient, epochs_to_target,
+                             global_lipschitz, pcd_epoch, power_iteration,
+                             solve)
 
 
 def make_quad(p=20, kappa=100.0, seed=0):
@@ -72,7 +72,7 @@ class TestEpochFunctions:
         for _ in range(5):
             x = rng.standard_normal(15)
             want = it.apply(x)
-            got = cd_epoch_quadratic(quad, x.copy())
+            got = pcd_epoch(quad, x.copy())
             assert np.allclose(got, want, atol=1e-12)
 
     def test_cdsym_epoch_matches_affine_map(self):
@@ -86,14 +86,15 @@ class TestEpochFunctions:
         quad = make_quad(p=8, seed=7)
         order = np.array([5, 0, 3, 1, 7, 2, 6, 4], dtype=np.int64)
         x = np.random.default_rng(8).standard_normal(8)
-        got = cd_epoch_quadratic(quad, x.copy(), order=order)
+        got = pcd_epoch(quad, x.copy(), order=order)
         ref = x.copy()
         for j in order:
             ref[j] -= (quad.H[j] @ ref + quad.b[j]) / quad.H[j, j]
         assert np.allclose(got, ref, atol=1e-12)
 
     def test_cd_iteration_probes_the_pcd_step(self, monkeypatch):
-        # every probe builds the step `pcd` builds, through Quadratic.epoch
+        # the probes run the step `pcd` builds, through Quadratic.epoch,
+        # bound once
         calls = []
         epoch = Quadratic.epoch
 
@@ -103,24 +104,40 @@ class TestEpochFunctions:
 
         monkeypatch.setattr(Quadratic, "epoch", counting_epoch)
         cd_iteration(make_quad(p=7, seed=10))
-        assert calls == [7] * 8
+        assert calls == [7]
+
+    def test_cdsym_iteration_probes_the_cdsym_step(self, monkeypatch):
+        # the step `cdsym` builds, bound once: one pass per sweep
+        calls = []
+        cd_sweep = Quadratic.cd_sweep
+
+        def counting_cd_sweep(self, order):
+            calls.append(order.size)
+            return cd_sweep(self, order)
+
+        monkeypatch.setattr(Quadratic, "cd_sweep", counting_cd_sweep)
+        cdsym_iteration(make_quad(p=7, seed=10))
+        assert calls == [7, 7]
 
     def test_cdsym_epoch_refuses_a_design_problem(self):
         probs, _ = make_sparse_problems()
         with pytest.raises(ArgumentError, match="cdsym"):
             cdsym_epoch_quadratic(probs["lasso"], np.zeros(16))
 
-    def test_pcd_epoch_quadratic_needs_no_state(self):
+    def test_pcd_epoch_decreases_a_quadratic(self):
         quad = make_quad(p=6, seed=9)
         x = np.ones(6)
         before = objective_value(quad, x)
         pcd_epoch(quad, x)
         assert objective_value(quad, x) < before
 
-    def test_pcd_epoch_sparse_requires_state(self):
-        probs, _ = make_sparse_problems()
-        with pytest.raises(ArgumentError, match="ResidualState"):
-            pcd_epoch(probs["lasso"], np.zeros(16))
+    def test_pcd_epoch_computes_predictions(self):
+        # without ``Ax`` a design problem's epoch starts from predict(x)
+        prob = make_sparse_problems()[0]["lasso"]
+        x0 = np.random.default_rng(15).standard_normal(16)
+        x, Ax = x0.copy(), prob.A.matvec(x0)
+        pcd_epoch(prob, x, Ax)
+        assert pcd_epoch(prob, x0.copy()).tobytes() == x.tobytes()
 
     @pytest.mark.parametrize("name", ["lasso", "enet", "logreg_l1",
                                       "logreg_l2", "group"])
@@ -128,25 +145,11 @@ class TestEpochFunctions:
         probs, _ = make_sparse_problems(seed=11)
         prob = probs[name]
         x = np.zeros(16)
-        state = ResidualState(prob.A, x)
-        before = objective_value(prob, x, state.Ax)
-        pcd_epoch(prob, x, state=state)
-        after = objective_value(prob, x, state.Ax)
+        Ax = prob.A.matvec(x)
+        before = objective_value(prob, x, Ax)
+        pcd_epoch(prob, x, Ax)
+        after = objective_value(prob, x, Ax)
         assert after < before
-
-
-# ---------------------------------------------------------------------------
-# residual state
-# ---------------------------------------------------------------------------
-
-class TestResidualState:
-    def test_tracks_product(self):
-        probs, M = make_sparse_problems(seed=13)
-        A = probs["lasso"].A
-        x = np.random.default_rng(14).standard_normal(16)
-        state = ResidualState(A, x)
-        assert np.allclose(state.Ax, M @ x)
-        assert np.array_equal(state.Ax, A.matvec(x))
 
 
 # ---------------------------------------------------------------------------
@@ -632,7 +635,7 @@ class TestQuadraticProducts:
         assert bool(attempts) == solver.endswith("_anderson")
         for epoch in range(1, len(marks)):
             want = (per_epoch + (epoch in attempts)
-                    + (epoch % ResidualState.REFRESH_EVERY == 0))
+                    + (epoch % solvers.REFRESH_EVERY == 0))
             assert marks[epoch][0] - marks[epoch - 1][1] == want, epoch
 
     @pytest.mark.parametrize("solver, chosen", [
