@@ -1,4 +1,5 @@
-"""Micro-benchmark of one coordinate pass and of the sparse products.
+"""Micro-benchmark of one coordinate pass, of the sparse products and of
+the LibSVM parse.
 
 On a synthetic dense-stored ``--n`` x ``--p`` design, and on a
 1000 x 1000, 1 %-dense 0/1 design (cases ``sparse_*``), times the CSC
@@ -7,7 +8,10 @@ for a lasso (``lasso_pass``) and an l1 logistic regression
 (``logreg_l1_pass``) at lambda_max / 10: the pass a solve runs, so a
 dense design with at most 2000 columns is swept through its Gram matrix.
 Each pass is built and bound to its order, Gram matrix included, before
-its timer starts, because that is per-solve set-up.  ``quad_gs_pass``
+its timer starts, because that is per-solve set-up.
+``sparse_parse_libsvm`` times `data.parse_libsvm` of the sparse design
+with its labels, serialized to LibSVM bytes before the timer starts.
+``quad_gs_pass``
 times one cyclic pass (a Gauss-Seidel step) of a seeded p = 200
 quadratic.  Whole operations (solves, numerical ranges) are timed by
 ``perfbench/run.py``.
@@ -36,7 +40,7 @@ import time  # noqa: E402
 
 import numpy as np  # noqa: E402
 
-from extracd import kernels, problems  # noqa: E402
+from extracd import data, kernels, problems  # noqa: E402
 from extracd.data import CscMatrix, gen_correlated_gaussian  # noqa: E402
 from extracd.kernels import BACKEND  # noqa: E402
 
@@ -90,6 +94,12 @@ def kernel_cases(A, y, prefix=""):
     return [(prefix + name, call) for name, call in cases]
 
 
+def parse_case(A, y):
+    """(name, call): the parse of ``A`` and ``y`` written as LibSVM."""
+    raw = data.serialize_libsvm(data.Dataset(A, y)).encode()
+    return "sparse_parse_libsvm", lambda: data.parse_libsvm(raw, A.n_cols)
+
+
 def quad_gs_pass():
     """One cyclic pass from x = 0 of a seeded SPD quadratic; its cost does
     not depend on the spectrum."""
@@ -119,7 +129,8 @@ def main(argv=None):
     print(f"{'case':22s} {BACKEND:>10s}")
     for name, call in (kernel_cases(ds.A, ds.y)
                        + kernel_cases(S, y_s, "sparse_")
-                       + [("quad_gs_pass", quad_gs_pass())]):
+                       + [parse_case(S, y_s),
+                          ("quad_gs_pass", quad_gs_pass())]):
         t = time_call(call, repeat=args.repeat)
         results.append({"case": name, "backend": BACKEND, "best_s": t})
         print(f"{name:22s} {t * 1e3:8.3f}ms")

@@ -2,18 +2,21 @@
    (gram_epoch, run by the passes of kernels.lsq_gram_pass), and the sparse
    epochs of least squares (lsq_epoch: kernels.lasso_epoch and enet_epoch)
    and of logistic regression (logreg_epoch: kernels.logreg_l1_epoch and
-   logreg_l2_epoch).  Each does the operations of its loop source in
-   kernels (_gram_epoch_loops; _sparse_epoch_loops with _lsq_row or
-   _logreg_row) in the same order, so that compiled without FMA contraction
-   (-ffp-contract=off) and without -ffast-math it gives the same bits.
+   logreg_l2_epoch); and the products of a CSC design that is not fully
+   dense (csc_matvec and csc_rmatvec: kernels.csc_matvec and csc_rmatvec).
+   Each does the operations of its loop source in kernels
+   (_gram_epoch_loops; _sparse_epoch_loops with _lsq_row or _logreg_row;
+   _csc_matvec_loops; _csc_rmatvec_loops) in the same order, so that
+   compiled without FMA contraction (-ffp-contract=off) and without
+   -ffast-math it gives the same bits.
 
    The Gram update g[k] = g[k] + d * row[k] is a multiply and an add per
    entry, each rounded once, with no reduction across k: a compiler may run
    it in SIMD lanes (restrict tells it that g, x and the Gram row do not
    overlap), and each lane rounds as the scalar code does.  A sparse
-   epoch's gradient is a sum, which stays sequential because nothing allows
-   its reassociation; the logistic one's exp is the C library's, the
-   function Python's math.exp calls. */
+   epoch's gradient and a column's entry of csc_rmatvec are sums, which
+   stay sequential because nothing allows their reassociation; the logistic
+   epoch's exp is the C library's, the function Python's math.exp calls. */
 #include <math.h>
 #include <stdint.h>
 
@@ -32,6 +35,18 @@ static int check_order(const int64_t *order, int64_t m, int64_t p)
     for (int64_t i = 0; i < m; i++)
         if (order[i] < -p || order[i] >= p)
             return -1;
+    return 0;
+}
+
+/* Returns -2 if the p + 1 column pointers indptr do not rise from 0 or
+   more to nnz or less, else 0. */
+static int check_indptr(const int64_t *indptr, int64_t p, int64_t nnz)
+{
+    if (indptr[0] < 0 || indptr[p] > nnz)
+        return -2;
+    for (int64_t j = 0; j < p; j++)
+        if (indptr[j] > indptr[j + 1])
+            return -2;
     return 0;
 }
 
@@ -100,11 +115,8 @@ sparse_epoch(double (*row)(double, double), const double *data,
 {
     if (check_order(order, m, p))
         return -1;
-    if (indptr[0] < 0 || indptr[p] > nnz)
+    if (check_indptr(indptr, p, nnz))
         return -2;
-    for (int64_t j = 0; j < p; j++)
-        if (indptr[j] > indptr[j + 1])
-            return -2;
     for (int64_t k = indptr[0]; k < indptr[p]; k++)
         if (indices[k] < 0 || indices[k] >= n)
             return -3;
@@ -151,4 +163,52 @@ int logreg_epoch(const double *data, const int64_t *indices,
 {
     return sparse_epoch(logreg_row, data, indices, indptr, y, x, Ax, lip,
                         order, m, p, n, nnz, l1, l2, scale);
+}
+
+/* The products of a CSC design of p columns and n rows: data and indices
+   hold nnz entries, indptr p + 1 column pointers.  csc_matvec sets the n
+   entries of out to A x, adding data[k] * x[j] to out[indices[k]] for each
+   entry of each column j in storage order, and skipping a column whose
+   x[j] is zero; csc_rmatvec sets the p entries of out to A' v, column j's
+   the sequential sum of data[k] * v[indices[k]] from 0.0.  Each returns -2
+   if indptr does not rise from 0 or more to nnz or less, -3 if a row index
+   it reads lies outside [0, n) (out is then partly written), else 0. */
+int csc_matvec(const double *data, const int64_t *indices,
+               const int64_t *indptr, const double *x, double *restrict out,
+               int64_t p, int64_t n, int64_t nnz)
+{
+    if (check_indptr(indptr, p, nnz))
+        return -2;
+    for (int64_t i = 0; i < n; i++)
+        out[i] = 0.0;
+    for (int64_t j = 0; j < p; j++) {
+        double xj = x[j];
+        if (xj != 0.0)
+            for (int64_t k = indptr[j]; k < indptr[j + 1]; k++) {
+                int64_t r = indices[k];
+                if (r < 0 || r >= n)
+                    return -3;
+                out[r] += data[k] * xj;
+            }
+    }
+    return 0;
+}
+
+int csc_rmatvec(const double *data, const int64_t *indices,
+                const int64_t *indptr, const double *v, double *restrict out,
+                int64_t p, int64_t n, int64_t nnz)
+{
+    if (check_indptr(indptr, p, nnz))
+        return -2;
+    for (int64_t j = 0; j < p; j++) {
+        double acc = 0.0;
+        for (int64_t k = indptr[j]; k < indptr[j + 1]; k++) {
+            int64_t r = indices[k];
+            if (r < 0 || r >= n)
+                return -3;
+            acc += data[k] * v[r];
+        }
+        out[j] = acc;
+    }
+    return 0;
 }

@@ -8,6 +8,7 @@ never from the file name.
 import gzip
 import io
 import os
+import re
 import zlib
 from dataclasses import dataclass
 
@@ -27,6 +28,13 @@ __all__ = [
 ]
 
 _GZIP_MAGIC = b"\x1f\x8b"
+# the largest feature index, whose column the int64 indices can name
+_MAX_INDEX = int(np.iinfo(np.int64).max)
+_COMMENT = re.compile(r"#[^\n]*")
+# two colons in one token.  A search tries it at each colon only and reads
+# on to the next colon or whitespace, so its time is linear in the text's
+# length
+_TWO_COLONS = re.compile(r":[^\s:]*:")
 
 
 def _col_ptr(cols, n_cols):
@@ -106,8 +114,9 @@ class CscMatrix:
     def columns(self, cols):
         """Dense ``n_rows x len(cols)`` copy of the listed columns, taken as
         `kernels._checked_order` takes an order: integers, each in
-        ``[-n_cols, n_cols)``, a negative one counting from the end."""
-        cols = kernels._checked_order(cols, self.n_cols)
+        ``[-n_cols, n_cols)``, a negative one counting from the end; its
+        TypeError and IndexError name ``cols``."""
+        cols = kernels._checked_order(cols, self.n_cols, name="cols")
         out = np.zeros((self.n_rows, cols.size))
         for t, j in enumerate(cols.tolist()):
             sl = slice(self.col_ptr[j], self.col_ptr[j + 1])
@@ -180,6 +189,13 @@ def parse_libsvm(source, n_cols=None):
     A record ends at a newline and nowhere else: other line and page
     breaks, and the ``\\r`` of a CRLF file, are whitespace.
 
+    Two parsers share this contract.  `_parse_fast` checks and converts
+    the whole text at once; it takes only text that the line-by-line
+    `_parse_lines` accepts, and returns what that returns, bit for bit.
+    Any text it cannot take (malformed, with non-ASCII characters or
+    underscores anywhere outside comments, say) goes to `_parse_lines`,
+    so every error below comes from the line parser, with its line.
+
     Parameters
     ----------
     source : path, bytes, or binary or text file object
@@ -197,14 +213,20 @@ def parse_libsvm(source, n_cols=None):
     ------
     ParseError
         On malformed or non-finite labels, malformed ``index:value``
-        tokens, non-finite values, indices below 1 or non-increasing
-        indices, numbers with underscores or non-ASCII digits, and on
-        text that is not UTF-8; messages carry the 1-based line number.
-        Also on a truncated or corrupt gzip stream.
+        tokens, non-finite values, indices below 1, above the int64 range
+        or non-increasing, numbers with underscores or non-ASCII digits,
+        and on text that is not UTF-8; messages carry the 1-based line
+        number.  Also on a truncated or corrupt gzip stream.
     """
     text = _open_text(source)
+    ds = _parse_fast(text, n_cols)
+    return _parse_lines(text, n_cols) if ds is None else ds
+
+
+def _parse_lines(text, n_cols):
+    """`parse_libsvm` of decoded text, one record and one token at a
+    time."""
     labels, rows, cols, vals = [], [], [], []
-    max_idx = 0
     for lineno, line in enumerate(text.split("\n"), start=1):
         line = line.split("#", 1)[0].strip()
         if not line:
@@ -239,6 +261,9 @@ def parse_libsvm(source, n_cols=None):
             if idx < 1:
                 raise ParseError(f"feature index {idx} must be >= 1",
                                  line=lineno)
+            if idx > _MAX_INDEX:
+                raise ParseError(f"feature index in {tok!r} exceeds "
+                                 f"{_MAX_INDEX}", line=lineno)
             if idx <= prev:
                 raise ParseError(
                     f"feature index {idx} not increasing (previous {prev})",
@@ -249,22 +274,68 @@ def parse_libsvm(source, n_cols=None):
             rows.append(len(labels) - 1)
             cols.append(idx - 1)
             vals.append(val)
-        max_idx = max(max_idx, prev)
+    return _dataset(np.array(labels, dtype=np.float64),
+                    np.array(rows, dtype=np.int64),
+                    np.array(cols, dtype=np.int64),
+                    np.array(vals, dtype=np.float64), n_cols)
 
-    p = max_idx
+
+def _parse_fast(text, n_cols):
+    """`_parse_lines` of decoded text that this takes whole, else None.
+
+    It takes ASCII text without underscores once ``#`` comments are cut,
+    whose records are a label and ``index:value`` tokens (as many tokens
+    as colons, and no token with two) that convert with the line parser's
+    ``float`` and ``int``, and whose labels and values are finite and
+    indices increase from 1 within each record, in the int64 range.  The
+    checks run on arrays, the conversions in three batches.
+    """
+    if "#" in text:
+        text = _COMMENT.sub("", text)
+    if not text.isascii() or "_" in text:
+        return None
+    labels, features = [], []
+    for line in text.split("\n"):
+        record = line.split(None, 1)
+        if record:
+            labels.append(record[0])
+            features.append(record[1] if len(record) == 2 else "")
+    joined = " ".join(features)
+    tokens = joined.split()
+    if len(tokens) != joined.count(":") or _TWO_COLONS.search(joined):
+        return None
+    # an empty side is an empty number, which the conversions refuse
+    numbers = ":".join(tokens).split(":")
+    try:
+        y = np.fromiter(map(float, labels), np.float64, len(labels))
+        idx = np.fromiter(map(int, numbers[::2]), np.int64, len(tokens))
+        vals = np.fromiter(map(float, numbers[1::2]), np.float64, len(tokens))
+    except (ValueError, OverflowError):
+        return None
+    rows = np.repeat(np.arange(len(labels)), [f.count(":") for f in features])
+    same_row = rows[1:] == rows[:-1]
+    if not (np.isfinite(y).all() and np.isfinite(vals).all()
+            and (idx >= 1).all() and (idx[1:] > idx[:-1])[same_row].all()):
+        return None
+    return _dataset(y, rows, idx - 1, vals, n_cols)
+
+
+def _dataset(y, rows, cols, vals, n_cols):
+    """The parsed `Dataset` of labels ``y`` and of entries in file order,
+    each at 0-based ``(rows, cols)``, with ``n_cols`` columns if given."""
+    p = int(cols.max()) + 1 if cols.size else 0
     if n_cols is not None:
-        if n_cols < max_idx:
+        if n_cols < p:
             raise ArgumentError(
                 f"n_cols={n_cols} is smaller than the largest feature index "
-                f"{max_idx}; the override can only pad")
+                f"{p}; the override can only pad")
         p = n_cols
-    # a stable sort by column keeps each column's rows in file order
-    cols = np.array(cols, dtype=np.int64)
-    order = np.argsort(cols, kind="stable")
-    A = CscMatrix(len(labels), p, _col_ptr(cols, p),
-                  np.array(rows, dtype=np.int64)[order],
-                  np.array(vals, dtype=np.float64)[order])
-    return Dataset(A, np.array(labels, dtype=np.float64), name="libsvm")
+    # a stable sort by column keeps each column's rows in file order; on
+    # 16-bit keys numpy's stable sort is a radix sort, about ten times faster
+    order = np.argsort(cols.astype(np.uint16) if p <= 1 << 16 else cols,
+                       kind="stable")
+    A = CscMatrix(y.size, p, _col_ptr(cols, p), rows[order], vals[order])
+    return Dataset(A, y, name="libsvm")
 
 
 def serialize_libsvm(dataset):

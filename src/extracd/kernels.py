@@ -1,4 +1,5 @@
-"""Hot numerical kernels: numpy products, and coordinate loops in C.
+"""Hot numerical kernels: numpy products, and coordinate and product loops
+in C.
 
 Every kernel also has an explicit-loop source.  ``LOOPS`` holds them as a
 kernel table run as plain Python: the reference that tests compare the
@@ -23,11 +24,9 @@ the soft threshold, which would turn a NaN or -0.0 step into 0.0.
 Python loops over columns and coordinates are slow, so the numpy kernels
 avoid per-column work where the input allows:
 
-- ``csc_matvec`` and ``csc_rmatvec`` are one ``np.bincount`` each on a
-  sparse matrix (over the row, resp. column, of every entry), which adds
-  the entries in storage order, as the loop sources do; they make one
-  BLAS call when the matrix is fully dense (``nnz == n_rows * n_cols``):
-  its values are then A' in C order;
+- ``csc_matvec`` and ``csc_rmatvec`` make one BLAS call when the matrix
+  is fully dense (``nnz == n_rows * n_cols``): its values are then A' in
+  C order; on any other matrix they run a C loop (below);
 - ``csc_col_norms_sq`` is one batched ``np.matmul`` when every column
   holds as many entries (a fully dense CSC), with the bits of the
   per-column dots;
@@ -38,11 +37,11 @@ avoid per-column work where the input allows:
 dot each.
 
 The coordinate epochs on a design visit each coordinate for a few
-operations, so in Python the interpreter's round trip per visit is most
-of their time.  Each of them but the group epoch runs a C loop of
-``_epochs.c``, built with ``cc`` into one library when this module is
-imported and called through ``ctypes``, and each C loop has one loop
-source here:
+operations, and the sparse products each entry for one multiply and one
+add, so in Python the interpreter's round trip per visit is most of their
+time.  Each of them but the group epoch runs a C loop of ``_epochs.c``,
+built with ``cc`` into one library when this module is imported and
+called through ``ctypes``, and each C loop has one loop source here:
 
 - C ``gram_epoch``: `_gram_epoch_loops`, the coordinate loop of the Gram
   epoch, a least-squares epoch on a dense design through its Gram matrix
@@ -52,7 +51,11 @@ source here:
   ``lsq_epoch``: ``lasso_epoch``, ``enet_epoch``) or ``logreg_row``
   (``logreg_epoch``: ``logreg_l1_epoch``, ``logreg_l2_epoch``), fixed in
   each at compile time: `_sparse_epoch_loops` with `_lsq_row` or
-  `_logreg_row`.
+  `_logreg_row`;
+- C ``csc_matvec`` and ``csc_rmatvec``, the products ``A x`` and ``A' v``
+  of a CSC that is not fully dense, which the duality gap, the guard and
+  the residual refresh run: `_csc_matvec_loops`, which skips a column
+  whose ``x_j`` is zero, and `_csc_rmatvec_loops`.
 
 Each C loop does its loop source's operations in the same order, compiled
 without FMA contraction, so its iterates are bitwise the loop source's:
@@ -62,8 +65,9 @@ without FMA contraction, so its iterates are bitwise the loop source's:
   one multiply and one add, each rounded once, in a SIMD lane as in a
   scalar register, and ``-ffp-contract=off`` without ``-ffast-math``
   neither fuses nor reassociates them;
-- a sparse epoch's gradient is a sum over a column's rows, which
-  therefore stays sequential, and the logistic ``exp`` is the C
+- a sparse epoch's gradient and an entry of ``A' v`` are sums over a
+  column's rows, which therefore stay sequential, and ``A x`` adds each
+  column into the rows in storage order; the logistic ``exp`` is the C
   library's, linked with ``-lm``: the function that the loop source's
   ``math.exp`` calls (not ``np.exp``, whose last bits may differ).
 
@@ -73,9 +77,10 @@ say), so an iterate has the same bits on every host.  ``BACKEND`` is
 ``CFLAGS`` holds the flags of the build that loaded, or None.  A solve
 binds `lsq_gram_pass` once per order, which the pass keeps a checked copy
 of, so each Gram epoch is its products and one call of the loop.  A
-sparse epoch checks and converts its raw arrays on every call, so that a
-tracer that rebinds ``lasso_epoch`` or ``logreg_l1_epoch`` sees each
-epoch with its arguments.
+sparse epoch or product checks and converts its raw arrays on every
+call, so that a tracer that rebinds ``lasso_epoch`` or ``csc_matvec``
+sees each call with its arguments; a product reads ``_lib`` on every
+call, so a test that sets it to None runs the loop source.
 """
 
 import ctypes
@@ -117,21 +122,21 @@ def _logreg_row(y, Ax):
     return -y * _sig_neg(y * Ax)
 
 
-def _checked_order(order, p, c_checks_range=False):
+def _checked_order(order, p, c_checks_range=False, name="order"):
     """``order`` of a coordinate kernel over ``p`` coordinates as int64
     indices in ``range(p)``, a negative one counting from the end: else
     TypeError unless it is 1-d of integers (not bools), IndexError unless
-    each lies in ``[-p, p)``.  With ``c_checks_range``, the C loop checks the
-    range, so an order that int64 holds is returned without a pass over
-    it."""
+    each lies in ``[-p, p)``; both messages call it ``name``.  With
+    ``c_checks_range``, the C loop checks the range, so an order that int64
+    holds is returned without a pass over it."""
     order = np.asarray(order)
     if order.ndim != 1 or order.dtype.kind not in "iu":
-        raise TypeError("order must be a 1-d array of integers, not "
+        raise TypeError(f"{name} must be a 1-d array of integers, not "
                         f"{order.ndim}-d {order.dtype}")
     if c_checks_range and np.can_cast(order.dtype, np.int64):
         return order
     if order.size and not -p <= order.min() <= order.max() < p:
-        raise IndexError(f"order holds an index outside [-{p}, {p})")
+        raise IndexError(f"{name} holds an index outside [-{p}, {p})")
     return order.astype(np.int64) % max(p, 1)
 
 
@@ -139,25 +144,30 @@ def _checked_order(order, p, c_checks_range=False):
 # explicit-loop sources (the tests' reference)
 # ---------------------------------------------------------------------------
 
+# the products' loops run on lists of Python floats, which round as float64
+# does, in a third of the time that indexing the arrays would take
 def _csc_matvec_loops(data, indices, indptr, n_rows, x):
-    out = np.zeros(n_rows)
-    for j in range(indptr.size - 1):
+    data, indices, indptr = data.tolist(), indices.tolist(), indptr.tolist()
+    x = x.tolist()
+    out = [0.0] * n_rows
+    for j in range(len(indptr) - 1):
         xj = x[j]
         if xj != 0.0:
             for k in range(indptr[j], indptr[j + 1]):
                 out[indices[k]] += data[k] * xj
-    return out
+    return np.array(out)
 
 
 def _csc_rmatvec_loops(data, indices, indptr, v):
-    p = indptr.size - 1
-    out = np.empty(p)
-    for j in range(p):
+    data, indices, indptr = data.tolist(), indices.tolist(), indptr.tolist()
+    v = v.tolist()
+    out = []
+    for j in range(len(indptr) - 1):
         acc = 0.0
         for k in range(indptr[j], indptr[j + 1]):
             acc += data[k] * v[indices[k]]
-        out[j] = acc
-    return out
+        out.append(acc)
+    return np.array(out)
 
 
 def _csc_col_norms_sq_loops(data, indptr):
@@ -283,17 +293,20 @@ def csc_matvec(data, indices, indptr, n_rows, x):
     AT = dense_transpose(data, indptr, n_rows)
     if AT is not None:
         return x @ AT
-    return np.bincount(indices, weights=data * np.repeat(x, np.diff(indptr)),
-                       minlength=n_rows)
+    if _lib is None:
+        return _csc_matvec_loops(data, indices, indptr, n_rows, x)
+    return _c_product(_lib.csc_matvec, data, indices, indptr, n_rows, x,
+                      transpose=False)
 
 
 def csc_rmatvec(data, indices, indptr, v):
     AT = dense_transpose(data, indptr, v.size)
     if AT is not None:
         return AT @ v
-    p = indptr.size - 1
-    cols = np.repeat(np.arange(p), np.diff(indptr))
-    return np.bincount(cols, weights=data * v[indices], minlength=p)
+    if _lib is None:
+        return _csc_rmatvec_loops(data, indices, indptr, v)
+    return _c_product(_lib.csc_rmatvec, data, indices, indptr, v.size, v,
+                      transpose=True)
 
 
 def csc_col_norms_sq(data, indptr):
@@ -383,8 +396,14 @@ _OPT_LEVELS = (("-O3", "-march=native"), ("-O3",))
 _FP_FLAGS = ("-ffp-contract=off", "-fPIC", "-shared")
 _I64, _F64, _PTR = ctypes.c_int64, ctypes.c_double, ctypes.c_void_p
 _SPARSE_ARGS = [_PTR] * 8 + [_I64] * 4 + [_F64] * 3
+_PRODUCT_ARGS = [_PTR] * 5 + [_I64] * 3
 _SIGNATURES = {"gram_epoch": [_PTR] * 5 + [_I64] * 2 + [_F64] * 3,
-               "lsq_epoch": _SPARSE_ARGS, "logreg_epoch": _SPARSE_ARGS}
+               "lsq_epoch": _SPARSE_ARGS, "logreg_epoch": _SPARSE_ARGS,
+               "csc_matvec": _PRODUCT_ARGS, "csc_rmatvec": _PRODUCT_ARGS}
+# the IndexError messages of the C loops' nonzero return codes
+_C_ERRORS = {-1: "order holds an index outside [-{p}, {p})",
+             -2: "indptr must rise from 0 or more to at most {nnz}",
+             -3: "indices hold a row outside [0, {n})"}
 
 
 def _build_loops():
@@ -422,6 +441,44 @@ def _c_array(a, dtype):
     return a if a.flags.aligned else a.copy()
 
 
+def _csc_arrays(data, indices, indptr):
+    """The raw CSC arrays as the C loops read them: ``data`` float64,
+    ``indices`` and ``indptr`` int64, each aligned and C-contiguous;
+    ValueError unless ``indptr`` is 1-d and not empty and ``data`` and
+    ``indices`` are 1-d of equal length."""
+    data = _c_array(data, np.float64)
+    indices, indptr = _c_array(indices, np.int64), _c_array(indptr, np.int64)
+    if indptr.ndim != 1 or indptr.size == 0:
+        raise ValueError("indptr must be 1-d and not empty")
+    if data.shape != (data.size,) or indices.shape != data.shape:
+        raise ValueError("data and indices must be 1-d of equal length")
+    return data, indices, indptr
+
+
+def _c_product(c_product, data, indices, indptr, n_rows, operand,
+               transpose):
+    """A new array: ``A x`` by C ``csc_matvec``, or with ``transpose``
+    ``A' v`` by C ``csc_rmatvec``, of the CSC design of ``n_rows`` rows in
+    the raw arrays, bit for bit `_csc_matvec_loops`, resp.
+    `_csc_rmatvec_loops`.  The arrays are taken as `_csc_arrays` takes
+    them and the operand as float64 of shape ``(p,)``, resp.
+    ``(n_rows,)`` (else ValueError); the C loop raises IndexError on a bad
+    ``indptr`` or a row index outside ``[0, n_rows)``."""
+    data, indices, indptr = _csc_arrays(data, indices, indptr)
+    p, nnz = indptr.size - 1, data.size
+    n_in, n_out = (n_rows, p) if transpose else (p, n_rows)
+    operand = _c_array(operand, np.float64)
+    if operand.shape != (n_in,):
+        raise ValueError(f"the operand must hold {n_in} entries")
+    out = np.empty(n_out)
+    code = c_product(data.ctypes.data, indices.ctypes.data,
+                     indptr.ctypes.data, operand.ctypes.data,
+                     out.ctypes.data, p, n_rows, nnz)
+    if code:
+        raise IndexError(_C_ERRORS[code].format(n=n_rows, nnz=nnz))
+    return out
+
+
 def _float64_out(a, name, size):
     """``a``, an array the C loop writes, or a C-contiguous copy of it to
     write back; TypeError unless it is float64 of shape ``(size,)``."""
@@ -436,9 +493,6 @@ def _float64_out(a, name, size):
 def _compiled_sparse_epoch(c_epoch):
     """`_sparse_epoch_loops` with its row factor bound and its loop run by
     ``c_epoch``: the C ``lsq_epoch`` or ``logreg_epoch``."""
-    errors = {-1: "order holds an index outside [-{p}, {p})",
-              -2: "indptr must rise from 0 or more to at most {nnz}",
-              -3: "indices hold a row outside [0, {n})"}
 
     def epoch(data, indices, indptr, y, x, Ax, lip, l1, l2, scale, order):
         """The epoch of `_sparse_epoch_loops` with `_lsq_row`, resp.
@@ -452,15 +506,9 @@ def _compiled_sparse_epoch(c_epoch):
         checks its range, ``indptr`` and the row indices before it touches
         ``x`` or ``Ax`` and raises IndexError on a bad one.
         """
-        data, y, lip = (_c_array(data, np.float64), _c_array(y, np.float64),
-                        _c_array(lip, np.float64))
-        indices, indptr = (_c_array(indices, np.int64),
-                           _c_array(indptr, np.int64))
+        data, indices, indptr = _csc_arrays(data, indices, indptr)
+        y, lip = _c_array(y, np.float64), _c_array(lip, np.float64)
         p, n, nnz = indptr.size - 1, y.size, data.size
-        if p < 0 or indptr.ndim != 1:
-            raise ValueError("indptr must be 1-d and not empty")
-        if data.shape != (nnz,) or indices.shape != (nnz,):
-            raise ValueError("data and indices must be 1-d of equal length")
         if y.shape != (n,):
             raise ValueError("y must be 1-d")
         if lip.shape != (p,):
@@ -474,7 +522,7 @@ def _compiled_sparse_epoch(c_epoch):
             order.ctypes.data, order.size, p, n, nnz, float(l1), float(l2),
             float(scale))
         if code:
-            raise IndexError(errors[code].format(p=p, n=n, nnz=nnz))
+            raise IndexError(_C_ERRORS[code].format(p=p, n=n, nnz=nnz))
         if xc is not x:
             x[:] = xc
         if Axc is not Ax:

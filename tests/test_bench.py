@@ -704,6 +704,20 @@ class TestCli:
                      str(tmp_path / "res")]) == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["parse-check", "ref"])
+    def test_index_beyond_int64_exit_two(self, command, tmp_path, capsys):
+        # the parser once ended in numpy's OverflowError: a traceback, exit 1
+        data = tmp_path / "d.libsvm"
+        data.write_text("1 100000000000000000000:1\n", encoding="utf-8")
+        cfg = write_config(tmp_path / "b.ini", {
+            "dataset": {"source": "path", "path": str(data)}})
+        argv = ([command, str(data)] if command == "parse-check" else
+                [command, "--config", str(cfg), "--out", str(tmp_path / "r")])
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            "error: line 1: feature index in '100000000000000000000:1' "
+            "exceeds 9223372036854775807\n")
+
     def test_parse_check_missing_file(self, tmp_path, capsys):
         assert main(["parse-check", str(tmp_path / "gone")]) == 2
         assert "error:" in capsys.readouterr().err

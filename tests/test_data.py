@@ -1,9 +1,14 @@
 import gzip
 import io
+import math
+import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from extracd import data
 from extracd.data import (CscMatrix, Dataset, binarize_labels,
                           gen_correlated_gaussian, load_sample, parse_libsvm,
                           serialize_libsvm)
@@ -59,6 +64,17 @@ class TestCscMatrix:
             with pytest.raises(IndexError, match=r"outside \[-3, 3\)"):
                 A.columns(bad)
         assert CscMatrix.from_dense(np.zeros((2, 0))).toarray().shape == (2, 0)
+
+    def test_column_index_errors_name_cols(self):
+        # they once named ``order``, which ``columns`` does not take
+        A = CscMatrix.from_dense(np.ones((2, 3)))
+        with pytest.raises(IndexError,
+                           match=r"^cols holds an index outside \[-3, 3\)$"):
+            A.columns([3])
+        for bad in ([0.5], [[1]]):
+            with pytest.raises(TypeError, match="^cols must be a 1-d array "
+                                                "of integers, not "):
+                A.columns(bad)
 
     def test_invariant_violations(self):
         with pytest.raises(ArgumentError):
@@ -269,6 +285,19 @@ class TestParseLibsvm:
         with pytest.raises(ParseError, match="gzip stream"):
             parse_libsvm(path)
 
+    @pytest.mark.parametrize("text", [
+        "1 100000000000000000000:1\n",
+        "1 3:1 9223372036854775808:2\n",
+    ])
+    def test_index_beyond_int64_is_a_parse_error(self, text):
+        # it once ended in numpy's OverflowError
+        with pytest.raises(ParseError) as err:
+            parse_libsvm(text.encode())
+        assert err.value.line == 1
+        tok = text.split()[-1]
+        assert str(err.value) == (f"line 1: feature index in {tok!r} "
+                                  "exceeds 9223372036854775807")
+
     def test_round_trip_random(self):
         # the second design has an empty row, an empty inner column and two
         # empty trailing columns, which only the n_cols override restores
@@ -286,6 +315,149 @@ class TestParseLibsvm:
             for name in ("col_ptr", "row_idx", "values"):
                 assert (getattr(back.A, name).tobytes()
                         == getattr(A, name).tobytes()), name
+
+
+def dataset_bytes(ds):
+    """Everything a parsed `Dataset` holds, as bytes, dtypes and shape."""
+    A = ds.A
+    arrays = (A.col_ptr, A.row_idx, A.values, ds.y)
+    return ((A.n_rows, A.n_cols, ds.name), [a.dtype.str for a in arrays],
+            [a.tobytes() for a in arrays])
+
+
+# whitespace inside a record: what str.split() splits ASCII text on, less
+# the newline that ends a record
+SEPARATORS = " \t\r\x0b\x0c\x1c\x1d\x1e\x1f"
+
+
+@st.composite
+def decimals(draw):
+    """A finite number as LibSVM text may write it: signs, leading zeros,
+    a point with digits on either side or both, an exponent."""
+    sign = draw(st.sampled_from(["", "+", "-"]))
+    whole = draw(st.text("0123456789", max_size=4))
+    frac = draw(st.text("0123456789", max_size=4))
+    if not (whole or frac):
+        whole = "0"
+    mantissa = whole + ("." if draw(st.booleans()) else "") + frac
+    if draw(st.booleans()):
+        mantissa += (draw(st.sampled_from("eE"))
+                     + draw(st.sampled_from(["", "+", "-"]))
+                     + str(draw(st.integers(0, 330))))
+    text = sign + mantissa
+    if not math.isfinite(float(text)):
+        text = sign + whole + frac
+    return text
+
+
+@st.composite
+def libsvm_texts(draw):
+    """Well-formed LibSVM text: records with increasing, sometimes
+    ``+``-signed or zero-padded indices, blank and comment-only lines,
+    trailing comments, CRLF ends and every ASCII separator."""
+    sep = st.text(SEPARATORS, min_size=1, max_size=3)
+    pad = st.text(SEPARATORS, max_size=2)
+    comment = st.text(st.characters(exclude_categories=("Cs",),
+                                    exclude_characters="\n"), max_size=6)
+    lines = []
+    for _ in range(draw(st.integers(0, 6))):
+        kind = draw(st.sampled_from(["record", "record", "record", "blank",
+                                     "comment"]))
+        line = draw(pad)
+        if kind == "record":
+            line += draw(decimals())
+            steps = draw(st.lists(st.integers(1, 40), max_size=6))
+            for idx in np.cumsum(steps).tolist():
+                line += (draw(sep) + draw(st.sampled_from(["", "+"]))
+                         + "0" * draw(st.integers(0, 2)) + str(idx) + ":"
+                         + draw(decimals()))
+            line += draw(pad)
+        if kind == "comment" or draw(st.booleans()):
+            line += "#" + draw(comment)
+        lines.append(line + draw(st.sampled_from(["", "\r"])))
+    text = "\n".join(lines)
+    return text + draw(st.sampled_from(["", "\n"]))
+
+
+class TestFastParse:
+    """`data._parse_fast` against the line parser `data._parse_lines`."""
+
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(text=libsvm_texts(), extra=st.integers(0, 3),
+           pad=st.booleans(), zipped=st.booleans())
+    def test_fast_parse_is_the_line_parse(self, text, extra, pad, zipped):
+        want = data._parse_lines(text, None)
+        n_cols = want.A.n_cols + extra if pad else None
+        if n_cols is not None:
+            want = data._parse_lines(text, n_cols)
+        fast = data._parse_fast(text, n_cols)
+        assert fast is not None
+        assert dataset_bytes(fast) == dataset_bytes(want)
+        raw = text.encode()
+        got = parse_libsvm(gzip.compress(raw) if zipped else raw, n_cols)
+        assert dataset_bytes(got) == dataset_bytes(want)
+
+    @staticmethod
+    def line_parses(monkeypatch):
+        """The texts that `parse_libsvm` hands to the line parser from now
+        on."""
+        calls = []
+        line_parse = data._parse_lines
+
+        def counted(text, n_cols):
+            calls.append(text)
+            return line_parse(text, n_cols)
+        monkeypatch.setattr(data, "_parse_lines", counted)
+        return calls
+
+    @pytest.mark.parametrize("text", [
+        GOLDEN, "1 +01:2 # \u00e9_:\r\n-1\x1c3:4e-2\x0b\n", "", "\n # \n",
+    ], ids=["golden", "comment_holds_anything", "empty", "no_record"])
+    def test_the_fast_parser_takes_well_formed_text(self, text, monkeypatch):
+        calls = self.line_parses(monkeypatch)
+        assert data._parse_fast(text, None) is not None
+        parse_libsvm(text.encode())
+        assert calls == []
+
+    @pytest.mark.parametrize("text", [
+        "1 1:1\n-1 2:1 5\n", "1 2 3:4:5\n", "1 1:\n", "1 :1\n",
+        "1 1:2\xa03:4\n", "inf 1:1\n", "1 1:1e999\n", "1 0:1\n",
+        "1 2:1 1:1\n", f"1 {2**63}:1\n", "1 1_0:2\n", "1 \uff13:2\n",
+    ], ids=["no_colon", "two_colons", "no_value", "no_index", "nbsp",
+            "inf_label", "inf_value", "index_0", "not_increasing",
+            "beyond_int64", "underscore", "fullwidth_digit"])
+    def test_the_line_parser_takes_the_rest(self, text, monkeypatch):
+        # malformed text, and text that only the line parser takes: with
+        # two colons, the tokens are as many as the colons; a non-breaking
+        # space is whitespace to the line parser alone
+        calls = self.line_parses(monkeypatch)
+        assert data._parse_fast(text, None) is None
+        try:
+            ds = parse_libsvm(text.encode())
+        except ParseError:
+            assert text != "1 1:2\xa03:4\n"
+        else:
+            np.testing.assert_array_equal(ds.A.toarray(), [[2, 0, 4]])
+        assert calls == [text]
+
+    @pytest.mark.parametrize("last,frag", [
+        ("x:1", "bad index:value pair 'x:1'"),
+        ("7", "expected index:value, got '7'"),
+        ("9" * 400_000 + ":1", "bad index:value pair '9999"),
+        ("200000:" + "1" * 400_000 + "x", "bad index:value pair '200000:1"),
+    ], ids=["bad_index", "no_colon", "long_index", "long_value"])
+    def test_long_line_with_a_bad_last_token(self, last, frag):
+        # a backtracking check of the number grammar takes exponential time
+        # on such a line; both parsers are linear in its length
+        body = " ".join(f"{j}:1" for j in range(1, 125_001))
+        text = f"1 {body} {last}\n"
+        assert len(text) > 1_000_000
+        t0 = time.perf_counter()
+        with pytest.raises(ParseError) as err:
+            parse_libsvm(text.encode())
+        assert time.perf_counter() - t0 < 10.0
+        assert err.value.line == 1
+        assert frag in str(err.value)
 
 
 class TestBinarize:

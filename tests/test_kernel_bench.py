@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from extracd import kernels
+from extracd import data, kernels
 
 SCRIPT = (Path(__file__).resolve().parents[1] / "benchmarks"
           / "kernel_bench.py")
@@ -24,9 +24,10 @@ def kernel_bench():
 
 def test_cases_enter_the_selected_kernels(kernel_bench, monkeypatch,
                                           tmp_path, capsys):
-    # one list per timed case, of the watched kernels and Gram passes its
-    # calls entered; and, per Gram pass bound, how many timers had started
-    entered, binds = [], []
+    # one list per timed case, of the watched kernels, Gram passes and
+    # parsers its calls entered; per Gram pass bound, how many timers had
+    # started; and the texts the parse case parsed
+    entered, binds, texts = [], [], []
     time_call = kernel_bench.time_call
 
     def timed(fn, repeat):
@@ -48,13 +49,20 @@ def test_cases_enter_the_selected_kernels(kernel_bench, monkeypatch,
             run(x, Ax)
         return counted
     monkeypatch.setattr(kernels, "lsq_gram_pass", gram_pass)
+    for name in ("_parse_fast", "_parse_lines"):
+        def parser(text, n_cols, _name=name, _fn=getattr(data, name)):
+            entered[-1].append(_name)
+            texts.append(text)
+            return _fn(text, n_cols)
+        monkeypatch.setattr(data, name, parser)
 
     out = tmp_path / "kb.json"
     kernel_bench.main(["--n", "20", "--p", "30", "--repeat", "1",
                        "--json", str(out)])
     report = json.loads(out.read_text(encoding="utf-8"))
     names = [case["case"] for case in report["cases"]]
-    assert names == CASES + ["sparse_" + c for c in CASES] + ["quad_gs_pass"]
+    assert names == (CASES + ["sparse_" + c for c in CASES]
+                     + ["sparse_parse_libsvm", "quad_gs_pass"])
     assert report["args"] == {"n": 20, "p": 30, "repeat": 1}
     assert set(report["blas_env"].values()) == {"1"}
     assert report["kernel_cflags"] == (None if kernels.CFLAGS is None
@@ -65,4 +73,9 @@ def test_cases_enter_the_selected_kernels(kernel_bench, monkeypatch,
     assert by_case["sparse_lasso_pass"] == ["lasso_epoch"]
     assert by_case["logreg_l1_pass"] == ["logreg_l1_epoch"]
     assert by_case["quad_gs_pass"] == []
+    # the fast parser takes the text whole, and it holds the sparse design
+    assert by_case["sparse_parse_libsvm"] == ["_parse_fast"]
+    S, y = kernel_bench.sparse_design()
+    (text,) = texts
+    assert text == data.serialize_libsvm(data.Dataset(S, y))
     assert capsys.readouterr().out.count("ms\n") == len(names)

@@ -1279,6 +1279,115 @@ def test_compiled_logreg_epoch_refuses_bad_arguments():
         run()
 
 
+# ---------------------------------------------------------------------------
+# the sparse products, by C where it was built, against their loop sources
+# ---------------------------------------------------------------------------
+
+def product_designs():
+    """Random CSCs with empty, single-entry and all-zero columns (every
+    tenth without rows), one with empty rows, and the designs without rows,
+    without columns or without both."""
+    designs = [random_csc(seed)[0] for seed in range(30)]
+    rng = np.random.default_rng(7)
+    M = rng.standard_normal((9, 6)) * (rng.random((9, 6)) < 0.4)
+    M[[1, 4]] = 0.0
+    designs.append(CscMatrix.from_dense(M))
+    designs += [CscMatrix(n, p, np.zeros(p + 1, dtype=np.int64), [], [])
+                for n, p in ((0, 5), (4, 0), (0, 0))]
+    return designs
+
+
+def signed_zeros(rng, size):
+    """Normal draws, about a third of them 0.0 and a third -0.0."""
+    u = rng.random(size)
+    return np.where(u < 0.33, 0.0, np.where(u < 0.66, -0.0,
+                                            rng.standard_normal(size)))
+
+
+@pytest.mark.parametrize("backend", ["c", "loops"])
+@pytest.mark.parametrize("case", range(len(product_designs())))
+def test_products_are_their_loop_sources(case, backend, monkeypatch):
+    # bit for bit, with the C loops and, as on a host without a compiler,
+    # with ``_lib`` None; a design that is not fully dense takes the C loop
+    # exactly when it was built
+    if backend == "c" and kernels._lib is None:
+        pytest.skip("the C loops were not compiled")
+    if backend == "loops":
+        monkeypatch.setattr(kernels, "_lib", None)
+    calls = []
+    c_product = kernels._c_product
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return c_product(*args, **kwargs)
+    monkeypatch.setattr(kernels, "_c_product", counted)
+    A = product_designs()[case]
+    n, p = A.n_rows, A.n_cols
+    rng = np.random.default_rng(case)
+    args = (A.values, A.row_idx, A.col_ptr)
+    x, v = signed_zeros(rng, p), signed_zeros(rng, n)
+    got = kernels.csc_matvec(*args, n, x)
+    assert got.tobytes() == kernels._csc_matvec_loops(*args, n, x).tobytes()
+    got = kernels.csc_rmatvec(*args, v)
+    assert got.tobytes() == kernels._csc_rmatvec_loops(*args, v).tobytes()
+    assert got.dtype == np.float64 and got.shape == (p,)
+    sparse = A.nnz != n * p
+    assert calls == ([kernels._lib.csc_matvec, kernels._lib.csc_rmatvec]
+                     if sparse and backend == "c" else [])
+
+
+@pytest.mark.parametrize("backend", ["c", "loops"])
+def test_a_fully_dense_csc_takes_one_blas_call(backend, monkeypatch):
+    if backend == "loops":
+        monkeypatch.setattr(kernels, "_lib", None)
+    for name in ("_c_product", "_csc_matvec_loops", "_csc_rmatvec_loops"):
+        monkeypatch.setattr(kernels, name, None)  # calling one would fail
+    rng = np.random.default_rng(3)
+    M = rng.standard_normal((7, 5))
+    A = CscMatrix.from_dense(M)
+    AT = A.values.reshape(5, 7)
+    x, v = signed_zeros(rng, 5), rng.standard_normal(7)
+    args = (A.values, A.row_idx, A.col_ptr)
+    assert kernels.csc_matvec(*args, 7, x).tobytes() == (x @ AT).tobytes()
+    assert kernels.csc_rmatvec(*args, v).tobytes() == (AT @ v).tobytes()
+
+
+@compiled
+@pytest.mark.parametrize("bad", ["indptr-falls", "indptr-past-nnz",
+                                 "indptr-negative", "row-past-n",
+                                 "row-negative"])
+def test_compiled_products_refuse_a_bad_design(bad):
+    A, *_ = logreg_case(13)
+    n, p = A.n_rows, A.n_cols
+    args = corrupt(A, bad)
+    with pytest.raises(IndexError, match="indptr|row"):
+        kernels.csc_matvec(*args, n, np.ones(p))
+    with pytest.raises(IndexError, match="indptr|row"):
+        kernels.csc_rmatvec(*args, np.ones(n))
+
+
+@compiled
+def test_compiled_products_refuse_bad_arguments():
+    A, *_ = logreg_case(14)
+    n, p = A.n_rows, A.n_cols
+    args = (A.values, A.row_idx, A.col_ptr)
+    with pytest.raises(ValueError, match=f"operand must hold {p} entries"):
+        kernels.csc_matvec(*args, n, np.ones(p + 1))
+    with pytest.raises(ValueError, match=f"operand must hold {n} entries"):
+        kernels.csc_rmatvec(*args, np.ones((n, 1)))
+    with pytest.raises(ValueError, match="data and indices"):
+        kernels.csc_rmatvec(A.values[:-1], A.row_idx, A.col_ptr, np.ones(n))
+    with pytest.raises(ValueError, match="indptr must be 1-d"):
+        kernels.csc_matvec(A.values, A.row_idx, A.col_ptr[None], n,
+                           np.ones(p))
+    # any real dtype is taken as float64, resp. int64
+    want = kernels.csc_matvec(*args, n, np.arange(p, dtype=np.float64))
+    got = kernels.csc_matvec(A.values, A.row_idx.astype(np.int32),
+                             A.col_ptr.astype(np.int32), n,
+                             np.arange(p, dtype=np.int16))
+    assert got.tobytes() == want.tobytes()
+
+
 @pytest.mark.parametrize("kernel", LOGREG_KERNELS)
 def test_logistic_epoch_takes_float32_lam_and_int_lip(kernel):
     # what the numpy epoch accepted: a float32 penalty, an integer curvature
