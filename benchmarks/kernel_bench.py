@@ -13,7 +13,10 @@ its timer starts, because that is per-solve set-up.
 with its labels, serialized to LibSVM bytes before the timer starts.
 ``quad_gs_pass``
 times one cyclic pass (a Gauss-Seidel step) of a seeded p = 200
-quadratic.  Whole operations (solves, numerical ranges) are timed by
+quadratic.  ``anderson_extrapolate_p200`` and ``_p500`` time one
+`ExtrapolationWindow.extrapolate` (the weights' solve and the point) of
+a seeded window of K + 1 = 6 iterates of 200, resp. 500 coordinates.
+Whole operations (solves, numerical ranges) are timed by
 ``perfbench/run.py``.
 
 BLAS is pinned to one thread.  Run from the repository root as::
@@ -40,13 +43,15 @@ import time  # noqa: E402
 
 import numpy as np  # noqa: E402
 
-from extracd import data, kernels, problems  # noqa: E402
+from extracd import anderson, data, kernels, problems  # noqa: E402
 from extracd.data import CscMatrix, gen_correlated_gaussian  # noqa: E402
 from extracd.kernels import BACKEND  # noqa: E402
 
 QUAD_DIM = 200
 SPARSE_DIM = 1000
 SPARSE_DENSITY = 0.01
+ANDERSON_K = 5
+ANDERSON_DIMS = (200, 500)
 
 
 def time_call(fn, repeat):
@@ -111,6 +116,15 @@ def quad_gs_pass():
     return lambda: sweep(np.zeros(QUAD_DIM), np.zeros(QUAD_DIM))
 
 
+def anderson_case(p):
+    """(name, call): one extrapolation of a full window of ``ANDERSON_K +
+    1`` seeded Gaussian iterates of ``p`` coordinates."""
+    window = anderson.ExtrapolationWindow(ANDERSON_K)
+    for x in np.random.default_rng(p).standard_normal((ANDERSON_K + 1, p)):
+        window.push(x)
+    return f"anderson_extrapolate_p{p}", window.extrapolate
+
+
 def main(argv=None):
     ap = argparse.ArgumentParser()
     ap.add_argument("--n", type=int, default=2000)
@@ -126,14 +140,15 @@ def main(argv=None):
     print(f"dense-stored n={args.n} p={args.p} nnz={ds.A.nnz}; sparse "
           f"n=p={SPARSE_DIM} nnz={S.nnz}; quadratic p={QUAD_DIM} "
           f"(best of {args.repeat})")
-    print(f"{'case':22s} {BACKEND:>10s}")
+    print(f"{'case':26s} {BACKEND:>10s}")
     for name, call in (kernel_cases(ds.A, ds.y)
                        + kernel_cases(S, y_s, "sparse_")
                        + [parse_case(S, y_s),
-                          ("quad_gs_pass", quad_gs_pass())]):
+                          ("quad_gs_pass", quad_gs_pass())]
+                       + [anderson_case(p) for p in ANDERSON_DIMS]):
         t = time_call(call, repeat=args.repeat)
         results.append({"case": name, "backend": BACKEND, "best_s": t})
-        print(f"{name:22s} {t * 1e3:8.3f}ms")
+        print(f"{name:26s} {t * 1e3:8.3f}ms")
 
     if args.json:
         blas_env = {k: os.environ.get(k) for k in (

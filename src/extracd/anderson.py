@@ -6,7 +6,9 @@ of successive differences: minimize ``||U c||`` subject to the weights
 summing to one.  The closed form is ``(U'U)^{-1} 1`` normalized by its
 sum.  Weights are applied to the *later* iterate of each
 difference, so the extrapolated point is ``sum_i c_i x_i`` over the last
-``k`` iterates.
+``k`` iterates.  One solve, `kernels.anderson_extrapolate` (a pivoted QR
+of the differences, compiled where a C compiler is found), serves the
+window, the offline driver and `extrapolation_coefficients`.
 
 Two driving modes exist: the offline mode extrapolates a growing prefix
 of a fixed base sequence without touching it; the one online step,
@@ -18,6 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import kernels
 from .errors import ArgumentError
 
 __all__ = [
@@ -37,9 +40,10 @@ def extrapolation_coefficients(U):
     The weights minimize ``||U c||^2`` subject to the entries summing to
     one; the closed form is ``(U'U)^{-1} 1`` normalized by its sum.  To
     avoid squaring the conditioning of ``U`` the solve eliminates the
-    constraint (pivot on the last weight) and runs a rank-revealing least
-    squares on ``U`` itself, which yields the same weights whenever
-    ``U'U`` is invertible.
+    constraint (pivot on the last weight) and runs a Householder QR with
+    column pivoting on ``U`` itself, cut at its numerical rank, which
+    yields the same weights whenever ``U'U`` is invertible
+    (`kernels.anderson_weights`, the solve of `ExtrapolationWindow`).
 
     Parameters
     ----------
@@ -56,22 +60,8 @@ def extrapolation_coefficients(U):
     U = np.asarray(U, dtype=np.float64)
     if U.ndim != 2 or U.shape[1] < 1:
         raise ArgumentError("U must be a p x k matrix with k >= 1")
-    k = U.shape[1]
-    if not np.all(np.isfinite(U)):
-        return None, False
-    # c = e_k + sum_i w_i (e_i - e_k) keeps sum(c) = 1 exactly
-    rhs = -U[:, -1]
-    cols = U[:, :-1] - U[:, -1:]
-    try:
-        w = np.linalg.lstsq(cols, rhs, rcond=None)[0]
-    except np.linalg.LinAlgError:
-        return None, False
-    c = np.empty(k)
-    c[:-1] = w
-    c[-1] = 1.0 - w.sum()
-    if not np.all(np.isfinite(c)):
-        return None, False
-    return c, True
+    c = kernels.anderson_weights(U.T)
+    return c, c is not None
 
 
 @dataclass(frozen=True)
@@ -86,13 +76,9 @@ class ExtrapolationResult:
 def _extrapolate(W):
     """`ExtrapolationWindow.extrapolate` of the iterates, the rows of
     ``W``."""
-    U = W[1:] - W[:-1]
-    c, solved = extrapolation_coefficients(U.reshape(len(U), -1).T)
-    if not solved:
+    c, x_e = kernels.anderson_extrapolate(W)
+    if c is None:
         return ExtrapolationResult(None, W[-1].copy(), False)
-    x_e = np.zeros_like(W[-1])
-    for ci, xi in zip(c, W[1:]):
-        x_e += ci * xi
     return ExtrapolationResult(c, x_e, True)
 
 

@@ -324,18 +324,36 @@ def _dataset(y, rows, cols, vals, n_cols):
     """The parsed `Dataset` of labels ``y`` and of entries in file order,
     each at 0-based ``(rows, cols)``, with ``n_cols`` columns if given."""
     p = int(cols.max()) + 1 if cols.size else 0
+    what, error = f"feature index {p}", ParseError
     if n_cols is not None:
         if n_cols < p:
             raise ArgumentError(
                 f"n_cols={n_cols} is smaller than the largest feature index "
                 f"{p}; the override can only pad")
-        p = n_cols
+        p, what, error = n_cols, f"n_cols={n_cols}", ArgumentError
+    # a CSC of p columns holds p + 1 int64 column pointers
+    need = f"{what} needs {8 * (p + 1)} bytes of column pointers"
+    memory = _host_memory()
+    if memory is not None and 8 * (p + 1) > memory:
+        raise error(f"{need}, more than this host's {memory} bytes of memory")
+    try:
+        col_ptr = _col_ptr(cols, p)
+    except (MemoryError, ValueError):
+        raise error(f"{need}, which could not be allocated") from None
     # a stable sort by column keeps each column's rows in file order; on
     # 16-bit keys numpy's stable sort is a radix sort, about ten times faster
     order = np.argsort(cols.astype(np.uint16) if p <= 1 << 16 else cols,
                        kind="stable")
-    A = CscMatrix(y.size, p, _col_ptr(cols, p), rows[order], vals[order])
+    A = CscMatrix(y.size, p, col_ptr, rows[order], vals[order])
     return Dataset(A, y, name="libsvm")
+
+
+def _host_memory():
+    """This host's physical memory in bytes, or None where it is unknown."""
+    try:
+        return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    except (AttributeError, ValueError, OSError):
+        return None
 
 
 def serialize_libsvm(dataset):

@@ -55,7 +55,11 @@ called through ``ctypes``, and each C loop has one loop source here:
 - C ``csc_matvec`` and ``csc_rmatvec``, the products ``A x`` and ``A' v``
   of a CSC that is not fully dense, which the duality gap, the guard and
   the residual refresh run: `_csc_matvec_loops`, which skips a column
-  whose ``x_j`` is zero, and `_csc_rmatvec_loops`.
+  whose ``x_j`` is zero, and `_csc_rmatvec_loops`;
+- C ``anderson_extrapolate`` and ``anderson_weights``, the extrapolation
+  solve of ``anderson`` on a window of iterates or on their differences,
+  one pivoted Householder QR (``anderson_solve``) in both:
+  `_anderson_extrapolate_loops` and `_anderson_weights_loops`.
 
 Each C loop does its loop source's operations in the same order, compiled
 without FMA contraction, so its iterates are bitwise the loop source's:
@@ -69,7 +73,10 @@ without FMA contraction, so its iterates are bitwise the loop source's:
   column's rows, which therefore stay sequential, and ``A x`` adds each
   column into the rows in storage order; the logistic ``exp`` is the C
   library's, linked with ``-lm``: the function that the loop source's
-  ``math.exp`` calls (not ``np.exp``, whose last bits may differ).
+  ``math.exp`` calls (not ``np.exp``, whose last bits may differ);
+- every sum of the extrapolation solve runs from its first term strictly
+  in order, which ``np.add.accumulate`` does in its loop source, and its
+  point is K axpys onto zeros, each entry's in the order of the iterates.
 
 The loop sources are the kernels wherever both builds fail (no compiler,
 say), so an iterate has the same bits on every host.  ``BACKEND`` is
@@ -79,8 +86,9 @@ binds `lsq_gram_pass` once per order, which the pass keeps a checked copy
 of, so each Gram epoch is its products and one call of the loop.  A
 sparse epoch or product checks and converts its raw arrays on every
 call, so that a tracer that rebinds ``lasso_epoch`` or ``csc_matvec``
-sees each call with its arguments; a product reads ``_lib`` on every
-call, so a test that sets it to None runs the loop source.
+sees each call with its arguments; a product and the extrapolation solve
+read ``_lib`` on every call, so a test that sets it to None runs the loop
+source.
 """
 
 import ctypes
@@ -91,6 +99,11 @@ import subprocess
 import tempfile
 
 import numpy as np
+
+_EPS = float(np.finfo(np.float64).eps)
+_DBL_MAX = float(np.finfo(np.float64).max)
+# the sums of squares whose square root is a norm; the others are scaled
+_TINY, _HUGE = 2.0 ** -900, 2.0 ** 900
 
 # ---------------------------------------------------------------------------
 # scalar helpers
@@ -147,25 +160,29 @@ def _checked_order(order, p, c_checks_range=False, name="order"):
 # the products' loops run on lists of Python floats, which round as float64
 # does, in a third of the time that indexing the arrays would take
 def _csc_matvec_loops(data, indices, indptr, n_rows, x):
-    data, indices, indptr = data.tolist(), indices.tolist(), indptr.tolist()
-    x = x.tolist()
+    # only the entries of the columns whose x_j is not zero, in storage
+    # order, each with its product data[k] * x_j (one rounding, as in C)
+    counts = np.diff(indptr)
+    keep = np.repeat(x != 0.0, counts)
+    stored = slice(indptr[0], indptr[-1])
+    rows = indices[stored][keep].tolist()
+    products = (data[stored] * np.repeat(x, counts))[keep].tolist()
     out = [0.0] * n_rows
-    for j in range(len(indptr) - 1):
-        xj = x[j]
-        if xj != 0.0:
-            for k in range(indptr[j], indptr[j + 1]):
-                out[indices[k]] += data[k] * xj
+    for r, v in zip(rows, products):
+        out[r] += v
     return np.array(out)
 
 
 def _csc_rmatvec_loops(data, indices, indptr, v):
-    data, indices, indptr = data.tolist(), indices.tolist(), indptr.tolist()
-    v = v.tolist()
+    # each column's products data[k] * v[indices[k]] summed in storage order
+    stored = slice(indptr[0], indptr[-1])
+    products = (data[stored] * v[indices[stored]]).tolist()
+    bounds = (indptr - indptr[0]).tolist()
     out = []
-    for j in range(len(indptr) - 1):
+    for start, end in zip(bounds[:-1], bounds[1:]):
         acc = 0.0
-        for k in range(indptr[j], indptr[j + 1]):
-            acc += data[k] * v[indices[k]]
+        for t in products[start:end]:
+            acc += t
         out.append(acc)
     return np.array(out)
 
@@ -271,6 +288,88 @@ def _lsq_gram_epoch_loops(AT, G, y, x, Ax, lip, l1, l2, scale, order):
     g = AT @ (Ax - y)
     _gram_epoch_loops(G, g, x, lip, l1, l2, scale, order)
     Ax[:] = x @ AT
+
+
+def _scaled_norm(x):
+    # C ``scaled_norm``: ||x|| scaled by max |x_i|, NaN if an entry is NaN
+    amax = np.abs(x).max()
+    if amax == 0.0:
+        return 0.0
+    t = x / amax
+    return amax * math.sqrt(np.add.accumulate(t * t)[-1])
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def _anderson_weights_loops(U):
+    """C ``anderson_solve``: the Anderson weights of the K >= 1 differences
+    in the rows of ``U`` (K x p), or None when the solve is singular.  The
+    weights minimize ``||U'c||`` subject to ``sum(c) = 1``, the constraint
+    eliminated on the last weight: a Householder QR with column pivoting of
+    the columns ``U_j - U_last`` against ``-U_last``, cut at the rank where
+    ``|R_kk| <= eps * max(p, K - 1) * |R_00|``, then back substitution.
+    Each sum is ``np.add.accumulate``'s last entry, which adds strictly in
+    order as the C loop does."""
+    K, p = U.shape
+    m = K - 1
+    if not np.isfinite(U).all():
+        return None
+    # row j holds column j; row m, which no pivot moves, the right side
+    A = np.empty((K, p))
+    A[:m] = U[:m] - U[m]
+    A[m] = -U[m]
+    perm, v, r, tol = list(range(K)), np.empty(p), 0, 0.0
+    for k in range(min(m, p)):
+        cols = A[perm[k:m], k:]
+        sums = np.add.accumulate(cols * cols, axis=1)[:, -1]
+        piv, nrm = k, 0.0
+        for j, (s, col) in enumerate(zip(sums.tolist(), cols), k):
+            nj = (math.sqrt(s) if _TINY <= s <= _HUGE
+                  else _scaled_norm(col))
+            if j == k or nj > nrm:
+                piv, nrm = j, nj
+        if not nrm <= _DBL_MAX:
+            return None
+        if k == 0:
+            tol = _EPS * max(p, m) * nrm
+        if nrm <= tol:
+            break
+        perm[k], perm[piv] = perm[piv], perm[k]
+        a = A[perm[k]]
+        alpha = a[k]
+        beta = -math.copysign(nrm, alpha)
+        tau, d = (beta - alpha) / beta, alpha - beta
+        v[k] = 1.0
+        v[k + 1:] = a[k + 1:] / d
+        a[k] = beta
+        rest = perm[k + 1:]
+        Y = A[rest, k:]
+        s = np.add.accumulate(v[k:] * Y, axis=1)[:, -1]
+        A[rest, k:] = Y - (tau * s)[:, None] * v[k:]
+        r = k + 1
+    z = np.empty(r)
+    for i in range(r - 1, -1, -1):
+        terms = A[perm[i + 1:r], i] * z[i + 1:]
+        s = np.add.accumulate(terms)[-1] if terms.size else 0.0
+        z[i] = (A[m, i] - s) / A[perm[i], i]
+    c = np.zeros(K)
+    c[perm[:r]] = z
+    c[m] = 1.0 - (np.add.accumulate(c[:m])[-1] if m else 0.0)
+    return c if np.isfinite(c).all() else None
+
+
+def _anderson_extrapolate_loops(W):
+    """C ``anderson_extrapolate``: ``(c, x_e)``, the weights of the
+    differences of the K + 1 >= 2 iterates in the rows of ``W`` and the
+    point ``sum_i c_i W[i + 1]`` as K axpys onto zeros, or ``(None, None)``
+    when the solve is singular."""
+    U = W[1:] - W[:-1]
+    c = _anderson_weights_loops(U.reshape(len(U), W[0].size))
+    if c is None:
+        return None, None
+    x_e = np.zeros(W.shape[1:])
+    for ci, xi in zip(c, W[1:]):
+        x_e += ci * xi
+    return c, x_e
 
 
 # ---------------------------------------------------------------------------
@@ -397,9 +496,12 @@ _FP_FLAGS = ("-ffp-contract=off", "-fPIC", "-shared")
 _I64, _F64, _PTR = ctypes.c_int64, ctypes.c_double, ctypes.c_void_p
 _SPARSE_ARGS = [_PTR] * 8 + [_I64] * 4 + [_F64] * 3
 _PRODUCT_ARGS = [_PTR] * 5 + [_I64] * 3
+_ANDERSON_ARGS = [_PTR, _I64, _I64, _PTR]
 _SIGNATURES = {"gram_epoch": [_PTR] * 5 + [_I64] * 2 + [_F64] * 3,
                "lsq_epoch": _SPARSE_ARGS, "logreg_epoch": _SPARSE_ARGS,
-               "csc_matvec": _PRODUCT_ARGS, "csc_rmatvec": _PRODUCT_ARGS}
+               "csc_matvec": _PRODUCT_ARGS, "csc_rmatvec": _PRODUCT_ARGS,
+               "anderson_weights": _ANDERSON_ARGS,
+               "anderson_extrapolate": _ANDERSON_ARGS}
 # the IndexError messages of the C loops' nonzero return codes
 _C_ERRORS = {-1: "order holds an index outside [-{p}, {p})",
              -2: "indptr must rise from 0 or more to at most {nnz}",
@@ -477,6 +579,48 @@ def _c_product(c_product, data, indices, indptr, n_rows, operand,
     if code:
         raise IndexError(_C_ERRORS[code].format(n=n_rows, nnz=nnz))
     return out
+
+
+def anderson_weights(U):
+    """The Anderson weights of the K >= 1 differences in the rows of ``U``
+    (K x p, taken as float64), or None when the solve is singular: by C
+    ``anderson_weights`` where that was built, else by
+    `_anderson_weights_loops`, bit for bit."""
+    U = _c_array(U, np.float64)
+    if U.ndim != 2 or len(U) < 1:
+        raise ValueError("U must be 2-d with at least one row")
+    if _lib is None:
+        return _anderson_weights_loops(U)
+    c = np.empty(len(U))
+    code = _lib.anderson_weights(U.ctypes.data, len(U), U.shape[1],
+                                 c.ctypes.data)
+    if code < 0:
+        raise MemoryError("no workspace for the extrapolation solve")
+    return None if code else c
+
+
+def anderson_extrapolate(W):
+    """The extrapolation of the K + 1 >= 2 iterates in the rows of ``W``
+    (taken as float64; each row of any shape): ``(c, x_e)``, the weights
+    of the rows ``W[1:]`` and the point ``sum_i c_i W[i + 1]``, or ``(None,
+    None)`` when the solve is singular; by C ``anderson_extrapolate`` where
+    that was built, else by `_anderson_extrapolate_loops`, bit for bit.  A
+    C-contiguous float64 ``W`` is read in place."""
+    W = _c_array(W, np.float64)
+    if W.ndim == 0 or len(W) < 2:
+        raise ValueError("W must hold at least two iterates")
+    if _lib is None:
+        return _anderson_extrapolate_loops(W)
+    K = len(W) - 1
+    p = W.size // (K + 1)
+    # the point, then the weights: one buffer, one pointer
+    out = np.empty(p + K)
+    code = _lib.anderson_extrapolate(W.ctypes.data, K, p, out.ctypes.data)
+    if code < 0:
+        raise MemoryError("no workspace for the extrapolation solve")
+    if code:
+        return None, None
+    return out[p:], out[:p].reshape(W.shape[1:])
 
 
 def _float64_out(a, name, size):

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from extracd import kernels
 from extracd.anderson import (ExtrapolationWindow, extrapolation_coefficients,
                               offline_anderson, online, online_anderson)
 from extracd.errors import ArgumentError
@@ -379,3 +380,126 @@ class TestOnlineProperties:
         for got in tr.iterates:
             plain = T @ plain + b
             assert got.tobytes() == plain.tobytes()
+
+
+# how a window's iterates are drawn: Gaussian; one point K + 1 times;
+# integer steps drawn from a few (repeated differences) or multiples of one
+# step (collinear differences), so that the window is exactly rank
+# deficient; iterates of an affine contraction; Gaussian scaled far from 1;
+# Gaussian with one non-finite entry
+WINDOW_KINDS = ("gaussian", "identical", "repeated", "collinear", "affine",
+                "extreme", "nonfinite")
+
+
+@st.composite
+def windows(draw):
+    """``(kind, W)``: ``K + 1`` iterates, K in 1..8, each of shape ``(p,)``
+    with p in 1..300 or ``(a, b)`` with a * b <= 289."""
+    K = draw(st.integers(1, 8))
+    shape = draw(st.one_of(st.tuples(st.integers(1, 300)),
+                           st.tuples(st.integers(1, 17), st.integers(1, 17))))
+    kind = draw(st.sampled_from(WINDOW_KINDS))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    p = int(np.prod(shape))
+    x0 = rng.standard_normal(p)
+    if kind in ("gaussian", "extreme", "nonfinite"):
+        W = rng.standard_normal((K + 1, p))
+    elif kind == "identical":
+        W = np.repeat(x0[None], K + 1, axis=0)
+    elif kind == "affine":
+        M = rng.standard_normal((p, p))
+        T = 0.5 * M / max(np.abs(np.linalg.eigvals(M)).max(), 1e-300)
+        W = [x0]
+        for _ in range(K):
+            W.append(T @ W[-1] + x0)
+        W = np.array(W)
+    else:
+        few = rng.integers(-4, 5, (int(rng.integers(1, K + 1)), p))
+        steps = (few[rng.integers(0, len(few), K)] if kind == "repeated"
+                 else rng.integers(-3, 4, (K, 1)) * few[0])
+        W = np.cumsum(np.vstack([rng.integers(-9, 10, (1, p)), steps]),
+                      axis=0).astype(np.float64)
+    if kind == "extreme":
+        W *= 10.0 ** float(rng.choice([-310, -160, 150, 300]))
+    if kind == "nonfinite":
+        W.flat[rng.integers(W.size)] = rng.choice([np.nan, np.inf, -np.inf])
+    return kind, W.reshape((K + 1,) + shape)
+
+
+class TestSolve:
+    """The one extrapolation solve, `kernels.anderson_extrapolate`, behind
+    the window, the offline driver and `extrapolation_coefficients`."""
+
+    @pytest.mark.skipif(kernels._lib is None,
+                        reason="the C loops were not compiled")
+    @settings(max_examples=400, deadline=None, database=None)
+    @given(windows())
+    def test_compiled_solve_is_its_loop_source(self, case):
+        _, W = case
+        c, x_e = kernels.anderson_extrapolate(W)
+        c_ref, x_ref = kernels._anderson_extrapolate_loops(W)
+        assert (c is None) == (c_ref is None)
+        if c is not None:
+            assert c.tobytes() == c_ref.tobytes()
+            assert x_e.shape == W.shape[1:]
+            assert x_e.tobytes() == x_ref.tobytes()
+        U = (W[1:] - W[:-1]).reshape(len(W) - 1, -1)
+        w, w_ref = (kernels.anderson_weights(U),
+                    kernels._anderson_weights_loops(U))
+        assert (w is None) == (w_ref is None) == (c is None)
+        if w is not None:
+            assert w.tobytes() == w_ref.tobytes() == c.tobytes()
+
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(windows())
+    def test_window_cases(self, case):
+        kind, W = case
+        K = len(W) - 1
+        window = ExtrapolationWindow(K)
+        for x in W:
+            window.push(x)
+        res = window.extrapolate()
+        if kind == "nonfinite":
+            assert not res.solved and res.coefficients is None
+            assert res.point.tobytes() == W[-1].tobytes()
+            return
+        if kind == "extreme":
+            return  # solved or singular: the bits are the property above
+        assert res.solved and np.isfinite(res.coefficients).all()
+        assert res.point.shape == W.shape[1:]
+        if K == 1:
+            assert res.coefficients.tolist() == [1.0]
+        if K == 1 or kind == "identical":
+            assert np.array_equal(res.point, W[-1])
+        if kind == "identical":
+            assert res.coefficients.tolist() == [0.0] * (K - 1) + [1.0]
+        # the weights do no worse than the last iterate alone
+        U = (W[1:] - W[:-1]).reshape(K, -1)
+        assert (np.linalg.norm(U.T @ res.coefficients)
+                <= np.linalg.norm(U[-1]) * (1 + 1e-9))
+        # one solve behind every path
+        coeffs, ok = extrapolation_coefficients(U.T)
+        assert ok and coeffs.tobytes() == res.coefficients.tobytes()
+        rows = iter(W[1:])
+        offline = offline_anderson(lambda _: next(rows), W[0], K)
+        assert offline.solved[-1]
+        assert offline.extrapolated[-1].tobytes() == res.point.tobytes()
+
+    @settings(max_examples=100, deadline=None, database=None)
+    @given(st.integers(1, 12), st.integers(0, 2**32 - 1))
+    def test_affine_contraction_fixed_point(self, p, seed):
+        # p + 1 iterates after the first: the window's K = p + 1
+        # differences span the Krylov space, so the point is the fixed one
+        rng = np.random.default_rng(seed)
+        M = rng.standard_normal((p, p))
+        T = 0.5 * M / np.abs(np.linalg.eigvals(M)).max()
+        b = rng.standard_normal(p)
+        x_star = np.linalg.solve(np.eye(p) - T, b)
+        window, x = ExtrapolationWindow(p + 1), np.zeros(p)
+        window.push(x)
+        for _ in range(p + 1):
+            x = T @ x + b
+            window.push(x)
+        res = window.extrapolate()
+        assert res.solved
+        np.testing.assert_allclose(res.point, x_star, rtol=0, atol=1e-10)

@@ -718,6 +718,18 @@ class TestCli:
             "error: line 1: feature index in '100000000000000000000:1' "
             "exceeds 9223372036854775807\n")
 
+    @pytest.mark.parametrize("index", ["1000000000000",
+                                       "9223372036854775807"])
+    def test_index_beyond_memory_exit_two(self, index, tmp_path, capsys):
+        # numpy's _ArrayMemoryError or ValueError once gave a traceback,
+        # exit 1
+        data = tmp_path / "d.libsvm"
+        data.write_text(f"1 {index}:1\n", encoding="utf-8")
+        assert main(["parse-check", str(data)]) == 2
+        assert capsys.readouterr().err.startswith(
+            f"error: feature index {index} needs {8 * (int(index) + 1)} "
+            "bytes of column pointers, ")
+
     def test_parse_check_missing_file(self, tmp_path, capsys):
         assert main(["parse-check", str(tmp_path / "gone")]) == 2
         assert "error:" in capsys.readouterr().err

@@ -298,6 +298,22 @@ class TestParseLibsvm:
         assert str(err.value) == (f"line 1: feature index in {tok!r} "
                                   "exceeds 9223372036854775807")
 
+    @pytest.mark.parametrize("index", ["1000000000000",
+                                       "9223372036854775807"])
+    def test_index_beyond_memory_is_a_parse_error(self, index):
+        # its column pointers once ended in numpy's _ArrayMemoryError
+        # (7.28 TiB) or ValueError (maximum dimension exceeded)
+        with pytest.raises(ParseError) as err:
+            parse_libsvm(f"1 {index}:1\n".encode())
+        assert str(err.value).startswith(
+            f"feature index {index} needs {8 * (int(index) + 1)} bytes of "
+            "column pointers, ")
+
+    def test_n_cols_beyond_memory_is_an_argument_error(self):
+        with pytest.raises(ArgumentError, match=r"^n_cols=10000000000000 "
+                           r"needs 80000000000008 bytes of column pointers"):
+            parse_libsvm(b"1 2:1\n", n_cols=10 ** 13)
+
     def test_round_trip_random(self):
         # the second design has an empty row, an empty inner column and two
         # empty trailing columns, which only the n_cols override restores

@@ -24,9 +24,9 @@ def kernel_bench():
 
 def test_cases_enter_the_selected_kernels(kernel_bench, monkeypatch,
                                           tmp_path, capsys):
-    # one list per timed case, of the watched kernels, Gram passes and
-    # parsers its calls entered; per Gram pass bound, how many timers had
-    # started; and the texts the parse case parsed
+    # one list per timed case, of the watched kernels, Gram passes, parsers
+    # and extrapolation solves its calls entered; per Gram pass bound, how
+    # many timers had started; and the texts the parse case parsed
     entered, binds, texts = [], [], []
     time_call = kernel_bench.time_call
 
@@ -56,13 +56,26 @@ def test_cases_enter_the_selected_kernels(kernel_bench, monkeypatch,
             return _fn(text, n_cols)
         monkeypatch.setattr(data, name, parser)
 
+    # the compiled solve where it was built, else its loop source
+    if kernels._lib is None:
+        solve_owner, solve_name = kernels, "_anderson_extrapolate_loops"
+    else:
+        solve_owner, solve_name = kernels._lib, "anderson_extrapolate"
+
+    def solve(*args, _fn=getattr(solve_owner, solve_name)):
+        entered[-1].append(solve_name)
+        return _fn(*args)
+    monkeypatch.setattr(solve_owner, solve_name, solve)
+
     out = tmp_path / "kb.json"
     kernel_bench.main(["--n", "20", "--p", "30", "--repeat", "1",
                        "--json", str(out)])
     report = json.loads(out.read_text(encoding="utf-8"))
     names = [case["case"] for case in report["cases"]]
     assert names == (CASES + ["sparse_" + c for c in CASES]
-                     + ["sparse_parse_libsvm", "quad_gs_pass"])
+                     + ["sparse_parse_libsvm", "quad_gs_pass",
+                        "anderson_extrapolate_p200",
+                        "anderson_extrapolate_p500"])
     assert report["args"] == {"n": 20, "p": 30, "repeat": 1}
     assert set(report["blas_env"].values()) == {"1"}
     assert report["kernel_cflags"] == (None if kernels.CFLAGS is None
@@ -73,6 +86,8 @@ def test_cases_enter_the_selected_kernels(kernel_bench, monkeypatch,
     assert by_case["sparse_lasso_pass"] == ["lasso_epoch"]
     assert by_case["logreg_l1_pass"] == ["logreg_l1_epoch"]
     assert by_case["quad_gs_pass"] == []
+    for p in (200, 500):
+        assert by_case[f"anderson_extrapolate_p{p}"] == [solve_name]
     # the fast parser takes the text whole, and it holds the sparse design
     assert by_case["sparse_parse_libsvm"] == ["_parse_fast"]
     S, y = kernel_bench.sparse_design()

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from extracd import anderson, problems, solvers
+from extracd import kernels, problems, solvers
 from extracd.data import CscMatrix, gen_correlated_gaussian
 from extracd.errors import ArgumentError
 from extracd.fixedpoint import cd_iteration, cdsym_iteration
@@ -248,8 +248,8 @@ class TestDriverBehavior:
         prob = make_sparse_problems(seed=25)[0]["lasso"]
         cfg = SolverConfig(K=5, max_epochs=210, tol=0.0)
         plain = baseline_pcd(prob, cfg)
-        monkeypatch.setattr(anderson, "extrapolation_coefficients",
-                            lambda U: (None, False))
+        monkeypatch.setattr(kernels, "anderson_extrapolate",
+                            lambda W: (None, None))
         tr = anderson_pcd(prob, cfg)
         assert tr.events == [(e, "singular") for e in range(5, 211, 5)]
         assert tr.objectives == plain.objectives
