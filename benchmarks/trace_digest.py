@@ -55,16 +55,6 @@ missing side), and exits 1 if there is any, else 0 (2 if a tree's run
 fails).  The other tree must have every function these records call; a
 tree from before ``pcd_epoch`` took ``Ax`` does not, so compare it by
 running each tree's own script and diffing the outputs.
-
-To digest the Python loops that run where no C compiler is found, empty
-``PATH`` and start the real interpreter, ``sys.executable``, by its full
-path::
-
-    PATH= PYTHONPATH=src "$(python3 -c 'import sys; print(sys.executable)')" \
-        benchmarks/trace_digest.py > digest-nocc.txt
-
-A ``python3`` that is a shim script (pyenv's, say) fails without ``PATH``,
-with ``/usr/bin/env: 'bash': No such file or directory``.
 """
 
 import os

@@ -7,8 +7,8 @@ summing to one.  The closed form is ``(U'U)^{-1} 1`` normalized by its
 sum.  Weights are applied to the *later* iterate of each
 difference, so the extrapolated point is ``sum_i c_i x_i`` over the last
 ``k`` iterates.  One solve, `kernels.anderson_extrapolate` (a pivoted QR
-of the differences, compiled where a C compiler is found), serves the
-window, the offline driver and `extrapolation_coefficients`.
+of the differences, in C), serves the window, the offline driver and
+`extrapolation_coefficients`.
 
 Two driving modes exist: the offline mode extrapolates a growing prefix
 of a fixed base sequence without touching it; the one online step,
@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import kernels
-from .errors import ArgumentError
+from .errors import ArgumentError, check_integer
 
 __all__ = [
     "ExtrapolationResult",
@@ -88,8 +88,7 @@ class ExtrapolationWindow:
     first push and reused until an iterate of another shape comes."""
 
     def __init__(self, K):
-        if K < 1:
-            raise ArgumentError("window size K must be >= 1")
+        check_integer(K, "window size K", 1)
         self.K = K
         self._W = None
         self._n = 0

@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the integer check that
+raises one."""
+
+import numbers
 
 __all__ = ["ArgumentError", "ParseError"]
 
@@ -16,3 +19,13 @@ class ParseError(ValueError):
             message = f"line {line}: {message}"
         super().__init__(message)
         self.line = line
+
+
+def check_integer(value, name, low):
+    """ArgumentError naming ``name`` unless ``value`` is a Python or numpy
+    integer of at least ``low``; a bool is refused, as
+    `kernels._checked_order` refuses one."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
+            or value < low):
+        raise ArgumentError(f"{name} must be an integer >= {low}, "
+                            f"not {value!r}")

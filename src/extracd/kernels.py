@@ -78,17 +78,18 @@ without FMA contraction, so its iterates are bitwise the loop source's:
   in order, which ``np.add.accumulate`` does in its loop source, and its
   point is K axpys onto zeros, each entry's in the order of the iterates.
 
-The loop sources are the kernels wherever both builds fail (no compiler,
-say), so an iterate has the same bits on every host.  ``BACKEND`` is
-``"numpy+c"`` when the compiled loops run, else ``"numpy"``, and
-``CFLAGS`` holds the flags of the build that loaded, or None.  A solve
-binds `lsq_gram_pass` once per order, which the pass keeps a checked copy
-of, so each Gram epoch is its products and one call of the loop.  A
-sparse epoch or product checks and converts its raw arrays on every
-call, so that a tracer that rebinds ``lasso_epoch`` or ``csc_matvec``
-sees each call with its arguments; a product and the extrapolation solve
-read ``_lib`` on every call, so a test that sets it to None runs the loop
-source.
+``cc`` is required: when no build loads, the import raises ImportError
+naming the flags tried and ``cc``'s error (`_build_loops`); the loop
+sources, 40-70 times slower, are never a fallback.  ``BACKEND`` is
+``"numpy+c"`` and ``CFLAGS`` the flags of the build that loaded.  The
+BLAS products of a solve (the Gram matrix and pass, a fully dense CSC's)
+may change their last bits with the BLAS thread count, so a solve's bits
+are fixed only for a given count: ``trace_digest.py``, perfbench and
+``kernel_bench.py`` pin one thread.  A solve binds `lsq_gram_pass` once
+per order, which the pass keeps a checked copy of, so each Gram epoch is
+its products and one call of the loop.  A sparse epoch or product checks
+and converts its raw arrays on every call, so that a tracer that rebinds
+``lasso_epoch`` or ``csc_matvec`` sees each call with its arguments.
 """
 
 import ctypes
@@ -392,8 +393,6 @@ def csc_matvec(data, indices, indptr, n_rows, x):
     AT = dense_transpose(data, indptr, n_rows)
     if AT is not None:
         return x @ AT
-    if _lib is None:
-        return _csc_matvec_loops(data, indices, indptr, n_rows, x)
     return _c_product(_lib.csc_matvec, data, indices, indptr, n_rows, x,
                       transpose=False)
 
@@ -402,8 +401,6 @@ def csc_rmatvec(data, indices, indptr, v):
     AT = dense_transpose(data, indptr, v.size)
     if AT is not None:
         return AT @ v
-    if _lib is None:
-        return _csc_rmatvec_loops(data, indices, indptr, v)
     return _c_product(_lib.csc_rmatvec, data, indices, indptr, v.size, v,
                       transpose=True)
 
@@ -511,14 +508,16 @@ _C_ERRORS = {-1: "order holds an index outside [-{p}, {p})",
 def _build_loops():
     """``(lib, flags)``: ``_epochs.c`` built into one library whose
     functions ``_SIGNATURES`` lists, and the ``cc`` flags of that build,
-    or ``(None, None)`` if no level of ``_OPT_LEVELS`` builds and loads (no
-    compiler, a failed or slow build, a ``/tmp`` that forbids executing, a
-    library without a symbol).  One ``cc`` call per level, linked with
-    libm; ``cc`` builds into a private temporary directory, so no built
-    file is reused or outlives the import; the loaded library stays
-    mapped."""
+    the first level of ``_OPT_LEVELS`` that builds and loads.  One ``cc``
+    call per level, linked with libm; ``cc`` builds into a private
+    temporary directory, so no built file is reused or outlives the
+    import; the loaded library stays mapped.  ImportError, naming each
+    level's flags and what went wrong (no compiler, ``cc``'s error output,
+    a slow build, a ``/tmp`` that forbids executing, a library without a
+    symbol), if no level loads."""
     src = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                        "_epochs.c")
+    failures = []
     for opt in _OPT_LEVELS:
         flags = opt + _FP_FLAGS
         try:
@@ -530,10 +529,14 @@ def _build_loops():
                 for name, argtypes in _SIGNATURES.items():
                     fn = getattr(lib, name)
                     fn.restype, fn.argtypes = ctypes.c_int, argtypes
-        except (OSError, AttributeError, subprocess.SubprocessError):
-            continue
-        return lib, flags
-    return None, None
+        except (OSError, AttributeError, subprocess.SubprocessError) as exc:
+            said = getattr(exc, "stderr", None)  # cc's own error, if any
+            failures.append(f"cc {' '.join(flags)}: " + (
+                said.decode(errors="replace").strip() if said else str(exc)))
+        else:
+            return lib, flags
+    raise ImportError("extracd needs a C compiler, cc, to build its loops "
+                      "(_epochs.c); " + "; ".join(failures))
 
 
 def _c_array(a, dtype):
@@ -584,13 +587,10 @@ def _c_product(c_product, data, indices, indptr, n_rows, operand,
 def anderson_weights(U):
     """The Anderson weights of the K >= 1 differences in the rows of ``U``
     (K x p, taken as float64), or None when the solve is singular: by C
-    ``anderson_weights`` where that was built, else by
-    `_anderson_weights_loops`, bit for bit."""
+    ``anderson_weights``, bit for bit `_anderson_weights_loops`."""
     U = _c_array(U, np.float64)
     if U.ndim != 2 or len(U) < 1:
         raise ValueError("U must be 2-d with at least one row")
-    if _lib is None:
-        return _anderson_weights_loops(U)
     c = np.empty(len(U))
     code = _lib.anderson_weights(U.ctypes.data, len(U), U.shape[1],
                                  c.ctypes.data)
@@ -603,14 +603,12 @@ def anderson_extrapolate(W):
     """The extrapolation of the K + 1 >= 2 iterates in the rows of ``W``
     (taken as float64; each row of any shape): ``(c, x_e)``, the weights
     of the rows ``W[1:]`` and the point ``sum_i c_i W[i + 1]``, or ``(None,
-    None)`` when the solve is singular; by C ``anderson_extrapolate`` where
-    that was built, else by `_anderson_extrapolate_loops`, bit for bit.  A
-    C-contiguous float64 ``W`` is read in place."""
+    None)`` when the solve is singular; by C ``anderson_extrapolate``, bit
+    for bit `_anderson_extrapolate_loops`.  A C-contiguous float64 ``W`` is
+    read in place."""
     W = _c_array(W, np.float64)
     if W.ndim == 0 or len(W) < 2:
         raise ValueError("W must hold at least two iterates")
-    if _lib is None:
-        return _anderson_extrapolate_loops(W)
     K = len(W) - 1
     p = W.size // (K + 1)
     # the point, then the weights: one buffer, one pointer
@@ -677,7 +675,7 @@ def _compiled_sparse_epoch(c_epoch):
 def lsq_gram_pass(AT, G, y, lip, l1, l2, scale, order):
     """The epoch ``run(x, Ax)`` of `_lsq_gram_epoch_loops` with every other
     argument bound, bit for bit, its coordinate loop run by C
-    ``gram_epoch`` where that was built, else by `_gram_epoch_loops`.
+    ``gram_epoch``.
 
     ``G`` must be a C-contiguous float64 (p, p) array, ``lip`` hold p
     entries and ``order`` follow `_checked_order`: they are checked and
@@ -696,25 +694,18 @@ def lsq_gram_pass(AT, G, y, lip, l1, l2, scale, order):
     order = _checked_order(order, p)
     g, r = np.empty(p), np.empty(n)
     l1, l2, scale = float(l1), float(l2), float(scale)
-    if _lib is None:
-        def loop(x):
-            _gram_epoch_loops(G, g, x, lip, l1, l2, scale, order)
-    else:
-        # the C loop reads these arrays through their pointers: ``run``
-        # holds them, the converted copies of ``lip`` and ``order`` included
-        G_p, g_p, lip_p, order_p = (a.ctypes.data for a in (G, g, lip, order))
-        gram_epoch, m = _lib.gram_epoch, order.size
-
-        def loop(x):
-            # ``order`` is in range(p), so the C loop's own check passes
-            gram_epoch(G_p, g_p, x.ctypes.data, lip_p, order_p, m, p, l1, l2,
-                       scale)
+    # the C loop reads these arrays through their pointers: ``run`` holds
+    # them, the converted copies of ``lip`` and ``order`` included
+    G_p, g_p, lip_p, order_p = (a.ctypes.data for a in (G, g, lip, order))
+    gram_epoch, m = _lib.gram_epoch, order.size
 
     def run(x, Ax):
         xc, Axc = _float64_out(x, "x", p), _float64_out(Ax, "Ax", n)
         np.subtract(Axc, y, out=r)
         np.matmul(AT, r, out=g)
-        loop(xc)
+        # ``order`` is in range(p), so the C loop's own check passes
+        gram_epoch(G_p, g_p, xc.ctypes.data, lip_p, order_p, m, p, l1, l2,
+                   scale)
         if xc is not x:
             x[:] = xc
         np.matmul(x, AT, out=Axc)
@@ -737,15 +728,11 @@ LOOPS = {
 }
 
 _lib, CFLAGS = _build_loops()
-_EPOCHS = LOOPS if _lib is None else _epoch_kernels(
+lasso_epoch, enet_epoch, logreg_l1_epoch, logreg_l2_epoch = _epoch_kernels(
     _compiled_sparse_epoch(_lib.lsq_epoch),
-    _compiled_sparse_epoch(_lib.logreg_epoch))
-lasso_epoch = _EPOCHS["lasso_epoch"]
-enet_epoch = _EPOCHS["enet_epoch"]
-logreg_l1_epoch = _EPOCHS["logreg_l1_epoch"]
-logreg_l2_epoch = _EPOCHS["logreg_l2_epoch"]
+    _compiled_sparse_epoch(_lib.logreg_epoch)).values()
 # recorded by callers that report the backend
-BACKEND = "numpy" if CFLAGS is None else "numpy+c"
+BACKEND = "numpy+c"
 
 
 def warmup():

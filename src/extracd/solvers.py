@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .anderson import online
-from .errors import ArgumentError
+from .errors import ArgumentError, check_integer
 from .problems import Quadratic, evaluate, objective_value
 
 __all__ = [
@@ -50,10 +50,8 @@ class SolverConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.K < 1:
-            raise ArgumentError("K must be >= 1")
-        if self.max_epochs < 0:
-            raise ArgumentError("max_epochs must be nonnegative")
+        for name, low in (("K", 1), ("max_epochs", 0), ("seed", 0)):
+            check_integer(getattr(self, name), name, low)
         if not (np.isfinite(self.tol) and self.tol >= 0):
             raise ArgumentError("tol must be finite and nonnegative")
 

@@ -305,8 +305,10 @@ class TestOnline:
         finally:
             gc.enable()
 
-    @pytest.mark.parametrize("K,k_max,match", [(2, -1, "k_max"),
-                                               (0, 3, "K must")])
+    # a float K once made the window, which failed at its first push
+    @pytest.mark.parametrize("K,k_max,match", [
+        (2, -1, "k_max"), (0, 3, "K must"), (2.5, 3, "K must be an integer"),
+        (2.0, 3, "K must be an integer"), (True, 3, "K must be an integer")])
     def test_input_checks(self, K, k_max, match):
         with pytest.raises(ArgumentError, match=match):
             online_anderson(lambda x: x, np.zeros(2), K=K, k_max=k_max)
@@ -430,8 +432,6 @@ class TestSolve:
     """The one extrapolation solve, `kernels.anderson_extrapolate`, behind
     the window, the offline driver and `extrapolation_coefficients`."""
 
-    @pytest.mark.skipif(kernels._lib is None,
-                        reason="the C loops were not compiled")
     @settings(max_examples=400, deadline=None, database=None)
     @given(windows())
     def test_compiled_solve_is_its_loop_source(self, case):
@@ -449,6 +449,18 @@ class TestSolve:
         assert (w is None) == (w_ref is None) == (c is None)
         if w is not None:
             assert w.tobytes() == w_ref.tobytes() == c.tobytes()
+
+    def test_rank_cut_when_p_is_below_k(self):
+        # K = 3 differences of p = 2 entries: the second pivot of the
+        # eliminated columns, |R_11| = 2.5 eps |R_00|, lies above the cut
+        # eps * max(p, K - 1) * |R_00|, so rank 2 is kept; a cut at
+        # eps * max(p, K) * |R_00| would drop it and give (0, 0, 1)
+        eps = np.finfo(np.float64).eps
+        U = np.array([[1.0, 0.5], [1.0, 0.5 + 2.5 * eps], [0.0, 0.5]])
+        c = kernels.anderson_weights(U)
+        assert c.tobytes() == kernels._anderson_weights_loops(U).tobytes()
+        np.testing.assert_allclose(c, [0.2 / eps, -0.2 / eps, 1.0],
+                                   rtol=1e-12)
 
     @settings(max_examples=200, deadline=None, database=None)
     @given(windows())

@@ -126,6 +126,7 @@ class TestLoadConfig:
         ({"solvers": {"names": ""}}, "at least one"),
         ({"run": {"ref_budget_factor": "2"}}, "at least 10"),
         ({"run": {"tol": "nan"}}, "tol"),
+        ({"run": {"seed": "-1"}}, "seed must be an integer >= 0"),
     ])
     def test_rejections(self, tmp_path, overrides, fragment):
         path = write_config(tmp_path / "bad.ini", overrides)
@@ -573,6 +574,23 @@ class TestCli:
         out = tmp_path / "res"
         assert main(["bench", "--config", str(cfg), "--out", str(out)]) == 2
         assert "tol" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("seed", ["-1", "--seed"])
+    def test_bench_negative_seed_exit_two_before_any_solve(
+            self, seed, tmp_path, capsys, monkeypatch):
+        # ``seed = -1`` once passed the config check, and bench computed the
+        # references and failed each randomized solve, exiting 1
+        monkeypatch.setattr(bench, "compute_reference", None)
+        if seed == "--seed":
+            cfg, flags = write_config(tmp_path / "b.ini"), ["--seed", "-1"]
+        else:
+            cfg, flags = write_config(tmp_path / "b.ini",
+                                      {"run": {"seed": seed}}), []
+        out = tmp_path / "res"
+        assert main(["bench", "--config", str(cfg), "--out", str(out),
+                     *flags]) == 2
+        assert "seed must be an integer >= 0" in capsys.readouterr().err
         assert not out.exists()
 
     def test_bench_enet_without_rows_exit_two(self, tmp_path, capsys):

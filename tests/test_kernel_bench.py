@@ -56,16 +56,10 @@ def test_cases_enter_the_selected_kernels(kernel_bench, monkeypatch,
             return _fn(text, n_cols)
         monkeypatch.setattr(data, name, parser)
 
-    # the compiled solve where it was built, else its loop source
-    if kernels._lib is None:
-        solve_owner, solve_name = kernels, "_anderson_extrapolate_loops"
-    else:
-        solve_owner, solve_name = kernels._lib, "anderson_extrapolate"
-
-    def solve(*args, _fn=getattr(solve_owner, solve_name)):
-        entered[-1].append(solve_name)
+    def solve(*args, _fn=kernels._lib.anderson_extrapolate):
+        entered[-1].append("anderson_extrapolate")
         return _fn(*args)
-    monkeypatch.setattr(solve_owner, solve_name, solve)
+    monkeypatch.setattr(kernels._lib, "anderson_extrapolate", solve)
 
     out = tmp_path / "kb.json"
     kernel_bench.main(["--n", "20", "--p", "30", "--repeat", "1",
@@ -78,8 +72,7 @@ def test_cases_enter_the_selected_kernels(kernel_bench, monkeypatch,
                         "anderson_extrapolate_p500"])
     assert report["args"] == {"n": 20, "p": 30, "repeat": 1}
     assert set(report["blas_env"].values()) == {"1"}
-    assert report["kernel_cflags"] == (None if kernels.CFLAGS is None
-                                       else list(kernels.CFLAGS))
+    assert report["kernel_cflags"] == list(kernels.CFLAGS)
     by_case = dict(zip(names, entered, strict=True))
     assert binds == [0]  # the dense lasso's, before any timer
     assert by_case["lasso_pass"] == ["lsq_gram_pass"]
@@ -87,7 +80,8 @@ def test_cases_enter_the_selected_kernels(kernel_bench, monkeypatch,
     assert by_case["logreg_l1_pass"] == ["logreg_l1_epoch"]
     assert by_case["quad_gs_pass"] == []
     for p in (200, 500):
-        assert by_case[f"anderson_extrapolate_p{p}"] == [solve_name]
+        assert by_case[f"anderson_extrapolate_p{p}"] == [
+            "anderson_extrapolate"]
     # the fast parser takes the text whole, and it holds the sparse design
     assert by_case["sparse_parse_libsvm"] == ["_parse_fast"]
     S, y = kernel_bench.sparse_design()

@@ -157,14 +157,31 @@ class TestEpochFunctions:
 # ---------------------------------------------------------------------------
 
 class TestConfigAndTrace:
+    # the cases after the first three once constructed, and the solve died
+    # in a TypeError (a float K or max_epochs) or in numpy's "expected
+    # non-negative integer" (a negative seed)
     @pytest.mark.parametrize("kwargs", [
         {"K": 0},
         {"max_epochs": -1},
         {"tol": -1e-3},
+        {"K": 2.5},
+        {"K": True},
+        {"max_epochs": 3.5},
+        {"max_epochs": np.float64(3.0)},
+        {"seed": 1.0},
+        {"seed": False},
+        {"seed": -1},
     ])
     def test_config_validation(self, kwargs):
-        with pytest.raises(ArgumentError):
+        [name] = kwargs
+        with pytest.raises(ArgumentError, match=name):
             SolverConfig(**kwargs)
+
+    def test_config_takes_numpy_integers(self):
+        cfg = SolverConfig(K=np.int64(3), max_epochs=np.int32(4),
+                           seed=np.uint8(2))
+        prob = Lasso(CscMatrix.from_dense(np.eye(3)), np.ones(3), 0.1)
+        assert solve(prob, cfg).epochs[-1] <= 4
 
     def test_config_frozen(self):
         cfg = SolverConfig()
