@@ -25,9 +25,8 @@ BLAS is pinned to one thread.  Run from the repository root as::
         [--repeat 20] [--json PATH]
 
 ``--json`` also writes the timings (best of the repeats, in seconds) with
-the arguments, the backend and the flags its C loop was built with
-(``kernel_cflags``, null where the loop runs in Python), the versions and
-the BLAS variables to ``PATH``.
+the arguments, the backend and the flags its C loops were built with
+(``kernel_cflags``), the versions and the BLAS variables to ``PATH``.
 """
 
 import os

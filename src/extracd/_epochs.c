@@ -9,9 +9,9 @@
    (kernels.anderson_extrapolate, which anderson's window and offline
    driver call) and anderson_weights on their differences
    (kernels.anderson_weights: anderson.extrapolation_coefficients).  Each
-   does the operations of its loop source in kernels (_gram_epoch_loops;
-   _sparse_epoch_loops with _lsq_row or _logreg_row; _csc_matvec_loops;
-   _csc_rmatvec_loops; _anderson_extrapolate_loops and
+   does the operations of its loop source in tests/loop_sources.py
+   (_gram_epoch_loops; _sparse_epoch_loops with _lsq_row or _logreg_row;
+   _csc_matvec_loops; _csc_rmatvec_loops; _anderson_extrapolate_loops and
    _anderson_weights_loops) in the same order, so that compiled without FMA
    contraction (-ffp-contract=off) and without -ffast-math it gives the
    same bits.
@@ -87,7 +87,7 @@ int gram_epoch(const double *G, double *restrict g, double *restrict x,
     return 0;
 }
 
-/* sigma(-t) = 1 / (1 + e^t), overflow-safe on both sides (kernels._sig_neg) */
+/* sigma(-t) = 1 / (1 + e^t), overflow-safe on both sides (_sig_neg) */
 static double sig_neg(double t)
 {
     if (t >= 0.0) {

@@ -147,8 +147,7 @@ def offline_anderson(step, x0, k_max):
 
     ``k_max`` above 1000 is refused (cost grows cubically).
     """
-    if k_max < 1:
-        raise ArgumentError("k_max must be >= 1")
+    check_integer(k_max, "k_max", 1)
     if k_max > 1000:
         raise ArgumentError("offline extrapolation refuses k_max > 1000")
     x0 = np.array(x0, dtype=np.float64, copy=True)
@@ -210,8 +209,7 @@ def online_anderson(step, x0, K, k_max, guard=None):
     The extrapolated point ``x_e`` replaces ``x`` unless ``guard`` is
     given and ``guard(x_e) > guard(x)``.  Events are those of `online`.
     """
-    if k_max < 0:
-        raise ArgumentError("k_max must be nonnegative")
+    check_integer(k_max, "k_max", 0)
 
     def accept(point, x, _):
         ok = guard is None or guard(point) <= guard(x)

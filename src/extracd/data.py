@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ArgumentError, ParseError
+from .errors import ArgumentError, ParseError, check_integer
 from . import kernels
 
 __all__ = [
@@ -201,8 +201,9 @@ def parse_libsvm(source, n_cols=None):
     source : path, bytes, or binary or text file object
         Raw or gzipped LibSVM text; gzip is detected from magic bytes.
     n_cols : int, optional
-        Pad the column dimension up to this value.  It is an error to
-        pass a value smaller than the largest feature index seen.
+        Pad the column dimension up to this value.  It is an error
+        (ArgumentError) to pass anything but an integer, or a value
+        smaller than the largest feature index seen.
 
     Returns
     -------
@@ -218,6 +219,8 @@ def parse_libsvm(source, n_cols=None):
         and on text that is not UTF-8; messages carry the 1-based line
         number.  Also on a truncated or corrupt gzip stream.
     """
+    if n_cols is not None:
+        check_integer(n_cols, "n_cols", 0)
     text = _open_text(source)
     ds = _parse_fast(text, n_cols)
     return _parse_lines(text, n_cols) if ds is None else ds
@@ -396,8 +399,8 @@ def gen_correlated_gaussian(n, p, corr=0.5, snr=3.0, seed=0):
     (Dataset, ndarray)
         The dataset and the ground-truth coefficients.
     """
-    if n < 1 or p < 1:
-        raise ArgumentError("n and p must be positive")
+    check_integer(n, "n", 1)
+    check_integer(p, "p", 1)
     if not 0.0 <= corr < 1.0:
         raise ArgumentError("corr must lie in [0, 1)")
     if not (np.isfinite(snr) and snr > 0):

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ArgumentError
+from .errors import ArgumentError, check_integer
 from .problems import DENSE_LIMIT, Quadratic
 from .solvers import _cd_step, _cdsym_step
 
@@ -334,10 +334,8 @@ def numerical_range_boundary(T, q=1, n_angles=360):
         raise ArgumentError("numerical range expects a square matrix")
     if not np.all(np.isfinite(T)):
         raise ArgumentError("matrix must be finite")
-    if q < 1:
-        raise ArgumentError("q must be >= 1")
-    if n_angles < 3:
-        raise ArgumentError("n_angles must be >= 3")
+    check_integer(q, "q", 1)
+    check_integer(n_angles, "n_angles", 3)
     _check_dense_size(T.shape[0])
     M = np.linalg.matrix_power(T, q)
     S = 0.5 * (M + M.T)

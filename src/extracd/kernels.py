@@ -1,9 +1,10 @@
 """Hot numerical kernels: numpy products, and coordinate and product loops
 in C.
 
-Every kernel also has an explicit-loop source.  ``LOOPS`` holds them as a
-kernel table run as plain Python: the reference that tests compare the
-public kernels against.
+Every kernel also has an explicit-loop source, which the library never
+runs: ``tests/loop_sources.py`` holds them, and its table ``LOOPS`` runs
+them as plain Python, the reference that the tests compare the public
+kernels against.
 
 All sparse kernels operate on raw CSC arrays (values, row indices,
 column pointers) and update ``x`` / ``Ax`` in place.  Coordinates whose
@@ -16,10 +17,10 @@ the end, as in ``x[j]``.
 The lasso, elastic-net and both logistic epochs apply one proximal
 coordinate update, ``x_j <- st(x_j - A_j'r / scale / L_j, l1 / L_j) /
 (1 + l2 / L_j)``, where ``r`` is the datafit's per-row gradient factor:
-``Ax - y`` for least squares (`_lsq_row`), ``-y * sigma(-y * Ax)`` for
-logistic regression (`_logreg_row`).  The four public kernels are
-wrappers that fix ``(l1, l2, scale)`` of one loop.  ``l1 = 0`` leaves out
-the soft threshold, which would turn a NaN or -0.0 step into 0.0.
+``Ax - y`` for least squares, ``-y * sigma(-y * Ax)`` for logistic
+regression.  The four public kernels are wrappers that fix ``(l1, l2,
+scale)`` of one loop.  ``l1 = 0`` leaves out the soft threshold, which
+would turn a NaN or -0.0 step into 0.0.
 
 Python loops over columns and coordinates are slow, so the numpy kernels
 avoid per-column work where the input allows:
@@ -33,15 +34,16 @@ avoid per-column work where the input allows:
 - ``problems.Quadratic.cd_sweep`` runs a cyclic pass on a quadratic as one
   Gauss-Seidel step instead of ``cd_dense_epoch``.
 
-``cd_dense_epoch`` is its loop source, whose steps are already one BLAS
-dot each.
+``cd_dense_epoch`` is its own loop source, whose steps are already one
+BLAS dot each.
 
 The coordinate epochs on a design visit each coordinate for a few
 operations, and the sparse products each entry for one multiply and one
 add, so in Python the interpreter's round trip per visit is most of their
 time.  Each of them but the group epoch runs a C loop of ``_epochs.c``,
 built with ``cc`` into one library when this module is imported and
-called through ``ctypes``, and each C loop has one loop source here:
+called through ``ctypes``, and each C loop has one loop source in
+``tests/loop_sources.py``:
 
 - C ``gram_epoch``: `_gram_epoch_loops`, the coordinate loop of the Gram
   epoch, a least-squares epoch on a dense design through its Gram matrix
@@ -79,32 +81,41 @@ without FMA contraction, so its iterates are bitwise the loop source's:
   point is K axpys onto zeros, each entry's in the order of the iterates.
 
 ``cc`` is required: when no build loads, the import raises ImportError
-naming the flags tried and ``cc``'s error (`_build_loops`); the loop
+naming the flags tried and ``cc``'s error (`_build_library`); the loop
 sources, 40-70 times slower, are never a fallback.  ``BACKEND`` is
-``"numpy+c"`` and ``CFLAGS`` the flags of the build that loaded.  The
-BLAS products of a solve (the Gram matrix and pass, a fully dense CSC's)
-may change their last bits with the BLAS thread count, so a solve's bits
-are fixed only for a given count: ``trace_digest.py``, perfbench and
-``kernel_bench.py`` pin one thread.  A solve binds `lsq_gram_pass` once
-per order, which the pass keeps a checked copy of, so each Gram epoch is
-its products and one call of the loop.  A sparse epoch or product checks
-and converts its raw arrays on every call, so that a tracer that rebinds
-``lasso_epoch`` or ``csc_matvec`` sees each call with its arguments.
+``"numpy+c"`` and ``CFLAGS`` the flags of the build that loaded.
+
+Of the BLAS products a solve runs, one was found to change its bits with
+the BLAS thread count: the Gram matrix ``A'A`` that a least-squares solve
+on a fully dense design builds for its Gram epoch.  So:
+
+- a solve that builds no Gram matrix has the same bits at any thread
+  count (tested: ``pcd_anderson`` on the sparse sample data, at one and
+  at two threads);
+- a Gram-path solve depends on the count through ``A'A`` (measured with
+  OpenBLAS 0.3.31 on two cores, one thread against two): the Gram
+  matrices of all six lasso-dense designs (100 x 500) changed their
+  bytes, while ``A' r``, ``x A'``, the column norms, the products and
+  ``lambda_max`` kept theirs; ``pcd_anderson`` took 205 epochs on one
+  design at one thread and 215 at two, and ended at other bits on a
+  second with its epoch count unchanged.
+
+``trace_digest.py``, perfbench and ``kernel_bench.py`` pin one thread.
+
+A solve binds `lsq_gram_pass` once per order, which the pass keeps a
+checked copy of, so each Gram epoch is its products and one call of the
+loop.  A sparse epoch or product checks and converts its raw arrays on
+every call, so that a tracer that rebinds ``lasso_epoch`` or
+``csc_matvec`` sees each call with its arguments.
 """
 
 import ctypes
-import functools
 import math
 import os
 import subprocess
 import tempfile
 
 import numpy as np
-
-_EPS = float(np.finfo(np.float64).eps)
-_DBL_MAX = float(np.finfo(np.float64).max)
-# the sums of squares whose square root is a norm; the others are scaled
-_TINY, _HUGE = 2.0 ** -900, 2.0 ** 900
 
 # ---------------------------------------------------------------------------
 # scalar helpers
@@ -117,23 +128,6 @@ def _st(v, t):
     if v < -t:
         return v + t
     return 0.0
-
-
-def _sig_neg(t):
-    # sigma(-t) = 1 / (1 + e^t), overflow-safe on both sides
-    if t >= 0.0:
-        e = math.exp(-t)
-        return e / (1.0 + e)
-    return 1.0 / (1.0 + math.exp(t))
-
-
-# the per-row gradient factors r_i of the two datafits
-def _lsq_row(y, Ax):
-    return Ax - y
-
-
-def _logreg_row(y, Ax):
-    return -y * _sig_neg(y * Ax)
 
 
 def _checked_order(order, p, c_checks_range=False, name="order"):
@@ -152,225 +146,6 @@ def _checked_order(order, p, c_checks_range=False, name="order"):
     if order.size and not -p <= order.min() <= order.max() < p:
         raise IndexError(f"{name} holds an index outside [-{p}, {p})")
     return order.astype(np.int64) % max(p, 1)
-
-
-# ---------------------------------------------------------------------------
-# explicit-loop sources (the tests' reference)
-# ---------------------------------------------------------------------------
-
-# the products' loops run on lists of Python floats, which round as float64
-# does, in a third of the time that indexing the arrays would take
-def _csc_matvec_loops(data, indices, indptr, n_rows, x):
-    # only the entries of the columns whose x_j is not zero, in storage
-    # order, each with its product data[k] * x_j (one rounding, as in C)
-    counts = np.diff(indptr)
-    keep = np.repeat(x != 0.0, counts)
-    stored = slice(indptr[0], indptr[-1])
-    rows = indices[stored][keep].tolist()
-    products = (data[stored] * np.repeat(x, counts))[keep].tolist()
-    out = [0.0] * n_rows
-    for r, v in zip(rows, products):
-        out[r] += v
-    return np.array(out)
-
-
-def _csc_rmatvec_loops(data, indices, indptr, v):
-    # each column's products data[k] * v[indices[k]] summed in storage order
-    stored = slice(indptr[0], indptr[-1])
-    products = (data[stored] * v[indices[stored]]).tolist()
-    bounds = (indptr - indptr[0]).tolist()
-    out = []
-    for start, end in zip(bounds[:-1], bounds[1:]):
-        acc = 0.0
-        for t in products[start:end]:
-            acc += t
-        out.append(acc)
-    return np.array(out)
-
-
-def _csc_col_norms_sq_loops(data, indptr):
-    p = indptr.size - 1
-    out = np.empty(p)
-    for j in range(p):
-        acc = 0.0
-        for k in range(indptr[j], indptr[j + 1]):
-            acc += data[k] * data[k]
-        out[j] = acc
-    return out
-
-
-def _cd_dense_epoch_loops(H, b, x, order):
-    for j in _checked_order(order, x.size).tolist():
-        r = np.dot(H[j], x) + b[j]
-        x[j] -= r / H[j, j]
-
-
-def _sparse_epoch_loops(row, data, indices, indptr, y, x, Ax, lip, l1, l2,
-                        scale, order):
-    """C ``sparse_epoch``: one epoch of the datafit whose per-row gradient
-    factor is ``row``."""
-    for j in _checked_order(order, indptr.size - 1).tolist():
-        lj = lip[j]
-        if lj <= 0.0:
-            continue
-        start, end = indptr[j], indptr[j + 1]
-        grad = 0.0
-        for k in range(start, end):
-            i = indices[k]
-            grad += data[k] * row(y[i], Ax[i])
-        new = x[j] - grad / scale / lj
-        if l1 != 0.0:
-            new = _st(new, l1 / lj)
-        new /= 1.0 + l2 / lj
-        d = new - x[j]
-        if d != 0.0:
-            for k in range(start, end):
-                Ax[indices[k]] += d * data[k]
-            x[j] = new
-
-
-def _group_epoch_loops(data, indices, indptr, y, x, Ax, grp_cols, grp_ptr,
-                       lip_g, lam, order_g):
-    for g in _checked_order(order_g, len(grp_ptr) - 1).tolist():
-        lg = lip_g[g]
-        if lg <= 0.0:
-            continue
-        gs, ge = grp_ptr[g], grp_ptr[g + 1]
-        m = ge - gs
-        v = np.empty(m)
-        sq = 0.0
-        for t in range(m):
-            j = grp_cols[gs + t]
-            grad = 0.0
-            for k in range(indptr[j], indptr[j + 1]):
-                i = indices[k]
-                grad += data[k] * (Ax[i] - y[i])
-            vt = x[j] - grad / lg
-            v[t] = vt
-            sq += vt * vt
-        norm = math.sqrt(sq)
-        thr = lam / lg
-        scale = 0.0 if norm <= thr else 1.0 - thr / norm
-        for t in range(m):
-            j = grp_cols[gs + t]
-            new = scale * v[t]
-            d = new - x[j]
-            if d != 0.0:
-                for k in range(indptr[j], indptr[j + 1]):
-                    Ax[indices[k]] += d * data[k]
-                x[j] = new
-
-
-def _gram_epoch_loops(G, g, x, lip, l1, l2, scale, order):
-    """C ``gram_epoch``: the coordinate loop of a least-squares epoch on a
-    dense design, in place on ``x`` and on ``g = A'(Ax - y)``, which a
-    coordinate that moves updates with its row of the Gram matrix ``G``."""
-    l1, l2, scale = float(l1), float(l2), float(scale)
-    lip = lip.tolist()
-    xs = x.tolist()
-    for j in _checked_order(order, len(xs)).tolist():
-        lj = lip[j]
-        if lj <= 0.0:
-            continue
-        old = xs[j]
-        new = _st(old - g.item(j) / scale / lj, l1 / lj) / (1.0 + l2 / lj)
-        if new != old:
-            g += (new - old) * G[j]
-            xs[j] = new
-    x[:] = xs
-
-
-def _lsq_gram_epoch_loops(AT, G, y, x, Ax, lip, l1, l2, scale, order):
-    """One least-squares coordinate epoch on a dense design, in place, with
-    the update of ``enet_epoch`` (``lasso_epoch`` for ``scale = 1`` and
-    ``l2 = 0``): ``g = A'(Ax - y)`` from ``AT``, the design's transpose
-    (p x n), then `_gram_epoch_loops` with the Gram matrix ``G = AT @
-    AT.T``, then ``Ax`` recomputed as ``A x``."""
-    g = AT @ (Ax - y)
-    _gram_epoch_loops(G, g, x, lip, l1, l2, scale, order)
-    Ax[:] = x @ AT
-
-
-def _scaled_norm(x):
-    # C ``scaled_norm``: ||x|| scaled by max |x_i|, NaN if an entry is NaN
-    amax = np.abs(x).max()
-    if amax == 0.0:
-        return 0.0
-    t = x / amax
-    return amax * math.sqrt(np.add.accumulate(t * t)[-1])
-
-
-@np.errstate(over="ignore", invalid="ignore")
-def _anderson_weights_loops(U):
-    """C ``anderson_solve``: the Anderson weights of the K >= 1 differences
-    in the rows of ``U`` (K x p), or None when the solve is singular.  The
-    weights minimize ``||U'c||`` subject to ``sum(c) = 1``, the constraint
-    eliminated on the last weight: a Householder QR with column pivoting of
-    the columns ``U_j - U_last`` against ``-U_last``, cut at the rank where
-    ``|R_kk| <= eps * max(p, K - 1) * |R_00|``, then back substitution.
-    Each sum is ``np.add.accumulate``'s last entry, which adds strictly in
-    order as the C loop does."""
-    K, p = U.shape
-    m = K - 1
-    if not np.isfinite(U).all():
-        return None
-    # row j holds column j; row m, which no pivot moves, the right side
-    A = np.empty((K, p))
-    A[:m] = U[:m] - U[m]
-    A[m] = -U[m]
-    perm, v, r, tol = list(range(K)), np.empty(p), 0, 0.0
-    for k in range(min(m, p)):
-        cols = A[perm[k:m], k:]
-        sums = np.add.accumulate(cols * cols, axis=1)[:, -1]
-        piv, nrm = k, 0.0
-        for j, (s, col) in enumerate(zip(sums.tolist(), cols), k):
-            nj = (math.sqrt(s) if _TINY <= s <= _HUGE
-                  else _scaled_norm(col))
-            if j == k or nj > nrm:
-                piv, nrm = j, nj
-        if not nrm <= _DBL_MAX:
-            return None
-        if k == 0:
-            tol = _EPS * max(p, m) * nrm
-        if nrm <= tol:
-            break
-        perm[k], perm[piv] = perm[piv], perm[k]
-        a = A[perm[k]]
-        alpha = a[k]
-        beta = -math.copysign(nrm, alpha)
-        tau, d = (beta - alpha) / beta, alpha - beta
-        v[k] = 1.0
-        v[k + 1:] = a[k + 1:] / d
-        a[k] = beta
-        rest = perm[k + 1:]
-        Y = A[rest, k:]
-        s = np.add.accumulate(v[k:] * Y, axis=1)[:, -1]
-        A[rest, k:] = Y - (tau * s)[:, None] * v[k:]
-        r = k + 1
-    z = np.empty(r)
-    for i in range(r - 1, -1, -1):
-        terms = A[perm[i + 1:r], i] * z[i + 1:]
-        s = np.add.accumulate(terms)[-1] if terms.size else 0.0
-        z[i] = (A[m, i] - s) / A[perm[i], i]
-    c = np.zeros(K)
-    c[perm[:r]] = z
-    c[m] = 1.0 - (np.add.accumulate(c[:m])[-1] if m else 0.0)
-    return c if np.isfinite(c).all() else None
-
-
-def _anderson_extrapolate_loops(W):
-    """C ``anderson_extrapolate``: ``(c, x_e)``, the weights of the
-    differences of the K + 1 >= 2 iterates in the rows of ``W`` and the
-    point ``sum_i c_i W[i + 1]`` as K axpys onto zeros, or ``(None, None)``
-    when the solve is singular."""
-    U = W[1:] - W[:-1]
-    c = _anderson_weights_loops(U.reshape(len(U), W[0].size))
-    if c is None:
-        return None, None
-    x_e = np.zeros(W.shape[1:])
-    for ci, xi in zip(c, W[1:]):
-        x_e += ci * xi
-    return c, x_e
 
 
 # ---------------------------------------------------------------------------
@@ -421,9 +196,15 @@ def csc_col_norms_sq(data, indptr):
     return out
 
 
+def cd_dense_epoch(H, b, x, order):
+    for j in _checked_order(order, x.size).tolist():
+        r = np.dot(H[j], x) + b[j]
+        x[j] -= r / H[j, j]
+
+
 def _logreg_rows(y, Ax):
     # the logistic gradient's per-row factors, for `problems.Logistic`:
-    # `_logreg_row`'s two branches, without boolean-mask indexing
+    # the two branches of C ``sig_neg``, without boolean-mask indexing
     t = y * Ax
     e = np.exp(-np.abs(t))
     return -y * (np.where(t >= 0.0, e, 1.0) / (1.0 + e))
@@ -505,7 +286,7 @@ _C_ERRORS = {-1: "order holds an index outside [-{p}, {p})",
              -3: "indices hold a row outside [0, {n})"}
 
 
-def _build_loops():
+def _build_library():
     """``(lib, flags)``: ``_epochs.c`` built into one library whose
     functions ``_SIGNATURES`` lists, and the ``cc`` flags of that build,
     the first level of ``_OPT_LEVELS`` that builds and loads.  One ``cc``
@@ -715,19 +496,7 @@ def lsq_gram_pass(AT, G, y, lip, l1, l2, scale, order):
     return run
 
 
-cd_dense_epoch = _cd_dense_epoch_loops
-LOOPS = {
-    "csc_matvec": _csc_matvec_loops,
-    "csc_rmatvec": _csc_rmatvec_loops,
-    "csc_col_norms_sq": _csc_col_norms_sq_loops,
-    "cd_dense_epoch": _cd_dense_epoch_loops,
-    **_epoch_kernels(functools.partial(_sparse_epoch_loops, _lsq_row),
-                     functools.partial(_sparse_epoch_loops, _logreg_row)),
-    "group_epoch": _group_epoch_loops,
-    "lsq_gram_epoch": _lsq_gram_epoch_loops,
-}
-
-_lib, CFLAGS = _build_loops()
+_lib, CFLAGS = _build_library()
 lasso_epoch, enet_epoch, logreg_l1_epoch, logreg_l2_epoch = _epoch_kernels(
     _compiled_sparse_epoch(_lib.lsq_epoch),
     _compiled_sparse_epoch(_lib.logreg_epoch)).values()

@@ -33,7 +33,7 @@ import numpy as np
 
 from . import kernels
 from .data import CscMatrix
-from .errors import ArgumentError
+from .errors import ArgumentError, check_integer
 
 __all__ = [
     "DENSE_LIMIT",
@@ -558,8 +558,8 @@ class GroupLasso(_DesignProblem):
 
 def groups_from_size(p, size):
     """Consecutive blocks of ``size`` columns (last block may be shorter)."""
-    if size < 1:
-        raise ArgumentError("group size must be >= 1")
+    check_integer(p, "p", 0)
+    check_integer(size, "group size", 1)
     return tuple(np.arange(s, min(s + size, p), dtype=np.int64)
                  for s in range(0, p, size))
 

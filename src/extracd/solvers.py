@@ -235,23 +235,29 @@ def anderson_cdsym(prob, cfg):
 # full-gradient baselines
 # ---------------------------------------------------------------------------
 
-def power_iteration(matvec, dim, tol=1e-10, max_iter=1000, seed=0):
+# power iteration stops once an estimate moves by at most _POWER_TOL of
+# itself (or absolutely below 1), else after _POWER_STEPS products; it
+# starts from a standard normal vector drawn with seed _POWER_SEED
+_POWER_TOL, _POWER_STEPS, _POWER_SEED = 1e-10, 1000, 0
+
+
+def power_iteration(matvec, dim):
     """Largest eigenvalue of a symmetric PSD operator by power iteration."""
     if dim == 0:
         return 0.0
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_POWER_SEED)
     v = rng.standard_normal(dim)
     v /= np.linalg.norm(v)
     eig = 0.0
     w = matvec(v)
-    for _ in range(max_iter):
+    for _ in range(_POWER_STEPS):
         norm = np.linalg.norm(w)
         if norm == 0.0:
             return 0.0
         v = w / norm
         w = matvec(v)  # the Rayleigh quotient's product is the next step's
         new = float(v @ w)
-        if abs(new - eig) <= tol * max(1.0, abs(new)):
+        if abs(new - eig) <= _POWER_TOL * max(1.0, abs(new)):
             return new
         eig = new
     return eig

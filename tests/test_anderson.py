@@ -11,6 +11,8 @@ from extracd.anderson import (ExtrapolationWindow, extrapolation_coefficients,
                               offline_anderson, online, online_anderson)
 from extracd.errors import ArgumentError
 
+from loop_sources import C_LOOPS
+
 
 def coefficients_kkt(U):
     """Independent oracle: solve the equality-constrained normal equations.
@@ -203,6 +205,17 @@ class TestOffline:
             offline_anderson(step, np.zeros(p), k_max=0)
         with pytest.raises(ArgumentError):
             offline_anderson(step, np.zeros(p), k_max=1001)
+
+
+# each once failed inside ``range`` or ran a bool as 1
+@pytest.mark.parametrize("run", [offline_anderson,
+                                 lambda step, x0, k_max: online_anderson(
+                                     step, x0, 2, k_max)],
+                         ids=["offline", "online"])
+@pytest.mark.parametrize("k_max", [2.5, True], ids=["float", "bool"])
+def test_k_max_must_be_an_integer(run, k_max):
+    with pytest.raises(ArgumentError, match="k_max must be an integer"):
+        run(lambda x: 0.5 * x, np.ones(2), k_max)
 
 
 class TestOnline:
@@ -437,7 +450,7 @@ class TestSolve:
     def test_compiled_solve_is_its_loop_source(self, case):
         _, W = case
         c, x_e = kernels.anderson_extrapolate(W)
-        c_ref, x_ref = kernels._anderson_extrapolate_loops(W)
+        c_ref, x_ref = C_LOOPS["anderson_extrapolate"](W)
         assert (c is None) == (c_ref is None)
         if c is not None:
             assert c.tobytes() == c_ref.tobytes()
@@ -445,7 +458,7 @@ class TestSolve:
             assert x_e.tobytes() == x_ref.tobytes()
         U = (W[1:] - W[:-1]).reshape(len(W) - 1, -1)
         w, w_ref = (kernels.anderson_weights(U),
-                    kernels._anderson_weights_loops(U))
+                    C_LOOPS["anderson_weights"](U))
         assert (w is None) == (w_ref is None) == (c is None)
         if w is not None:
             assert w.tobytes() == w_ref.tobytes() == c.tobytes()
@@ -458,7 +471,7 @@ class TestSolve:
         eps = np.finfo(np.float64).eps
         U = np.array([[1.0, 0.5], [1.0, 0.5 + 2.5 * eps], [0.0, 0.5]])
         c = kernels.anderson_weights(U)
-        assert c.tobytes() == kernels._anderson_weights_loops(U).tobytes()
+        assert c.tobytes() == C_LOOPS["anderson_weights"](U).tobytes()
         np.testing.assert_allclose(c, [0.2 / eps, -0.2 / eps, 1.0],
                                    rtol=1e-12)
 

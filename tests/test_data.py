@@ -519,6 +519,18 @@ class TestSynthetic:
             gen_correlated_gaussian(5, 5, snr=0.0)
 
 
+# each once failed deep inside numpy or Python, or ran a bool as 1
+@pytest.mark.parametrize("make,name", [
+    (lambda: parse_libsvm(b"1 1:1\n", n_cols=2.5), "n_cols"),
+    (lambda: parse_libsvm(b"1 1:1\n", n_cols=True), "n_cols"),
+    (lambda: gen_correlated_gaussian(10.5, 5), "n"),
+    (lambda: gen_correlated_gaussian(10, True), "p"),
+], ids=["n_cols-float", "n_cols-bool", "n-float", "p-bool"])
+def test_integer_arguments_are_checked(make, name):
+    with pytest.raises(ArgumentError, match=f"^{name} must be an integer"):
+        make()
+
+
 def test_load_sample():
     ds = load_sample()
     assert ds.A.n_rows == 120 and ds.A.n_cols == 60

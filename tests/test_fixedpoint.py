@@ -409,6 +409,15 @@ class TestLanczosRange:
         np.testing.assert_allclose(nr.support[::9], support, rtol=0, atol=tol)
 
 
+# each once failed inside numpy or ran a bool as 1
+@pytest.mark.parametrize("name,value", [
+    ("q", 1.5), ("q", True), ("n_angles", 10.5), ("n_angles", True)],
+    ids=["q-float", "q-bool", "n_angles-float", "n_angles-bool"])
+def test_range_integer_arguments_are_checked(name, value):
+    with pytest.raises(ArgumentError, match=f"^{name} must be an integer"):
+        numerical_range_boundary(np.eye(3) * 0.5, **{name: value})
+
+
 def test_dense_limit_guard():
     big = np.eye(DENSE_LIMIT + 1)
     quad = Quadratic(big, np.zeros(DENSE_LIMIT + 1))

@@ -16,14 +16,16 @@ from hypothesis import strategies as st
 
 from extracd import SolverConfig, kernels, lambda_max, solve
 from extracd.data import CscMatrix, load_sample, parse_libsvm
-from extracd.kernels import LOOPS, warmup
+from extracd.kernels import warmup
 from extracd.problems import (L1L2, ElasticNet, GroupLasso, Lasso, Logistic,
                               LogRegL1, LogRegL2, Quadratic, groups_from_size)
 from extracd.solvers import pcd_epoch
 
+from loop_sources import C_LOOPS, LOOPS
+
 # the public kernels (numpy, and the C loops) as a table beside LOOPS, the
-# loop sources run as plain Python: the reference they are checked
-# against.  The Gram epoch's public form is the pass that
+# loop sources of ``loop_sources`` run as plain Python: the reference they
+# are checked against.  The Gram epoch's public form is the pass that
 # `kernels.lsq_gram_pass` binds, checked below.
 NUMPY = {name: getattr(kernels, name) for name in LOOPS
          if name != "lsq_gram_epoch"}
@@ -262,10 +264,10 @@ class TestDensePaths:
     def test_products(self):
         M, A, y, x = dense_problem(30, 17, seed=20)
         got = NUMPY["csc_matvec"](A.values, A.row_idx, A.col_ptr, 30, x)
-        ref = kernels._csc_matvec_loops(A.values, A.row_idx, A.col_ptr, 30, x)
+        ref = LOOPS["csc_matvec"](A.values, A.row_idx, A.col_ptr, 30, x)
         np.testing.assert_allclose(got, ref, rtol=1e-12, atol=1e-14)
         got = NUMPY["csc_rmatvec"](A.values, A.row_idx, A.col_ptr, y)
-        ref = kernels._csc_rmatvec_loops(A.values, A.row_idx, A.col_ptr, y)
+        ref = LOOPS["csc_rmatvec"](A.values, A.row_idx, A.col_ptr, y)
         np.testing.assert_allclose(got, ref, rtol=1e-12, atol=1e-14)
 
     @pytest.mark.parametrize("rho", [0.0, 0.15])
@@ -344,7 +346,7 @@ class TestDensePaths:
             x0 = np.random.default_rng(quad.dim).standard_normal(quad.dim)
             got, ref = x0.copy(), x0.copy()
             quad.cd_sweep(order)(got, quad.H @ got)
-            kernels._cd_dense_epoch_loops(quad.H, quad.b, ref, order)
+            LOOPS["cd_dense_epoch"](quad.H, quad.b, ref, order)
             assert float(np.abs(got - ref).max()) <= 1e-12, quad.dim
 
     def test_cd_pass_carries_hx(self):
@@ -358,7 +360,7 @@ class TestDensePaths:
             x0 = rng.standard_normal(p)
             for order in (cyclic, cyclic[::-1].copy(), repeats):
                 want = x0.copy()
-                kernels._cd_dense_epoch_loops(quad.H, quad.b, want, order)
+                LOOPS["cd_dense_epoch"](quad.H, quad.b, want, order)
                 got, Hx = x0.copy(), quad.H @ x0
                 quad.cd_sweep(order)(got, Hx)
                 assert float(np.abs(got - want).max()) <= 1e-12, (p, order[:3])
@@ -694,22 +696,24 @@ def use_loop_sources(monkeypatch):
         spy(name, LOOPS[name])
     spy("lsq_gram_pass", gram_pass_loops)
     spy("_c_product", c_product_loops)
-    spy("anderson_extrapolate", kernels._anderson_extrapolate_loops)
-    spy("anderson_weights", kernels._anderson_weights_loops)
+    spy("anderson_extrapolate", C_LOOPS["anderson_extrapolate"])
+    spy("anderson_weights", C_LOOPS["anderson_weights"])
     return called
 
 
-def three_solves():
+def three_solves(dense=True):
     """The traces of three ``pcd_anderson`` solves, each as one line: a
-    40 x 80 dense lasso (the Gram epoch), and an l1 logistic regression and
-    a lasso on the sparse sample data (the logistic and the least-squares
-    sparse epochs, and the products of a CSC that is not fully dense)."""
+    40 x 80 dense lasso (the Gram epoch; left out unless ``dense``), and an
+    l1 logistic regression and a lasso on the sparse sample data (the
+    logistic and the least-squares sparse epochs, and the products of a
+    CSC that is not fully dense)."""
     rng = np.random.default_rng(5)
     M = rng.standard_normal((40, 80))
     y = M[:, :5] @ rng.standard_normal(5) + 0.1 * rng.standard_normal(40)
     ds = load_sample()
-    runs = ((Lasso, CscMatrix.from_dense(M), y, 400, 1e-12),
-            (LogRegL1, ds.A, ds.y, 400, 1e-10), (Lasso, ds.A, ds.y, 50, 0.0))
+    runs = ((LogRegL1, ds.A, ds.y, 400, 1e-10), (Lasso, ds.A, ds.y, 50, 0.0))
+    if dense:
+        runs = ((Lasso, CscMatrix.from_dense(M), y, 400, 1e-12),) + runs
     lines = []
     for cls, A, y, max_epochs, tol in runs:
         prob = cls(A, y, 1.0)
@@ -829,12 +833,13 @@ NO_BUILD = {None: "No such file or directory: 'cc'",
             "failing": "exit status 1", "junk": "_epochs.so"}
 
 
-def python_with_path(path, code, cwd):
-    """``code`` run by this interpreter with ``PATH=path``, and this test
-    module and the package on its ``PYTHONPATH``."""
+def python_with_path(path, code, cwd, **env):
+    """``code`` run by this interpreter with ``PATH=path`` and the variables
+    ``env`` set, and this test module and the package on its
+    ``PYTHONPATH``."""
     paths = (Path(__file__).resolve().parent,
              Path(kernels.__file__).resolve().parents[1])
-    env = {**os.environ, "PATH": path,
+    env = {**os.environ, **env, "PATH": path,
            "PYTHONPATH": os.pathsep.join(map(str, paths))}
     return subprocess.run([sys.executable, "-c", code], env=env, cwd=cwd,
                           capture_output=True, text=True)
@@ -857,6 +862,29 @@ def test_a_compiler_without_native_builds_at_o3(tmp_path):
     cflags, *traces = proc.stdout.splitlines()
     assert cflags == "-O3 -ffp-contract=off -fPIC -shared"
     assert traces == three_solves()
+
+
+def test_a_solve_without_a_gram_matrix_keeps_its_bits_at_any_thread_count(
+        tmp_path):
+    # the sparse solves of `three_solves` at one and at two BLAS threads:
+    # only the Gram matrix that a dense least-squares solve builds is a
+    # product whose bits follow the thread count
+    runs = [python_with_path(os.environ.get("PATH", os.defpath), (
+        "from test_kernels import three_solves\n"
+        "print(*three_solves(dense=False), sep='\\n')\n"), tmp_path,
+        **dict.fromkeys(("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
+                         "MKL_NUM_THREADS"), str(threads)))
+        for threads in (1, 2)]
+    for proc in runs:
+        assert proc.returncode == 0, proc.stderr
+    one, two = (proc.stdout.splitlines() for proc in runs)
+    assert len(one) == 2 and all("'accepted'" in t for t in one)
+    assert one == two
+
+
+def test_every_c_loop_has_a_loop_source():
+    # a C loop added without its loop source fails here, not unchecked
+    assert C_LOOPS.keys() == kernels._SIGNATURES.keys()
 
 
 @pytest.mark.parametrize("cc", [None, "failing", "junk"])
@@ -911,10 +939,10 @@ class TestNumpySparsePath:
         x = rng.standard_normal(A.n_cols) * (rng.random(A.n_cols) < 0.7)
         v = rng.standard_normal(A.n_rows)
         got = NUMPY["csc_matvec"](*args, A.n_rows, x)
-        ref = kernels._csc_matvec_loops(*args, A.n_rows, x)
+        ref = LOOPS["csc_matvec"](*args, A.n_rows, x)
         assert np.array_equal(got, ref)
         got = NUMPY["csc_rmatvec"](*args, v)
-        ref = kernels._csc_rmatvec_loops(*args, v)
+        ref = LOOPS["csc_rmatvec"](*args, v)
         assert np.array_equal(got, ref)
 
     # the logistic cases keep the ids of the l1 flag that first
@@ -929,7 +957,7 @@ class TestNumpySparsePath:
         n, p = A.n_rows, A.n_cols
         args = (A.values, A.row_idx, A.col_ptr)
         y = np.where(rng.random(n) < 0.5, -1.0, 1.0)
-        norms = kernels._csc_col_norms_sq_loops(A.values, A.col_ptr)
+        norms = LOOPS["csc_col_norms_sq"](A.values, A.col_ptr)
         lam = float(rng.uniform(0.0, 0.3)) * max(n, 1)
         x0 = rng.standard_normal(p) * (rng.random(p) < 0.5)
         cyclic = np.arange(p, dtype=np.int64)
@@ -944,7 +972,7 @@ class TestNumpySparsePath:
             lip, extra = norms / 4.0, (lam,)
         # the compiled loop runs the loop source's operations
         ref = LOOPS[kernel]
-        x, Ax = x0.copy(), kernels._csc_matvec_loops(*args, n, x0)
+        x, Ax = x0.copy(), LOOPS["csc_matvec"](*args, n, x0)
         x_ref, Ax_ref = x.copy(), Ax.copy()
         for order in (cyclic, cyclic[::-1].copy(), repeats) * 2:
             NUMPY[kernel](*args, y, x, Ax, lip, *extra, order)
@@ -1378,9 +1406,9 @@ def test_products_are_their_loop_sources(case, backend, monkeypatch):
     args = (A.values, A.row_idx, A.col_ptr)
     x, v = signed_zeros(rng, p), signed_zeros(rng, n)
     Ax = kernels.csc_matvec(*args, n, x)
-    assert Ax.tobytes() == kernels._csc_matvec_loops(*args, n, x).tobytes()
+    assert Ax.tobytes() == LOOPS["csc_matvec"](*args, n, x).tobytes()
     got = kernels.csc_rmatvec(*args, v)
-    assert got.tobytes() == kernels._csc_rmatvec_loops(*args, v).tobytes()
+    assert got.tobytes() == LOOPS["csc_rmatvec"](*args, v).tobytes()
     if backend == "loops":
         want = storage_order_products(A, x, v)
         assert Ax.tobytes() + got.tobytes() == b"".join(
@@ -1392,8 +1420,7 @@ def test_products_are_their_loop_sources(case, backend, monkeypatch):
 
 
 def test_a_fully_dense_csc_takes_one_blas_call(monkeypatch):
-    for name in ("_c_product", "_csc_matvec_loops", "_csc_rmatvec_loops"):
-        monkeypatch.setattr(kernels, name, None)  # calling one would fail
+    monkeypatch.setattr(kernels, "_c_product", None)  # a call would fail
     rng = np.random.default_rng(3)
     M = rng.standard_normal((7, 5))
     A = CscMatrix.from_dense(M)

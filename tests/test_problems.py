@@ -19,6 +19,8 @@ from extracd.problems import (ElasticNet, GroupLasso, Lasso, LogRegL1,
                               stopping_measure, tikhonov_for_condition)
 from extracd.solvers import SolverConfig, solve
 
+from loop_sources import LOOPS
+
 
 def make_instances(n=25, p=12, seed=0):
     rng = np.random.default_rng(seed)
@@ -170,7 +172,7 @@ class TestQuadraticDatafit:
         base *= 2.0
         assert quad.H.tobytes() == H.tobytes()
         want = x.copy()
-        kernels.LOOPS["cd_dense_epoch"](quad.H, quad.b, want, order)
+        LOOPS["cd_dense_epoch"](quad.H, quad.b, want, order)
         quad.cd_sweep(order)(x, quad.H @ x)
         assert float(np.abs(x - want).max()) <= 1e-12
 
@@ -456,6 +458,14 @@ class TestGroupsAndRidge:
                                                 [8, 9]]
         with pytest.raises(ArgumentError):
             groups_from_size(10, 0)
+
+    # each once failed inside ``range`` or ran a bool as 1
+    @pytest.mark.parametrize("p,size,name", [
+        (10, 2.5, "group size"), (10, True, "group size"), (2.5, 1, "p")],
+        ids=["size-float", "size-bool", "p-float"])
+    def test_groups_from_size_takes_integers(self, p, size, name):
+        with pytest.raises(ArgumentError, match=f"^{name} must be an int"):
+            groups_from_size(p, size)
 
     def test_group_partition_validated(self):
         A = CscMatrix.from_dense(np.eye(4))

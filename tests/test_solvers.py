@@ -368,11 +368,12 @@ class TestCoordinateSolvers:
 # ---------------------------------------------------------------------------
 
 class TestFullGradient:
-    def test_power_iteration_matches_dense_eig(self):
+    def test_power_iteration_matches_dense_eig(self, monkeypatch):
+        monkeypatch.setattr(solvers, "_POWER_TOL", 1e-13)
         rng = np.random.default_rng(33)
         M = rng.standard_normal((30, 30))
         H = M @ M.T
-        top = power_iteration(lambda v: H @ v, 30, tol=1e-13)
+        top = power_iteration(lambda v: H @ v, 30)
         want = float(np.linalg.eigvalsh(H)[-1])
         assert math.isclose(top, want, rel_tol=1e-6)
 
@@ -394,14 +395,17 @@ class TestFullGradient:
         power_iteration(counted, 7)
         assert len(seen) == products
 
-    def test_power_iteration_returns_last_estimate_at_max_iter(self):
+    def test_power_iteration_returns_last_estimate_at_max_iter(
+            self, monkeypatch):
+        monkeypatch.setattr(solvers, "_POWER_TOL", 0.0)
+        monkeypatch.setattr(solvers, "_POWER_STEPS", 3)
         H = np.diag([2.0, 1.0])
         seen = []
 
         def counted(v):
             seen.append(v)
             return H @ v
-        top = power_iteration(counted, 2, tol=0.0, max_iter=3)
+        top = power_iteration(counted, 2)
         v = seen[-1]
         assert top == float(v @ (H @ v)) < 2.0
 
