@@ -8,18 +8,21 @@
    two entries: anderson_extrapolate on a window of iterates
    (kernels.anderson_extrapolate, which anderson's window and offline
    driver call) and anderson_weights on their differences
-   (kernels.anderson_weights: anderson.extrapolation_coefficients).  Each
-   does the operations of its loop source in tests/loop_sources.py
+   (kernels.anderson_weights: anderson.extrapolation_coefficients); and
+   the AR(1) recurrence of the synthetic designs (ar1_rows:
+   kernels.ar1_rows, which data.gen_correlated_gaussian runs).  Each does
+   the operations of its loop source in tests/loop_sources.py
    (_gram_epoch_loops; _sparse_epoch_loops with _lsq_row or _logreg_row;
    _csc_matvec_loops; _csc_rmatvec_loops; _anderson_extrapolate_loops and
-   _anderson_weights_loops) in the same order, so that compiled without FMA
-   contraction (-ffp-contract=off) and without -ffast-math it gives the
-   same bits.
+   _anderson_weights_loops; _ar1_rows_loops) in the same order, so that
+   compiled without FMA contraction (-ffp-contract=off) and without
+   -ffast-math it gives the same bits.
 
-   The Gram update g[k] = g[k] + d * row[k] is a multiply and an add per
-   entry, each rounded once, with no reduction across k: a compiler may run
-   it in SIMD lanes (restrict tells it that g, x and the Gram row do not
-   overlap), and each lane rounds as the scalar code does.  A sparse
+   The Gram update g[k] = g[k] + d * row[k], like the AR(1) row update, is
+   a multiply and an add per entry, each rounded once, with no reduction
+   across k: a compiler may run it in SIMD lanes (restrict tells it that
+   g, x and the Gram row do not overlap), and each lane rounds as the
+   scalar code does.  A sparse
    epoch's gradient and a column's entry of csc_rmatvec are sums, which
    stay sequential because nothing allows their reassociation, as do the
    sums of the extrapolation solve, which its loop source adds with
@@ -410,6 +413,22 @@ int anderson_extrapolate(const double *W, int64_t K, int64_t p,
         double ci = c[i];
         for (int64_t j = 0; j < p; j++)
             out[j] = out[j] + ci * row[j];
+    }
+    return 0;
+}
+
+/* The AR(1) recurrence of data.gen_correlated_gaussian on the p rows of n
+   entries of AT (C order), in place and in turn: row j = corr * row (j - 1)
+   + row j for j = 1..p-1.  Each entry is one multiply and one add, each
+   rounded once, so the rows may run in SIMD lanes (restrict: row j does
+   not overlap row j - 1).  Returns 0. */
+int ar1_rows(double *AT, int64_t p, int64_t n, double corr)
+{
+    for (int64_t j = 1; j < p; j++) {
+        const double *restrict prev = AT + (j - 1) * n;
+        double *restrict row = AT + j * n;
+        for (int64_t i = 0; i < n; i++)
+            row[i] = corr * prev[i] + row[i];
     }
     return 0;
 }

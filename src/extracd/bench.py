@@ -18,8 +18,8 @@ from dataclasses import dataclass, fields, is_dataclass, replace
 
 import numpy as np
 
-from .data import binarize_labels, gen_correlated_gaussian, load_sample, \
-    parse_libsvm
+from .data import (binarize_labels, check_synthetic, gen_correlated_gaussian,
+                   load_sample, parse_libsvm)
 from .errors import ArgumentError
 from .problems import (ElasticNet, GroupLasso, Lasso, LogRegL1, LogRegL2,
                        evaluate, groups_from_size, lambda_max,
@@ -135,6 +135,9 @@ def load_config(path, out_dir=None, seed=None):
         raise ArgumentError(f"unknown dataset.source {spec.source!r}")
     if spec.source == "path" and not spec.path:
         raise ArgumentError("dataset.path is required when source = path")
+    if spec.source == "synthetic":
+        check_synthetic(spec.n, spec.p, spec.corr, spec.snr, spec.data_seed,
+                        prefix="dataset.")
     if spec.kind not in _GRIDS:
         raise ArgumentError(f"unknown problem.kind {spec.kind!r}")
     for name in spec.solvers:

@@ -7,6 +7,7 @@ never from the file name.
 
 import gzip
 import io
+import numbers
 import os
 import re
 import zlib
@@ -23,6 +24,7 @@ __all__ = [
     "parse_libsvm",
     "serialize_libsvm",
     "binarize_labels",
+    "check_synthetic",
     "gen_correlated_gaussian",
     "load_sample",
 ]
@@ -35,13 +37,6 @@ _COMMENT = re.compile(r"#[^\n]*")
 # on to the next colon or whitespace, so its time is linear in the text's
 # length
 _TWO_COLONS = re.compile(r":[^\s:]*:")
-
-
-def _col_ptr(cols, n_cols):
-    """Column pointers of entries sorted by their column indices ``cols``."""
-    col_ptr = np.zeros(n_cols + 1, dtype=np.int64)
-    np.cumsum(np.bincount(cols, minlength=n_cols), out=col_ptr[1:])
-    return col_ptr
 
 
 @dataclass(frozen=True)
@@ -105,8 +100,14 @@ class CscMatrix:
         if arr.ndim != 2:
             raise ArgumentError("from_dense expects a 2-d array")
         n, p = arr.shape
-        cols, row_idx = np.nonzero(arr.T)
-        return cls(n, p, _col_ptr(cols, p), row_idx, arr[row_idx, cols])
+        # the rows of the C-order transpose are the columns, and a mask of
+        # its nonzeros picks each column's rows and values in CSC order
+        AT = np.ascontiguousarray(arr.T)
+        mask = AT != 0.0
+        col_ptr = np.zeros(p + 1, dtype=np.int64)
+        np.cumsum(mask.sum(axis=1), out=col_ptr[1:])
+        rows = np.broadcast_to(np.arange(n, dtype=np.int64), (p, n))
+        return cls(n, p, col_ptr, rows[mask], AT[mask])
 
     def toarray(self):
         return self.columns(np.arange(self.n_cols))
@@ -340,7 +341,8 @@ def _dataset(y, rows, cols, vals, n_cols):
     if memory is not None and 8 * (p + 1) > memory:
         raise error(f"{need}, more than this host's {memory} bytes of memory")
     try:
-        col_ptr = _col_ptr(cols, p)
+        col_ptr = np.zeros(p + 1, dtype=np.int64)
+        np.cumsum(np.bincount(cols, minlength=p), out=col_ptr[1:])
     except (MemoryError, ValueError):
         raise error(f"{need}, which could not be allocated") from None
     # a stable sort by column keeps each column's rows in file order; on
@@ -385,6 +387,24 @@ def binarize_labels(y):
     return out
 
 
+def check_synthetic(n, p, corr, snr, seed, prefix=""):
+    """ArgumentError naming the argument, after ``prefix``, unless the
+    arguments of `gen_correlated_gaussian` are valid: ``n`` and ``p``
+    integers >= 1, ``seed`` an integer >= 0 (Python or numpy integers, not
+    bools), ``corr`` a real in [0, 1) and ``snr`` finite and positive."""
+    check_integer(n, f"{prefix}n", 1)
+    check_integer(p, f"{prefix}p", 1)
+    check_integer(seed, f"{prefix}seed", 0)
+    for name, value in (("corr", corr), ("snr", snr)):
+        if isinstance(value, bool) or not isinstance(value, numbers.Real):
+            raise ArgumentError(f"{prefix}{name} must be a real number, not "
+                                f"{value!r}")
+    if not 0.0 <= corr < 1.0:
+        raise ArgumentError(f"{prefix}corr must lie in [0, 1)")
+    if not (np.isfinite(snr) and snr > 0):
+        raise ArgumentError(f"{prefix}snr must be finite and positive")
+
+
 def gen_correlated_gaussian(n, p, corr=0.5, snr=3.0, seed=0):
     """Synthetic regression data with AR(1)-correlated Gaussian features.
 
@@ -392,35 +412,37 @@ def gen_correlated_gaussian(n, p, corr=0.5, snr=3.0, seed=0):
     stationary AR(1) process with parameter ``corr`` and unit marginal
     variance.  A ground-truth coefficient vector with 10% nonzero
     entries produces ``y = A x_true + noise`` where the noise variance
-    is ``||A x_true||^2 / (n * snr)``.
+    is ``||A x_true||^2 / (n * snr)``.  `check_synthetic` states the
+    arguments' rules.
+
+    The design is built transposed, one row per feature, and C
+    ``kernels.ar1_rows`` runs the recurrence over those rows: each entry
+    is ``corr * A[:, j - 1] + scale * eps[:, j]`` with the bits of that
+    column-by-column form.
 
     Returns
     -------
     (Dataset, ndarray)
         The dataset and the ground-truth coefficients.
     """
-    check_integer(n, "n", 1)
-    check_integer(p, "p", 1)
-    if not 0.0 <= corr < 1.0:
-        raise ArgumentError("corr must lie in [0, 1)")
-    if not (np.isfinite(snr) and snr > 0):
-        raise ArgumentError("snr must be finite and positive")
+    check_synthetic(n, p, corr, snr, seed)
     rng = np.random.default_rng(seed)
     eps = rng.standard_normal((n, p))
-    A = np.empty((n, p))
-    A[:, 0] = eps[:, 0]
     scale = np.sqrt(1.0 - corr * corr)
-    for j in range(1, p):
-        A[:, j] = corr * A[:, j - 1] + scale * eps[:, j]
+    AT = np.ascontiguousarray(eps.T) * scale
+    AT[0] = eps[:, 0]
+    kernels.ar1_rows(AT, corr)
     nnz = max(1, int(np.ceil(0.1 * p)))
     support = rng.choice(p, size=nnz, replace=False)
     x_true = np.zeros(p)
     x_true[support] = rng.standard_normal(nnz)
-    signal = A @ x_true
+    # the product on the n x p design in C order: BLAS runs another kernel,
+    # with other bits, on the F-order view ``AT.T``
+    signal = np.ascontiguousarray(AT.T) @ x_true
     noise_var = (signal @ signal) / (n * snr)
     y = signal + np.sqrt(noise_var) * rng.standard_normal(n)
     name = f"synthetic(n={n},p={p},corr={corr:g},snr={snr:g},seed={seed})"
-    return Dataset(CscMatrix.from_dense(A), y, name=name), x_true
+    return Dataset(CscMatrix.from_dense(AT.T), y, name=name), x_true
 
 
 def load_sample():

@@ -28,9 +28,9 @@ avoid per-column work where the input allows:
 - ``csc_matvec`` and ``csc_rmatvec`` make one BLAS call when the matrix
   is fully dense (``nnz == n_rows * n_cols``): its values are then A' in
   C order; on any other matrix they run a C loop (below);
-- ``csc_col_norms_sq`` is one batched ``np.matmul`` when every column
-  holds as many entries (a fully dense CSC), with the bits of the
-  per-column dots;
+- ``csc_col_norms_sq`` is one batched ``np.matmul`` per column length
+  (one in all for a fully dense CSC), with the bits of the per-column
+  dots;
 - ``problems.Quadratic.cd_sweep`` runs a cyclic pass on a quadratic as one
   Gauss-Seidel step instead of ``cd_dense_epoch``.
 
@@ -61,16 +61,19 @@ called through ``ctypes``, and each C loop has one loop source in
 - C ``anderson_extrapolate`` and ``anderson_weights``, the extrapolation
   solve of ``anderson`` on a window of iterates or on their differences,
   one pivoted Householder QR (``anderson_solve``) in both:
-  `_anderson_extrapolate_loops` and `_anderson_weights_loops`.
+  `_anderson_extrapolate_loops` and `_anderson_weights_loops`;
+- C ``ar1_rows``, the AR(1) recurrence over the rows of a transposed
+  design, which ``data.gen_correlated_gaussian`` runs: `_ar1_rows_loops`.
 
 Each C loop does its loop source's operations in the same order, compiled
 without FMA contraction, so its iterates are bitwise the loop source's:
 
 - the build tries ``-O3 -march=native``, then ``-O3``; both vectorize the
-  Gram row update ``g += d * G_j``, which keeps the bits: each entry is
-  one multiply and one add, each rounded once, in a SIMD lane as in a
-  scalar register, and ``-ffp-contract=off`` without ``-ffast-math``
-  neither fuses nor reassociates them;
+  Gram row update ``g += d * G_j`` and the AR(1) row update
+  ``a_j = corr * a_{j-1} + a_j``, which keeps the bits: each entry is one
+  multiply and one add, each rounded once, in a SIMD lane as in a scalar
+  register, and ``-ffp-contract=off`` without ``-ffast-math`` neither
+  fuses nor reassociates them;
 - a sparse epoch's gradient and an entry of ``A' v`` are sums over a
   column's rows, which therefore stay sequential, and ``A x`` adds each
   column into the rows in storage order; the logistic ``exp`` is the C
@@ -116,6 +119,7 @@ import subprocess
 import tempfile
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 # ---------------------------------------------------------------------------
 # scalar helpers
@@ -181,18 +185,16 @@ def csc_rmatvec(data, indices, indptr, v):
 
 
 def csc_col_norms_sq(data, indptr):
-    p = indptr.size - 1
     counts = np.diff(indptr)
-    if p and (counts == counts[0]).all():
-        # columns of one length (a fully dense CSC, say) are the rows of a
-        # p x m view; each batch of this product is a 1 x m by m x 1
-        # product, the same dot as ``c @ c`` per column
-        cols = data[indptr[0]:indptr[-1]].reshape(p, counts[0])
-        return np.matmul(cols[:, None, :], cols[:, :, None]).reshape(p)
-    out = np.empty(p)
-    for j in range(p):
-        sl = slice(indptr[j], indptr[j + 1])
-        out[j] = data[sl] @ data[sl]
+    out = np.empty(counts.size)
+    for m in np.unique(counts).tolist():
+        # the columns of m entries are the rows of a k x m gather of the
+        # windows of m entries that start at their pointers; each batch of
+        # this product is a 1 x m by m x 1 product, the same dot as ``c @
+        # c`` per column
+        cols = np.flatnonzero(counts == m)
+        c = sliding_window_view(data, m)[indptr[cols]]
+        out[cols] = np.matmul(c[:, None, :], c[:, :, None]).reshape(-1)
     return out
 
 
@@ -279,7 +281,8 @@ _SIGNATURES = {"gram_epoch": [_PTR] * 5 + [_I64] * 2 + [_F64] * 3,
                "lsq_epoch": _SPARSE_ARGS, "logreg_epoch": _SPARSE_ARGS,
                "csc_matvec": _PRODUCT_ARGS, "csc_rmatvec": _PRODUCT_ARGS,
                "anderson_weights": _ANDERSON_ARGS,
-               "anderson_extrapolate": _ANDERSON_ARGS}
+               "anderson_extrapolate": _ANDERSON_ARGS,
+               "ar1_rows": [_PTR, _I64, _I64, _F64]}
 # the IndexError messages of the C loops' nonzero return codes
 _C_ERRORS = {-1: "order holds an index outside [-{p}, {p})",
              -2: "indptr must rise from 0 or more to at most {nnz}",
@@ -400,6 +403,19 @@ def anderson_extrapolate(W):
     if code:
         return None, None
     return out[p:], out[:p].reshape(W.shape[1:])
+
+
+def ar1_rows(AT, corr):
+    """Rows ``j = 1 .. p - 1`` of the p x n array ``AT``, in turn, set in
+    place to ``corr * AT[j - 1] + AT[j]`` by C ``ar1_rows``, bit for bit
+    `_ar1_rows_loops`; ValueError unless ``AT`` is a writable, aligned,
+    C-contiguous 2-d float64 array."""
+    if not (isinstance(AT, np.ndarray) and AT.dtype == np.float64
+            and AT.ndim == 2 and AT.flags.c_contiguous and AT.flags.aligned
+            and AT.flags.writeable):
+        raise ValueError("AT must be a writable C-contiguous 2-d float64 "
+                         "array")
+    _lib.ar1_rows(AT.ctypes.data, AT.shape[0], AT.shape[1], float(corr))
 
 
 def _float64_out(a, name, size):

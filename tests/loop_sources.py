@@ -252,6 +252,16 @@ def _anderson_extrapolate_loops(W):
     return c, x_e
 
 
+def _ar1_rows_loops(AT, corr):
+    """C ``ar1_rows``: the AR(1) recurrence, column by column, of the
+    n x p design ``AT.T`` in place, as ``gen_correlated_gaussian`` once
+    built it, its innovations ``scale * eps[:, j]`` already in the
+    columns ``j >= 1``."""
+    A = AT.T
+    for j in range(1, A.shape[1]):
+        A[:, j] = corr * A[:, j - 1] + A[:, j]
+
+
 # each C loop of ``kernels._SIGNATURES`` and its loop source
 C_LOOPS = {
     "gram_epoch": _gram_epoch_loops,
@@ -261,6 +271,7 @@ C_LOOPS = {
     "csc_rmatvec": _csc_rmatvec_loops,
     "anderson_weights": _anderson_weights_loops,
     "anderson_extrapolate": _anderson_extrapolate_loops,
+    "ar1_rows": _ar1_rows_loops,
 }
 
 LOOPS = {

@@ -127,11 +127,24 @@ class TestLoadConfig:
         ({"run": {"ref_budget_factor": "2"}}, "at least 10"),
         ({"run": {"tol": "nan"}}, "tol"),
         ({"run": {"seed": "-1"}}, "seed must be an integer >= 0"),
+        ({"dataset": {"seed": "-1"}},
+         "^dataset.seed must be an integer >= 0, not -1$"),
+        ({"dataset": {"n": "0"}}, "^dataset.n must be an integer >= 1"),
+        ({"dataset": {"p": "-3"}}, "^dataset.p must be an integer >= 1"),
+        ({"dataset": {"corr": "1.0"}}, r"^dataset.corr must lie in \[0, 1\)"),
+        ({"dataset": {"snr": "inf"}}, "^dataset.snr must be finite"),
     ])
     def test_rejections(self, tmp_path, overrides, fragment):
         path = write_config(tmp_path / "bad.ini", overrides)
         with pytest.raises(ArgumentError, match=fragment):
             load_config(path)
+
+    def test_synthetic_keys_are_checked_only_for_synthetic_data(self,
+                                                                tmp_path):
+        # the generator's keys are unused by the other sources
+        path = write_config(tmp_path / "s.ini", {
+            "dataset": {"source": "sample", "seed": "-1", "n": "0"}})
+        assert load_config(path).data_seed == -1
 
     def test_path_source_requires_path(self, tmp_path):
         path = write_config(tmp_path / "p.ini",
@@ -593,6 +606,18 @@ class TestCli:
         assert "seed must be an integer >= 0" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_bench_negative_data_seed_exit_two_before_any_work(
+            self, tmp_path, capsys, monkeypatch):
+        # ``[dataset] seed = -1`` once passed the config check, and bench
+        # ended in numpy's ValueError from the generator, exiting 1
+        monkeypatch.setattr(bench, "build_dataset", None)
+        cfg = write_config(tmp_path / "b.ini", {"dataset": {"seed": "-1"}})
+        out = tmp_path / "res"
+        assert main(["bench", "--config", str(cfg), "--out", str(out)]) == 2
+        assert ("dataset.seed must be an integer >= 0"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
     def test_bench_enet_without_rows_exit_two(self, tmp_path, capsys):
         empty = tmp_path / "empty.libsvm"
         empty.write_text("", encoding="utf-8")
@@ -630,6 +655,13 @@ class TestCli:
             header, rows = read_csv(out / f"range_q{q}.csv")
             assert header == "angle,re,im"
             assert len(rows) == 48
+
+    def test_range_negative_seed_exit_two(self, tmp_path, capsys):
+        # numpy's ValueError once ended it in a traceback
+        out = tmp_path / "r"
+        assert main(["range", "--seed", "-1", "--out", str(out)]) == 2
+        assert "seed must be an integer >= 0" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_ref_prints_cache_lines(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "b.ini")

@@ -5,8 +5,9 @@ import time
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from extracd import data
 from extracd.data import (CscMatrix, Dataset, binarize_labels,
@@ -22,7 +23,53 @@ def random_sparse(n, p, density, seed):
     return M
 
 
+def from_dense_nonzero(M):
+    """The CSC arrays of the 2-d float64 ``M`` by ``np.nonzero`` and a
+    two-index gather: the reference for ``from_dense``'s one mask."""
+    n, p = M.shape
+    cols, rows = np.nonzero(M.T)
+    col_ptr = np.zeros(p + 1, dtype=np.int64)
+    np.cumsum(np.bincount(cols, minlength=p), out=col_ptr[1:])
+    return col_ptr, rows, M[rows, cols]
+
+
+# entries that are mostly zeros of both signs, so that columns, rows and
+# whole matrices come out empty
+dense_entries = st.one_of(st.sampled_from([0.0, -0.0]), st.sampled_from(
+    [0.0, -0.0, 1.0, -2.5, 5e-324]), st.floats(-1e300, 1e300))
+
+
 class TestCscMatrix:
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(M=hnp.arrays(np.float64, hnp.array_shapes(min_dims=2, max_dims=2,
+                                                     min_side=0, max_side=7),
+                        elements=dense_entries),
+           layout=st.sampled_from(["C", "F", "strided"]))
+    # no rows, no columns, and only zeros of both signs, which are stored
+    # no more than 0.0 is
+    @example(M=np.zeros((0, 4)), layout="C")
+    @example(M=np.zeros((4, 0)), layout="F")
+    @example(M=np.where(np.eye(3, 5) > 0, -0.0, 0.0), layout="C")
+    def test_from_dense_is_the_nonzero_gather(self, M, layout):
+        if layout == "F":
+            M = np.asfortranarray(M)
+        elif layout == "strided":
+            M = np.repeat(np.repeat(M, 2, axis=0), 2, axis=1)[::2, ::2]
+        A = CscMatrix.from_dense(M)
+        assert (A.n_rows, A.n_cols) == M.shape
+        for got, want in zip((A.col_ptr, A.row_idx, A.values),
+                             from_dense_nonzero(M)):
+            assert got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes()
+
+    def test_from_dense_takes_integers_and_refuses_non_finite(self):
+        A = CscMatrix.from_dense(np.array([[0, 3], [2, 0]]))
+        assert A.values.dtype == np.float64
+        assert A.values.tolist() == [2.0, 3.0]
+        assert A.row_idx.tolist() == [1, 0]
+        with pytest.raises(ArgumentError, match="finite"):
+            CscMatrix.from_dense(np.array([[0.0, np.nan]]))
+
     def test_dense_round_trip(self):
         M = random_sparse(13, 7, 0.4, seed=0)
         A = CscMatrix.from_dense(M)
@@ -488,7 +535,41 @@ class TestBinarize:
             binarize_labels(np.ones(4))
 
 
+def gen_correlated_gaussian_columns(n, p, corr, snr, seed):
+    """``(A, y, x_true)`` of ``gen_correlated_gaussian`` with the design
+    dense, built as it once was: the recurrence column by column."""
+    rng = np.random.default_rng(seed)
+    eps = rng.standard_normal((n, p))
+    A = np.empty((n, p))
+    A[:, 0] = eps[:, 0]
+    scale = np.sqrt(1.0 - corr * corr)
+    for j in range(1, p):
+        A[:, j] = corr * A[:, j - 1] + scale * eps[:, j]
+    nnz = max(1, int(np.ceil(0.1 * p)))
+    support = rng.choice(p, size=nnz, replace=False)
+    x_true = np.zeros(p)
+    x_true[support] = rng.standard_normal(nnz)
+    signal = A @ x_true
+    noise_var = (signal @ signal) / (n * snr)
+    y = signal + np.sqrt(noise_var) * rng.standard_normal(n)
+    return A, y, x_true
+
+
 class TestSynthetic:
+    @pytest.mark.parametrize("n, p, corr", [
+        (100, 500, 0.5), (30, 7, 0.0), (50, 200, 0.9), (1, 1, 0.5),
+        (7, 1, 0.9), (1, 30, 0.0), (64, 3, 0.25)])
+    @pytest.mark.parametrize("seed", [0, 3, 11])
+    def test_the_design_has_the_bits_of_the_column_loop(self, n, p, corr,
+                                                        seed):
+        ds, x_true = gen_correlated_gaussian(n, p, corr, 3.0, seed=seed)
+        A, y, x_ref = gen_correlated_gaussian_columns(n, p, corr, 3.0, seed)
+        for got, want in zip((ds.A.col_ptr, ds.A.row_idx, ds.A.values,
+                              ds.y, x_true), (*from_dense_nonzero(A), y,
+                                              x_ref)):
+            assert got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes()
+
     def test_shapes_and_determinism(self):
         ds1, x1 = gen_correlated_gaussian(30, 50, corr=0.6, snr=2.0, seed=9)
         ds2, x2 = gen_correlated_gaussian(30, 50, corr=0.6, snr=2.0, seed=9)
@@ -525,10 +606,44 @@ class TestSynthetic:
     (lambda: parse_libsvm(b"1 1:1\n", n_cols=True), "n_cols"),
     (lambda: gen_correlated_gaussian(10.5, 5), "n"),
     (lambda: gen_correlated_gaussian(10, True), "p"),
-], ids=["n_cols-float", "n_cols-bool", "n-float", "p-bool"])
+    (lambda: gen_correlated_gaussian(10, 5, seed=2.5), "seed"),
+    (lambda: gen_correlated_gaussian(10, 5, seed=True), "seed"),
+    (lambda: gen_correlated_gaussian(10, 5, seed=-1), "seed"),
+    (lambda: gen_correlated_gaussian(10, 5, seed=None), "seed"),
+], ids=["n_cols-float", "n_cols-bool", "n-float", "p-bool", "seed-float",
+        "seed-bool", "seed-negative", "seed-none"])
 def test_integer_arguments_are_checked(make, name):
     with pytest.raises(ArgumentError, match=f"^{name} must be an integer"):
         make()
+
+
+@pytest.mark.parametrize("kwargs, match", [
+    ({"corr": "0.5"}, "^corr must be a real number, not '0.5'$"),
+    ({"corr": True}, "^corr must be a real number"),
+    ({"corr": -0.1}, r"^corr must lie in \[0, 1\)$"),
+    ({"corr": float("nan")}, "^corr must lie in"),
+    ({"snr": None}, "^snr must be a real number, not None$"),
+    ({"snr": float("inf")}, "^snr must be finite and positive$"),
+])
+def test_synthetic_real_arguments_are_checked(kwargs, match):
+    # a string or None once failed in a comparison with a bare TypeError
+    with pytest.raises(ArgumentError, match=match):
+        gen_correlated_gaussian(10, 5, **kwargs)
+
+
+def test_synthetic_checks_name_the_prefixed_key():
+    with pytest.raises(ArgumentError, match="^dataset.seed must be an "
+                                            "integer >= 0, not -1$"):
+        data.check_synthetic(10, 5, 0.5, 3.0, -1, prefix="dataset.")
+
+
+def test_synthetic_takes_numpy_numbers():
+    ds, x = gen_correlated_gaussian(np.int32(12), np.int64(9),
+                                    np.float64(0.5), np.float32(3.0),
+                                    seed=np.uint8(4))
+    ref, x_ref = gen_correlated_gaussian(12, 9, 0.5, 3.0, seed=4)
+    assert ds.A.values.tobytes() == ref.A.values.tobytes()
+    assert x.tobytes() == x_ref.tobytes()
 
 
 def test_load_sample():

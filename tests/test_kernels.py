@@ -321,6 +321,36 @@ class TestDensePaths:
         got = NUMPY["csc_col_norms_sq"](A.values, A.col_ptr)
         assert got.tobytes() == want.tobytes()
 
+    @settings(max_examples=150, deadline=None, database=None)
+    @given(counts=st.lists(st.sampled_from([0, 0, 1, 2, 3, 5, 8, 13, 40]),
+                           max_size=30),
+           offset=st.integers(0, 3), seed=st.integers(0, 2 ** 32 - 1))
+    def test_ragged_col_norms_are_the_per_column_dots(self, counts, offset,
+                                                      seed):
+        # columns of many lengths, empty ones among them, in any order, and
+        # pointers that need not start at 0: one batched product per length
+        # gives each column the bits of its dot, within rounding of the
+        # loop source's sequential sum
+        rng = np.random.default_rng(seed)
+        indptr = np.cumsum([offset] + counts).astype(np.int64)
+        data = rng.standard_normal(indptr[-1] + 2)
+        want = np.array([data[a:b] @ data[a:b]
+                         for a, b in zip(indptr[:-1], indptr[1:])])
+        got = NUMPY["csc_col_norms_sq"](data, indptr)
+        assert got.dtype == np.float64 and got.shape == (len(counts),)
+        assert got.tobytes() == want.tobytes()
+        ref = LOOPS["csc_col_norms_sq"](data, indptr)
+        np.testing.assert_allclose(got, ref, rtol=1e-13, atol=0.0)
+
+    def test_sample_col_norms_are_the_per_column_dots(self):
+        A = load_sample().A
+        assert np.unique(np.diff(A.col_ptr)).size > 1
+        cols = [A.values[A.col_ptr[j]:A.col_ptr[j + 1]]
+                for j in range(A.n_cols)]
+        want = np.array([c @ c for c in cols])
+        got = NUMPY["csc_col_norms_sq"](A.values, A.col_ptr)
+        assert got.tobytes() == want.tobytes()
+
     @pytest.mark.parametrize("k, n, p", [(0, 4, 3), (1, 5, 9), (2, 6, 4),
                                          (2, 40, 33), (3, 9, 17)])
     def test_sparse_col_norms_of_equal_columns_are_the_dots(self, k, n, p):
@@ -880,6 +910,34 @@ def test_a_solve_without_a_gram_matrix_keeps_its_bits_at_any_thread_count(
     one, two = (proc.stdout.splitlines() for proc in runs)
     assert len(one) == 2 and all("'accepted'" in t for t in one)
     assert one == two
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(p=st.integers(0, 9), n=st.integers(0, 9),
+       corr=st.one_of(st.sampled_from([0.0, 0.5, 0.9]),
+                      st.floats(0.0, 1.0, exclude_max=True)),
+       seed=st.integers(0, 2 ** 32 - 1), zeros=st.booleans())
+def test_ar1_rows_matches_its_loop_source(p, n, corr, seed, zeros):
+    rng = np.random.default_rng(seed)
+    AT = rng.standard_normal((p, n)) * rng.choice([1e-300, 1.0, 1e300],
+                                                   (p, n))
+    if zeros:
+        AT[rng.random((p, n)) < 0.5] = -0.0
+    want = AT.copy()
+    C_LOOPS["ar1_rows"](want, corr)
+    kernels.ar1_rows(AT, corr)
+    assert AT.tobytes() == want.tobytes()
+
+
+def test_ar1_rows_refuses_what_c_cannot_write_in_place():
+    AT = np.ones((3, 4))
+    for bad in (AT.T, AT[:, ::2], AT.astype(np.float32), AT.ravel(),
+                np.ones((3, 4), order="F")):
+        with pytest.raises(ValueError, match="C-contiguous 2-d float64"):
+            kernels.ar1_rows(bad, 0.5)
+    AT.setflags(write=False)
+    with pytest.raises(ValueError, match="writable"):
+        kernels.ar1_rows(AT, 0.5)
 
 
 def test_every_c_loop_has_a_loop_source():
